@@ -10,13 +10,7 @@ from .annotations import (
     parse_annotations,
     validate_annotations,
 )
-from .builder import (
-    build_all,
-    build_event_layer,
-    build_panel_layer,
-    build_temporal_layer,
-    link_layers,
-)
+from .builder import build_all
 from .embedding import (
     HashedNgramProvider,
     RemoteProvider,
@@ -99,11 +93,8 @@ __all__ = [
     "VectorFileProvider",
     "apply_normalization",
     "build_all",
-    "build_event_layer",
     "build_gold",
     "build_normalization_map",
-    "build_panel_layer",
-    "build_temporal_layer",
     "character_trajectory",
     "cluster_labels",
     "cosine",
@@ -113,7 +104,6 @@ __all__ = [
     "fold_label",
     "generate_fixture",
     "lexical_key",
-    "link_layers",
     "load_gold_labels",
     "load_lexicon",
     "load_vector_file",

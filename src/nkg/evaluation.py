@@ -29,7 +29,6 @@ from .reasoner import (
 
 log = logging.getLogger(__name__)
 
-TASKS = ("T1", "T2", "T3", "T4", "T5")
 VARIANTS = ("raw", "normalized")
 REPORT_FORMATS = ("json", "csv", "markdown", "plotdata")
 

@@ -1,7 +1,8 @@
 """Typed multi-layer directed graph with canonical JSON serialization.
 
-Nodes live on one of three layers (panel content, temporal sequence, event
-hierarchy) and carry string attributes; edges are (src, dst, kind) triples.
+Each node kind belongs to one of three layers (panel content, temporal
+sequence, event hierarchy); nodes carry string attributes and edges are
+(src, dst, kind) triples.
 The four order-bearing edge kinds must stay acyclic, and subevent_of must
 stay a forest; both are enforced on every add_edge. After finalize() the
 graph is immutable and safe to share.
@@ -54,7 +55,6 @@ class EdgeKind(Enum):
     INSTANTIATES = "instantiates"
     SUBEVENT_OF = "subevent_of"
     PRECEDES = "precedes"
-    CO_OCCURS = "co_occurs"
 
 
 class Layer(Enum):
@@ -62,6 +62,18 @@ class Layer(Enum):
     TEMPORAL = "temporal"
     EVENT = "event"
 
+
+# every node kind lives on exactly one layer; Node.layer reads it from here
+KIND_LAYER = {
+    NodeKind.PANEL: Layer.TEMPORAL,
+    NodeKind.CHARACTER: Layer.PANEL,
+    NodeKind.CHARACTER_INSTANCE: Layer.PANEL,
+    NodeKind.OBJECT: Layer.PANEL,
+    NodeKind.ACTION: Layer.PANEL,
+    NodeKind.DIALOGUE: Layer.PANEL,
+    NodeKind.EVENT: Layer.EVENT,
+    NodeKind.MACRO_EVENT: Layer.EVENT,
+}
 
 # order-bearing kinds; cycles here would make reconstruction ill-defined
 ACYCLIC_KINDS = frozenset(
@@ -83,8 +95,11 @@ LABELED_KINDS = frozenset(
 class Node:
     id: str
     kind: NodeKind
-    layer: Layer
     attrs: dict[str, str] = field(default_factory=dict)
+
+    @property
+    def layer(self) -> Layer:
+        return KIND_LAYER[self.kind]
 
     def label(self) -> str:
         return self.attrs.get("label", "")
@@ -286,12 +301,18 @@ class NarrativeGraph:
                 layer = Layer(n["layer"])
             except (KeyError, ValueError) as exc:
                 raise SchemaViolation(path, f"bad node kind/layer: {exc}") from exc
+            if layer is not KIND_LAYER[kind]:
+                raise SchemaViolation(
+                    path,
+                    f"{kind.value} node must be on layer {KIND_LAYER[kind].value}, "
+                    f"not {layer.value}",
+                )
             attrs = n.get("attrs", {})
             if not isinstance(attrs, dict):
                 raise SchemaViolation(path, "attrs must be an object")
             if not isinstance(n.get("id"), str):
                 raise SchemaViolation(path, "id must be a string")
-            graph.add_node(Node(n["id"], kind, layer, dict(attrs)))
+            graph.add_node(Node(n["id"], kind, dict(attrs)))
         for i, e in enumerate(obj["edges"]):
             path = f"$.edges[{i}]"
             if not isinstance(e, dict):

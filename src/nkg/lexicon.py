@@ -67,10 +67,6 @@ class SynonymLexicon:
         ia = self._group_of.get(key_a)
         return ia is not None and ia == self._group_of.get(key_b)
 
-    def group_of(self, key: str) -> frozenset[str] | None:
-        i = self._group_of.get(key)
-        return self.groups[i] if i is not None else None
-
 
 def load_lexicon(raw: bytes | str) -> SynonymLexicon:
     """Parse the lexicon JSON: {"groups": [[...], ...], "lemma_exceptions": {...}}."""

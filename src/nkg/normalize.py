@@ -254,7 +254,7 @@ def apply_normalization(graph: NarrativeGraph, norm_map: NormalizationMap) -> Na
         old = attrs.get("label", "")
         attrs["label"] = norm_map.lookup(old, pool)
         attrs.setdefault("surface_label", old)
-        out.add_node(Node(node.id, node.kind, node.layer, attrs))
+        out.add_node(Node(node.id, node.kind, attrs))
     for edge in graph.edges():
         out.add_edge(edge)
     return out.finalize()

@@ -34,12 +34,6 @@ def gold_labels_bytes(kind: str) -> bytes:
     return read_data(f"{kind}_gold.json")
 
 
-def fixture_bytes(kind: str) -> bytes:
-    if kind not in STORY_KINDS:
-        raise ValueError(f"no packaged fixture for {kind!r}")
-    return read_data(f"{kind}_fixture.json")
-
-
 def manifest(kind: str) -> dict:
     """Expected node/edge tallies for a story fixture's graph."""
     if kind not in STORY_KINDS:

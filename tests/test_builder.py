@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+
+import pytest
 
 from nkg.annotations import (
     ActionAnn,
@@ -7,22 +10,44 @@ from nkg.annotations import (
     EventAnn,
     MacroEventAnn,
     PanelAnn,
+    validate_annotations,
 )
-from nkg.builder import (
-    build_all,
-    build_event_layer,
-    build_panel_layer,
-    build_temporal_layer,
-    entity_node_id,
-    link_layers,
-)
+from nkg.builder import build_all, entity_node_id
+from nkg.cli import main
+from nkg.errors import DuplicateNode
 from nkg.fixtures import generate_fixture
 from nkg.graph import EdgeKind, NodeKind
 
+# SHA-256 of build_all(doc).to_json_bytes(), recorded before the builder
+# became one pass; built bytes must not change without a reason on record
+FIXTURE_DIGESTS = {
+    ("battle", 0, 0.0): "51daccb038cfb2ceb58c90406eebb215fb3361918b9d315545d175f7fccfce87",
+    ("romance", 0, 0.0): "5925e5ea212f0d4be907487c2d47fd59de1a9a4e012d0474217dd658dc1de2f5",
+    ("noise", 0, 0.0): "619c8f2feeebd3a6a0a2a059596339d4fb39a24f27fafa85a476a6c4b9df6acb",
+    ("noise", 0, 0.6): "cd2af14ba3fd27c7918d8d6cf9b2042bc9201800085f469056a620af796cedfe",
+    ("noise", 1, 0.0): "2e9364ce67176f5ef93a83cc27a9fe2b78b8ea4f389784fe8e111b46ac4582b2",
+    ("noise", 1, 0.6): "57ccd7182d5d7cee1d627a10e02505c45b858578d9d7a3cf60d2f45802650fa1",
+    ("noise", 2, 0.0): "0b49724a4025652bde0a7fc1d0c270cee4fb2a8ad6394b35e13490fc5baa52f4",
+    ("noise", 2, 0.6): "a2d959f857d2375cb41286fe244f39c1406dabc7b9de3e546a6e2a828daba089",
+    ("noise", 3, 0.0): "cc9de0a2368ce6c3c3da73f117fe5c9797c7592789dfb6ef25a1fe6eb453c51d",
+    ("noise", 3, 0.6): "4eb5bbe817759e423dcfbedf3ee9b6a7688ed90d7cc84f7de522f5a28325090b",
+}
 
-def minimal_doc(**panel_overrides):
+
+def minimal_doc(macro_id="m0", event_id="e0", **panel_overrides):
     panel = PanelAnn(id="0_0_0", reading_order=0, storytime_order=0, **panel_overrides)
-    return AnnotationDoc("min", (MacroEventAnn("m0", "arc", (EventAnn("e0", "beat", (panel,)),)),))
+    event = EventAnn(event_id, "beat", (panel,))
+    return AnnotationDoc("min", (MacroEventAnn(macro_id, "arc", (event,)),))
+
+
+# valid annotations whose ids collide only once the tiers share one graph
+CROSS_TIER_COLLISIONS = {
+    "event_is_action": minimal_doc(event_id="a0", actions=(ActionAnn("a0", "wave"),)),
+    "macro_is_entity": minimal_doc(
+        macro_id="entity:hero", characters=(CharacterAnn("i0", "hero"),)
+    ),
+    "event_is_panel": minimal_doc(event_id="0_0_0"),
+}
 
 
 def expected_counts(doc):
@@ -91,7 +116,7 @@ def test_minimal_doc_shape():
 
 def test_single_character_panel():
     doc = minimal_doc(characters=(CharacterAnn("i0", "hero", "Hero"),))
-    g = build_panel_layer(doc)
+    g = build_all(doc)
     nodes, edges = count_by_kind(g)
     assert nodes["panel"] == 1
     assert nodes["character_instance"] == 1
@@ -103,7 +128,7 @@ def test_single_character_panel():
 
 def test_co_occurrence_pairs_directed_by_id():
     chars = tuple(CharacterAnn(f"i{k}", f"ent{k}") for k in (2, 0, 1))
-    g = build_panel_layer(minimal_doc(characters=chars))
+    g = build_all(minimal_doc(characters=chars))
     pairs = [(e.src, e.dst) for e in g.edges(EdgeKind.CO_OCCURS_WITH)]
     assert pairs == [("i0", "i1"), ("i0", "i2"), ("i1", "i2")]
 
@@ -113,7 +138,7 @@ def test_action_edges():
         characters=(CharacterAnn("i0", "hero"),),
         actions=(ActionAnn("a0", "wave", agent="i0"), ActionAnn("a1", "rain")),
     )
-    g = build_panel_layer(doc)
+    g = build_all(doc)
     assert g.neighbors("a0", EdgeKind.HAS_AGENT) == ["i0"]
     assert g.neighbors("a1", EdgeKind.HAS_AGENT) == []
     assert g.node("a0").label() == "wave"
@@ -130,7 +155,7 @@ def test_has_agent_count_matches_annotation_scan():
 
 def test_reading_chain_follows_declaration():
     doc = generate_fixture("battle")
-    g = build_temporal_layer(doc)
+    g = build_all(doc)
     chain = walk_chain(g, EdgeKind.PRECEDES_READING)
     assert chain == [p.id for _, _, p in doc.iter_panels()]
     assert len(chain) == 28
@@ -150,7 +175,7 @@ def test_storytime_chain_matches_sort_oracle():
 
 def test_event_layer_hierarchy():
     doc = generate_fixture("romance")
-    g = build_event_layer(doc)
+    g = build_all(doc)
     think = next(n.id for n in g.nodes(NodeKind.MACRO_EVENT) if n.label() == "Think of family")
     assert len(g.neighbors(think, EdgeKind.SUBEVENT_OF, "in")) == 4
     for macro in doc.macro_events:
@@ -172,25 +197,6 @@ def test_every_panel_instantiates_exactly_one_event():
         assert len(g.neighbors(node.id, EdgeKind.INSTANTIATES)) == 1
 
 
-def test_full_build_equals_fragment_union():
-    doc = generate_fixture("battle")
-    fragments = (build_panel_layer(doc), build_temporal_layer(doc), build_event_layer(doc))
-    g = link_layers(doc, fragments)
-
-    union_nodes = {}
-    for frag in fragments:
-        for node in frag.nodes():
-            union_nodes[node.id] = node
-    assert {n.id: n for n in g.nodes()} == union_nodes
-
-    union_edges = {e.key() for frag in fragments for e in frag.edges()}
-    union_edges |= {
-        (p.id, e.id, EdgeKind.INSTANTIATES.value)
-        for _, e, p in doc.iter_panels()
-    }
-    assert {e.key() for e in g.edges()} == union_edges
-
-
 def test_build_deterministic():
     doc = generate_fixture("romance")
     assert build_all(doc).to_json_bytes() == build_all(doc).to_json_bytes()
@@ -207,3 +213,26 @@ def test_counts_match_annotation_tally_on_all_fixtures():
         assert got_nodes == want_nodes, doc.story_id
         assert got_edges == want_edges, doc.story_id
         assert g.frozen and not g.normalized
+
+
+@pytest.mark.parametrize("kind,seed,variance", sorted(FIXTURE_DIGESTS))
+def test_built_bytes_match_pinned_digest(kind, seed, variance):
+    doc = generate_fixture(kind, seed=seed, variance=variance)
+    digest = hashlib.sha256(build_all(doc).to_json_bytes()).hexdigest()
+    assert digest == FIXTURE_DIGESTS[(kind, seed, variance)]
+
+
+@pytest.mark.parametrize("case", sorted(CROSS_TIER_COLLISIONS))
+def test_cross_tier_id_collision_raises_duplicate_node(case):
+    doc = CROSS_TIER_COLLISIONS[case]
+    assert validate_annotations(doc) == []
+    with pytest.raises(DuplicateNode):
+        build_all(doc)
+
+
+def test_build_cli_exits_2_on_cross_tier_collision(tmp_path):
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(CROSS_TIER_COLLISIONS["event_is_panel"].to_json_bytes())
+    out = tmp_path / "graph.json"
+    assert main(["build", "--input", str(doc), "--output", str(out)]) == 2
+    assert not out.exists()

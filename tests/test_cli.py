@@ -106,6 +106,17 @@ def test_build_rejects_malformed(tmp_path):
     assert main(["build", "--input", str(bad), "--output", str(tmp_path / "x.json")]) == 2
 
 
+def test_graph_with_layer_that_disagrees_with_kind_exits_2(tmp_path, battle_files):
+    _, raw, _ = battle_files
+    obj = json.loads(raw.read_bytes())
+    assert obj["nodes"][0]["kind"] == "panel"
+    obj["nodes"][0]["layer"] = "event"
+    bad = tmp_path / "bad_layer.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["query", "summary", "m3", "--input", str(bad)]) == 2
+    assert main(["normalize", "--input", str(bad), "--output", str(tmp_path / "n.json")]) == 2
+
+
 def test_build_missing_input(tmp_path):
     missing = tmp_path / "absent.json"
     assert main(["build", "--input", str(missing), "--output", str(tmp_path / "x.json")]) == 2

@@ -16,6 +16,7 @@ from nkg.errors import (
 )
 from nkg.graph import (
     ACYCLIC_KINDS,
+    KIND_LAYER,
     Edge,
     EdgeKind,
     Layer,
@@ -28,16 +29,16 @@ from nkg.graph import (
 
 
 def panel(node_id):
-    return Node(node_id, NodeKind.PANEL, Layer.TEMPORAL, {"label": node_id})
+    return Node(node_id, NodeKind.PANEL, {"label": node_id})
 
 
 def small_graph():
     g = NarrativeGraph("tiny")
     for pid in ("p0", "p1", "p2"):
         g.add_node(panel(pid))
-    g.add_node(Node("act", NodeKind.ACTION, Layer.PANEL, {"label": "wave"}))
-    g.add_node(Node("ent", NodeKind.CHARACTER, Layer.PANEL, {"name": "N"}))
-    g.add_node(Node("inst", NodeKind.CHARACTER_INSTANCE, Layer.PANEL, {"panel": "p0"}))
+    g.add_node(Node("act", NodeKind.ACTION, {"label": "wave"}))
+    g.add_node(Node("ent", NodeKind.CHARACTER, {"name": "N"}))
+    g.add_node(Node("inst", NodeKind.CHARACTER_INSTANCE, {"panel": "p0"}))
     g.add_edge(Edge("inst", "ent", EdgeKind.REFERS_TO))
     g.add_edge(Edge("act", "inst", EdgeKind.HAS_AGENT))
     g.add_edge(Edge("p0", "p1", EdgeKind.PRECEDES_READING))
@@ -92,14 +93,14 @@ def test_cycles_allowed_elsewhere():
     g = NarrativeGraph("s")
     g.add_node(panel("a"))
     g.add_node(panel("b"))
-    g.add_edge(Edge("a", "b", EdgeKind.CO_OCCURS))
-    g.add_edge(Edge("b", "a", EdgeKind.CO_OCCURS))  # no error
+    g.add_edge(Edge("a", "b", EdgeKind.CO_OCCURS_WITH))
+    g.add_edge(Edge("b", "a", EdgeKind.CO_OCCURS_WITH))  # no error
 
 
 def test_subevent_parent_is_unique():
     g = NarrativeGraph("s")
     for nid in ("e", "m1", "m2"):
-        g.add_node(Node(nid, NodeKind.EVENT, Layer.EVENT, {"label": nid}))
+        g.add_node(Node(nid, NodeKind.EVENT, {"label": nid}))
     g.add_edge(Edge("e", "m1", EdgeKind.SUBEVENT_OF))
     with pytest.raises(ForestViolation):
         g.add_edge(Edge("e", "m2", EdgeKind.SUBEVENT_OF))
@@ -129,12 +130,12 @@ def test_neighbors_matches_edge_scan():
     edges = set()
     while len(edges) < 30:
         src, dst = rng.choice(ids), rng.choice(ids)
-        kind = rng.choice([EdgeKind.CO_OCCURS, EdgeKind.GROUNDED_IN, EdgeKind.ACTS_ON])
+        kind = rng.choice([EdgeKind.CO_OCCURS_WITH, EdgeKind.GROUNDED_IN, EdgeKind.ACTS_ON])
         if (src, dst, kind) not in edges:
             edges.add((src, dst, kind))
             g.add_edge(Edge(src, dst, kind))
     for nid in ids:
-        for kind in (None, EdgeKind.CO_OCCURS):
+        for kind in (None, EdgeKind.CO_OCCURS_WITH):
             scan = sorted(
                 {d for s, d, k in edges if s == nid and kind in (None, k)}
             )
@@ -156,18 +157,18 @@ def test_finalize_freezes():
 
 def test_finalize_requires_labels():
     g = NarrativeGraph("s")
-    g.add_node(Node("act", NodeKind.ACTION, Layer.PANEL))
+    g.add_node(Node("act", NodeKind.ACTION))
     with pytest.raises(SchemaViolation):
         g.finalize()
 
 
 def test_finalize_requires_one_refers_to():
     g = NarrativeGraph("s")
-    g.add_node(Node("inst", NodeKind.CHARACTER_INSTANCE, Layer.PANEL))
+    g.add_node(Node("inst", NodeKind.CHARACTER_INSTANCE))
     with pytest.raises(SchemaViolation):
         g.finalize()
-    g.add_node(Node("e1", NodeKind.CHARACTER, Layer.PANEL))
-    g.add_node(Node("e2", NodeKind.CHARACTER, Layer.PANEL))
+    g.add_node(Node("e1", NodeKind.CHARACTER))
+    g.add_node(Node("e2", NodeKind.CHARACTER))
     g.add_edge(Edge("inst", "e1", EdgeKind.REFERS_TO))
     g.add_edge(Edge("inst", "e2", EdgeKind.REFERS_TO))
     with pytest.raises(SchemaViolation):
@@ -185,9 +186,9 @@ def test_round_trip_identity_and_stability():
 def test_serialization_ignores_construction_order():
     a = small_graph()
     b = NarrativeGraph("tiny")
-    b.add_node(Node("inst", NodeKind.CHARACTER_INSTANCE, Layer.PANEL, {"panel": "p0"}))
-    b.add_node(Node("ent", NodeKind.CHARACTER, Layer.PANEL, {"name": "N"}))
-    b.add_node(Node("act", NodeKind.ACTION, Layer.PANEL, {"label": "wave"}))
+    b.add_node(Node("inst", NodeKind.CHARACTER_INSTANCE, {"panel": "p0"}))
+    b.add_node(Node("ent", NodeKind.CHARACTER, {"name": "N"}))
+    b.add_node(Node("act", NodeKind.ACTION, {"label": "wave"}))
     for pid in ("p2", "p1", "p0"):
         b.add_node(panel(pid))
     b.add_edge(Edge("p1", "p2", EdgeKind.PRECEDES_READING))
@@ -212,6 +213,26 @@ def test_deserialize_rejects_bad_input():
     obj = json.loads(small_graph().finalize().to_json_bytes())
     obj["edges"].append({"src": "p0", "dst": "p0", "kind": "sideways"})
     with pytest.raises(SchemaViolation):
+        deserialize(json.dumps(obj).encode())
+
+
+def test_layer_follows_kind():
+    assert set(KIND_LAYER) == set(NodeKind)
+    assert panel("p0").layer is Layer.TEMPORAL
+    assert Node("act", NodeKind.ACTION, {"label": "wave"}).layer is Layer.PANEL
+    assert Node("m", NodeKind.MACRO_EVENT, {"label": "arc"}).layer is Layer.EVENT
+    obj = json.loads(small_graph().finalize().to_json_bytes())
+    assert {n["id"]: n["layer"] for n in obj["nodes"]} == {
+        "act": "panel", "ent": "panel", "inst": "panel",
+        "p0": "temporal", "p1": "temporal", "p2": "temporal",
+    }
+
+
+def test_deserialize_rejects_layer_that_disagrees_with_kind():
+    obj = json.loads(small_graph().finalize().to_json_bytes())
+    act = next(n for n in obj["nodes"] if n["id"] == "act")
+    act["layer"] = "event"
+    with pytest.raises(SchemaViolation, match="action node must be on layer panel"):
         deserialize(json.dumps(obj).encode())
 
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from nkg.annotations import parse_annotations
-from nkg.builder import build_all, build_panel_layer
+from nkg.builder import build_all
 from nkg.embedding import HashedNgramProvider, VectorFileProvider
 from nkg.errors import (
     BrokenChain,
@@ -17,7 +17,7 @@ from nkg.errors import (
     UnknownScope,
 )
 from nkg.fixtures import generate_fixture
-from nkg.graph import EdgeKind, NodeKind
+from nkg.graph import EdgeKind, NodeKind, deserialize
 from nkg.lexicon import SynonymLexicon, fold_label
 from nkg.normalize import (
     EVENT_POOL,
@@ -366,10 +366,13 @@ def test_unknown_scope_and_order_kind():
 
 
 def test_broken_chain_detected():
-    # the panel layer alone carries no precedence edges
-    fragment = build_panel_layer(generate_fixture("romance"))
+    # with the reading chain stripped, every panel heads its own chain
+    obj = json.loads(build_all(generate_fixture("romance")).to_json_bytes())
+    obj["edges"] = [e for e in obj["edges"] if e["kind"] != EdgeKind.PRECEDES_READING.value]
+    graph = deserialize(json.dumps(obj).encode())
+    assert reconstruct_timeline(graph, "story", "storytime").panel_ids
     with pytest.raises(BrokenChain):
-        reconstruct_timeline(fragment, "story", "reading")
+        reconstruct_timeline(graph, "story", "reading")
 
 
 # --- event summarization ----------------------------------------------------
