@@ -128,7 +128,6 @@ def main() -> None:
     dump(DATA / "default_lexicon.json", DEFAULT_LEXICON)
     for kind in ("battle", "romance"):
         doc = json.loads(generate_fixture(kind).to_json_bytes())
-        dump(DATA / f"{kind}_fixture.json", doc)
         dump(DATA / f"{kind}_gold.json", GOLD_LABELS[kind])
         dump(DATA / f"{kind}_manifest.json", build_manifest(doc))
 

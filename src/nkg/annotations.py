@@ -23,6 +23,11 @@ from .errors import DanglingReference, DuplicateId, MalformedJson, SchemaViolati
 SCHEMA_VERSION = 1
 
 
+def entity_node_id(entity_id: str) -> str:
+    """Graph node id of a story-level character entity."""
+    return f"entity:{entity_id}"
+
+
 @dataclass(frozen=True)
 class CharacterAnn:
     instance_id: str
@@ -338,24 +343,22 @@ def validate_annotations(doc: AnnotationDoc) -> list[Violation]:
     if not doc.story_id:
         out.append(Violation("$.story_id", "must be nonempty"))
 
-    seen_macro: set[str] = set()
-    seen_event: set[str] = set()
-    seen_instance: dict[str, str] = {}  # instance_id -> panel path
+    # every id names a node of one graph, so macro-events, events, panels,
+    # instances and the entity nodes all share one namespace
+    ids = {entity_node_id(c.entity_id) for _, _, p in doc.iter_panels() for c in p.characters}
     reading_seen: dict[int, str] = {}
     storytime_seen: dict[int, str] = {}
 
     for mi, macro in enumerate(doc.macro_events):
         mpath = f"$.macro_events[{mi}]"
-        if macro.id in seen_macro:
-            out.append(Violation(mpath, f"duplicate id: {macro.id}"))
-        seen_macro.add(macro.id)
+        _claim(ids, macro.id, mpath, out)
+        _check_label(macro.label, mpath, out)
         if not macro.events:
             out.append(Violation(mpath, "macro-event must contain at least one event"))
         for ei, event in enumerate(macro.events):
             epath = f"{mpath}.events[{ei}]"
-            if event.id in seen_event or event.id in seen_macro:
-                out.append(Violation(epath, f"duplicate id: {event.id}"))
-            seen_event.add(event.id)
+            _claim(ids, event.id, epath, out)
+            _check_label(event.label, epath, out)
             if not event.panels:
                 out.append(Violation(epath, "event must contain at least one panel"))
             for pi, panel in enumerate(event.panels):
@@ -368,6 +371,7 @@ def validate_annotations(doc: AnnotationDoc) -> list[Violation]:
                             f"panel id {panel.id!r} does not match position-derived id {expected!r}",
                         )
                     )
+                _claim(ids, panel.id, ppath, out)
                 if panel.reading_order < 0:
                     out.append(Violation(ppath, "reading_order must be non-negative"))
                 if panel.storytime_order < 0:
@@ -394,48 +398,49 @@ def validate_annotations(doc: AnnotationDoc) -> list[Violation]:
                     )
                 else:
                     storytime_seen[panel.storytime_order] = panel.id
-                out.extend(_validate_panel_content(panel, ppath, seen_instance))
+                out.extend(_validate_panel_content(panel, ppath, ids))
 
     return out
 
 
-def _validate_panel_content(
-    panel: PanelAnn, ppath: str, seen_instance: dict[str, str]
-) -> list[Violation]:
+def _claim(ids: set[str], node_id: str, path: str, out: list[Violation]) -> None:
+    if node_id in ids:
+        out.append(Violation(path, f"duplicate id: {node_id}"))
+    ids.add(node_id)
+
+
+def _check_label(label: str, path: str, out: list[Violation]) -> None:
+    if not label.strip():
+        out.append(Violation(path, "label must not be blank"))
+
+
+def _validate_panel_content(panel: PanelAnn, ppath: str, ids: set[str]) -> list[Violation]:
     out: list[Violation] = []
     local_characters: set[str] = set()
     local_objects: set[str] = set()
 
-    def claim(instance_id: str, path: str) -> None:
-        if instance_id in seen_instance:
-            out.append(Violation(path, f"duplicate id: {instance_id}"))
-        else:
-            seen_instance[instance_id] = path
-
     for i, c in enumerate(panel.characters):
         cpath = f"{ppath}.characters[{i}]"
-        claim(c.instance_id, cpath)
+        _claim(ids, c.instance_id, cpath, out)
         local_characters.add(c.instance_id)
         if not c.entity_id:
             out.append(Violation(cpath, "entity_id must be nonempty"))
     for i, o in enumerate(panel.objects):
         opath = f"{ppath}.objects[{i}]"
-        claim(o.instance_id, opath)
+        _claim(ids, o.instance_id, opath, out)
         local_objects.add(o.instance_id)
-        if not o.label:
-            out.append(Violation(opath, "label must be nonempty"))
+        _check_label(o.label, opath, out)
     for i, a in enumerate(panel.actions):
         apath = f"{ppath}.actions[{i}]"
-        claim(a.instance_id, apath)
-        if not a.label:
-            out.append(Violation(apath, "label must be nonempty"))
+        _claim(ids, a.instance_id, apath, out)
+        _check_label(a.label, apath, out)
         if a.agent is not None and a.agent not in local_characters:
             out.append(Violation(apath, f"dangling reference: {a.agent}"))
         if a.target is not None and a.target not in (local_characters | local_objects):
             out.append(Violation(apath, f"dangling reference: {a.target}"))
     for i, d in enumerate(panel.dialogues):
         dpath = f"{ppath}.dialogues[{i}]"
-        claim(d.instance_id, dpath)
+        _claim(ids, d.instance_id, dpath, out)
         if not d.text:
             out.append(Violation(dpath, "text must be nonempty"))
         if d.speaker is not None and d.speaker not in local_characters:

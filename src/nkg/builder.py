@@ -14,12 +14,13 @@ this order:
   the panel->event instantiates edges.
 
 Every tier goes into the same graph, so an id shared across tiers (say, an
-event named like a panel or an action) raises DuplicateNode from add_node.
+event named like a panel or an action) raises DuplicateNode from add_node;
+validate_annotations rejects such documents before they get here.
 Panel content goes in first, so its edges can reach only panel-tier nodes.
 The graph is finalized once, at the end.
 
-Entity nodes get an "entity:" id prefix so story-level ids can never
-collide with annotation instance ids.
+Entity nodes get an "entity:" id prefix (annotations.entity_node_id), so
+story-level ids do not collide with annotation instance ids.
 """
 
 from __future__ import annotations
@@ -27,12 +28,8 @@ from __future__ import annotations
 import itertools
 import json
 
-from .annotations import AnnotationDoc, PanelAnn
+from .annotations import AnnotationDoc, PanelAnn, entity_node_id
 from .graph import Edge, EdgeKind, NarrativeGraph, Node, NodeKind
-
-
-def entity_node_id(entity_id: str) -> str:
-    return f"entity:{entity_id}"
 
 
 def _add_panel_content(g: NarrativeGraph, panel: PanelAnn, entities_seen: set[str]) -> None:

@@ -3,9 +3,9 @@ relabeling of graphs.
 
 Two labels land in one cluster when any of three links holds: equal lexical
 keys, shared synonym-lexicon group, or embedding cosine at or above the
-threshold. Clusters are the connected components of that link relation,
-computed with a union-find. Action labels and event labels form separate
-pools so the two vocabularies never merge with each other.
+threshold; link_similarity holds that rule. Clusters are the connected
+components of the link relation. Action labels and event labels form
+separate pools so the two vocabularies never merge with each other.
 
 Canonical selection prefers gold labels (highest annotation frequency first),
 otherwise the shortest member; remaining ties break lexicographically.
@@ -14,6 +14,7 @@ otherwise the shortest member; remaining ties break lexicographically.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -40,38 +41,20 @@ class LabelCluster:
     pool: str = ACTION_POOL
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {item: item for item in items}
-
-    def find(self, item):
-        root = item
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[item] != root:  # path compression
-            self.parent[item], item = root, self.parent[item]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-    def components(self):
-        groups: dict[str, list[str]] = {}
-        for item in self.parent:
-            groups.setdefault(self.find(item), []).append(item)
-        return [sorted(members) for members in groups.values()]
+def link_similarity(a: str, key_a: str, b: str, key_b: str, provider, lexicon) -> float:
+    """1.0 when the lexical keys match or share a lexicon group, else embedding
+    cosine; labels link at >= threshold. provider=None: lexical links only."""
+    if key_a == key_b or lexicon.same_group(key_a, key_b):
+        return 1.0
+    if provider is None:
+        return -math.inf
+    return cosine(provider.embed(a), provider.embed(b))
 
 
 def linked(a: str, b: str, provider, lexicon: SynonymLexicon, threshold: float) -> bool:
     """The pairwise link relation underlying the clustering."""
     key_a, key_b = lexical_key(a, lexicon), lexical_key(b, lexicon)
-    if key_a == key_b:
-        return True
-    if lexicon.same_group(key_a, key_b):
-        return True
-    return cosine(provider.embed(a), provider.embed(b)) >= threshold
+    return link_similarity(a, key_a, b, key_b, provider, lexicon) >= threshold
 
 
 def cluster_labels(
@@ -80,15 +63,22 @@ def cluster_labels(
     """Connected components of the link relation; canonicals left unassigned."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-    ordered = sorted(set(labels))
-    uf = _UnionFind(ordered)
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1:]:
-            if uf.find(a) != uf.find(b) and linked(a, b, provider, lexicon, threshold):
-                uf.union(a, b)
+    keys = {label: lexical_key(label, lexicon) for label in sorted(set(labels))}
+    clusters: list[list[str]] = []
+    for label, key in keys.items():  # each label merges every cluster it links to
+        merged, apart = [label], []
+        for cluster in clusters:
+            if any(
+                link_similarity(m, keys[m], label, key, provider, lexicon) >= threshold
+                for m in cluster
+            ):
+                merged.extend(cluster)
+            else:
+                apart.append(cluster)
+        clusters = apart + [merged]
     return [
         LabelCluster(tuple(members), "", pool)
-        for members in sorted(uf.components())
+        for members in sorted(sorted(c) for c in clusters)
     ]
 
 
@@ -165,8 +155,8 @@ class NormalizationMap:
         if not isinstance(obj, dict) or obj.get("schema_version") != 1:
             raise SchemaViolation("$", "expected a version-1 normalization map object")
         threshold = obj.get("threshold")
-        if not isinstance(threshold, (int, float)) or isinstance(threshold, bool):
-            raise SchemaViolation("$.threshold", "must be a number")
+        if type(threshold) not in (int, float) or not 0.0 <= threshold <= 1.0:
+            raise SchemaViolation("$.threshold", "must be a number in [0, 1]")
         provider_id = obj.get("provider_id")
         if not isinstance(provider_id, str):
             raise SchemaViolation("$.provider_id", "must be a string")

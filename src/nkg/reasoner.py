@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .builder import entity_node_id
-from .embedding import HashedNgramProvider, cosine
+from .embedding import HashedNgramProvider
 from .errors import (
     BrokenChain,
     NotAnEventNode,
@@ -24,7 +24,7 @@ from .errors import (
 )
 from .graph import EdgeKind, NarrativeGraph, Node, NodeKind
 from .lexicon import SynonymLexicon, fold_label, lexical_key
-from .normalize import ACTION_POOL, NormalizationMap
+from .normalize import ACTION_POOL, NormalizationMap, link_similarity
 
 MODES = ("raw", "normalized")
 ORDER_KINDS = ("reading", "storytime")
@@ -163,31 +163,19 @@ def _resolve_canonical(
     lex = lexicon if lexicon is not None else SynonymLexicon.empty()
     prov = provider if provider is not None else _provider_from_id(norm_map.provider_id)
     query_key = lexical_key(query, lex)
-    best_sim, best_canonical = -1.0, None
+    linked_to = []  # (-similarity, canonical): the best link sorts first
     for cluster in norm_map.clusters:
         if cluster.pool != ACTION_POOL:
             continue
         for member in cluster.members:
             member_key = lexical_key(member, lex)
-            if query_key == member_key or lex.same_group(query_key, member_key):
-                sim = 1.0
-            elif prov is None:
+            try:
+                sim = link_similarity(query, query_key, member, member_key, prov, lex)
+            except ProviderError:
                 continue
-            else:
-                try:
-                    sim = cosine(prov.embed(query), prov.embed(member))
-                except ProviderError:
-                    continue
-                if sim < norm_map.threshold:
-                    continue
-            better = sim > best_sim or (
-                sim == best_sim and cluster.canonical < (best_canonical or "")
-            )
-            if better:
-                best_sim, best_canonical = sim, cluster.canonical
-    if best_canonical is not None:
-        return best_canonical
-    return query
+            if sim >= norm_map.threshold:
+                linked_to.append((-sim, cluster.canonical))
+    return min(linked_to)[1] if linked_to else query
 
 
 def retrieve_actions(
@@ -335,19 +323,13 @@ def _sibling_order(graph: NarrativeGraph, children: list[str]) -> list[str]:
     remaining = set(children)
     ordered: list[str] = []
     while remaining:
-        ready = sorted(
+        first = min(
             child
             for child in remaining
-            if not any(
-                pred in remaining
-                for pred in graph.neighbors(child, EdgeKind.PRECEDES, "in")
-            )
+            if remaining.isdisjoint(graph.neighbors(child, EdgeKind.PRECEDES, "in"))
         )
-        if not ready:
-            # cycles are impossible by construction; guard stays for hand-built graphs
-            ready = [min(remaining)]
-        ordered.append(ready[0])
-        remaining.remove(ready[0])
+        ordered.append(first)
+        remaining.remove(first)
     return ordered
 
 

@@ -341,6 +341,48 @@ def test_empty_labels_rejected():
         parse_annotations(json.dumps(obj).encode())
 
 
+def make_doc_obj(path, key, value):
+    """make_doc() as JSON bytes, with the object at `path` given key=value."""
+    obj = json.loads(make_doc().to_json_bytes())
+    holder = obj
+    for step in path:
+        holder = holder[step]
+    holder[key] = value
+    return json.dumps(obj).encode()
+
+
+# one path per label-bearing tier: macro-event, event, panel content
+BLANK_LABEL_PATHS = {
+    "macro_event": ("macro_events", 0),
+    "event": ("macro_events", 0, "events", 0),
+    "panel_action": ("macro_events", 0, "events", 0, "panels", 0, "actions", 0),
+    "panel_object": ("macro_events", 0, "events", 0, "panels", 0, "objects", 0),
+}
+
+
+@pytest.mark.parametrize("tier", sorted(BLANK_LABEL_PATHS))
+@pytest.mark.parametrize("label", ["", "   ", "\t\n"])
+def test_blank_labels_rejected_at_parse(tier, label):
+    raw = make_doc_obj(BLANK_LABEL_PATHS[tier], "label", label)
+    with pytest.raises(SchemaViolation, match="label must not be blank"):
+        parse_annotations(raw)
+
+
+def test_ids_share_one_namespace_across_tiers():
+    collisions = [
+        (("macro_events", 1), "id", "e0"),  # macro-event named like an earlier event
+        (("macro_events", 1, "events", 0), "id", "0_0_1"),  # event named like a panel
+        (("macro_events", 0, "events", 1), "id", "a0"),  # event named like an action
+        (("macro_events", 0), "id", "entity:hero"),  # named like an entity node
+        (("macro_events", 0, "events", 0, "panels", 1, "dialogues", 0), "instance_id", "m1"),
+    ]
+    for path, key, new_id in collisions:
+        with pytest.raises(DuplicateId, match=new_id):
+            parse_annotations(make_doc_obj(path, key, new_id))
+    # the entity id itself, without the node prefix, is free to use
+    parse_annotations(make_doc_obj(("macro_events", 0), "id", "hero"))
+
+
 def test_empty_containers_rejected():
     doc = AnnotationDoc("s", (MacroEventAnn("m0", "x", ()),))
     msgs = [v.message for v in validate_annotations(doc)]

@@ -40,13 +40,16 @@ def minimal_doc(macro_id="m0", event_id="e0", **panel_overrides):
     return AnnotationDoc("min", (MacroEventAnn(macro_id, "arc", (event,)),))
 
 
-# valid annotations whose ids collide only once the tiers share one graph
+# annotations whose ids collide across tiers, with the id they share
 CROSS_TIER_COLLISIONS = {
-    "event_is_action": minimal_doc(event_id="a0", actions=(ActionAnn("a0", "wave"),)),
-    "macro_is_entity": minimal_doc(
-        macro_id="entity:hero", characters=(CharacterAnn("i0", "hero"),)
+    "event_is_action": (
+        "a0", minimal_doc(event_id="a0", actions=(ActionAnn("a0", "wave"),))
     ),
-    "event_is_panel": minimal_doc(event_id="0_0_0"),
+    "macro_is_entity": (
+        "entity:hero",
+        minimal_doc(macro_id="entity:hero", characters=(CharacterAnn("i0", "hero"),)),
+    ),
+    "event_is_panel": ("0_0_0", minimal_doc(event_id="0_0_0")),
 }
 
 
@@ -224,15 +227,16 @@ def test_built_bytes_match_pinned_digest(kind, seed, variance):
 
 @pytest.mark.parametrize("case", sorted(CROSS_TIER_COLLISIONS))
 def test_cross_tier_id_collision_raises_duplicate_node(case):
-    doc = CROSS_TIER_COLLISIONS[case]
-    assert validate_annotations(doc) == []
+    shared_id, doc = CROSS_TIER_COLLISIONS[case]
+    assert [v.message for v in validate_annotations(doc)] == [f"duplicate id: {shared_id}"]
+    # the builder still refuses the unvalidated document
     with pytest.raises(DuplicateNode):
         build_all(doc)
 
 
 def test_build_cli_exits_2_on_cross_tier_collision(tmp_path):
     doc = tmp_path / "doc.json"
-    doc.write_bytes(CROSS_TIER_COLLISIONS["event_is_panel"].to_json_bytes())
+    doc.write_bytes(CROSS_TIER_COLLISIONS["event_is_panel"][1].to_json_bytes())
     out = tmp_path / "graph.json"
     assert main(["build", "--input", str(doc), "--output", str(out)]) == 2
     assert not out.exists()

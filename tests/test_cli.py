@@ -172,6 +172,14 @@ def test_normalize_bad_threshold(tmp_path, battle_files):
     assert main(args + ["--threshold", "1.5"]) == 2
 
 
+def test_query_rejects_map_threshold_outside_unit_interval(tmp_path, battle_files):
+    _, _, norm = battle_files
+    bad = tmp_path / "map.json"
+    bad.write_text('{"schema_version": 1, "threshold": 2.5, "provider_id": "x", "clusters": []}')
+    args = ["query", "action", "attack", "--input", str(norm), "--mode", "normalized"]
+    assert main(args + ["--map", str(bad)]) == 2
+
+
 # --- query command -----------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -5,10 +6,14 @@ import string
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nkg import resources
 from nkg.builder import build_all
-from nkg.embedding import HashedNgramProvider, VectorFileProvider
+from nkg.embedding import HashedNgramProvider, VectorFileProvider, cosine
 from nkg.errors import AlreadyNormalized, SchemaViolation
+from nkg.evaluation import load_gold_labels
 from nkg.fixtures import generate_fixture
 from nkg.graph import NodeKind, deserialize
 from nkg.lexicon import SynonymLexicon
@@ -27,6 +32,25 @@ from nkg.normalize import (
 HASHED = HashedNgramProvider()
 COMBAT = SynonymLexicon.build([["attack", "strike", "fight", "hit"]], {})
 BATTLE_GOLD = {"attack", "walk", "bow", "meet", "shout"}
+
+# SHA-256 of build_normalization_map(...).to_json_bytes() with the hashed
+# provider, the default lexicon and threshold 0.75, keyed by (fixture, seed,
+# variance, with the fixture's gold file); recorded before the union-find
+# clustering was replaced, so map bytes must not change without a reason
+MAP_DIGESTS = {
+    ("battle", 0, 0.0, False): "38d9be4b97908caf1ed0726d0b6b096b419bd7062b3fdeaef9122a911eb52d29",
+    ("battle", 0, 0.0, True): "1bf66b31c29c44e5c29c92c4d284b8f4eb6ec0ea475ec1568e1c14898650db04",
+    ("romance", 0, 0.0, False): "098529a6355c6a3a7f05e8c8c01abed06fa154008cbb98374e0b15447c0048fe",
+    ("romance", 0, 0.0, True): "098529a6355c6a3a7f05e8c8c01abed06fa154008cbb98374e0b15447c0048fe",
+    ("noise", 0, 0.0, False): "9bc46570454f41dcc2445d47eacae7bc9a2de618e83a8a8011606977561605d4",
+    ("noise", 0, 0.6, False): "9cc78de3c79877e33d8929163a229c1d8bb77801d1baf4a56c0927945ee7393b",
+    ("noise", 1, 0.0, False): "d99815ec06b828d21e6beb82921fb3474bcb3529fd4674cb1b912ccb683aefdb",
+    ("noise", 1, 0.6, False): "c672a8178d9db9e26ba209eaf8b02851940cf3fd8539ef810d17961cc067e355",
+    ("noise", 2, 0.0, False): "5611843d86c36b13d873971a54567460375c5b03819d9a5e25114c3fe103efa3",
+    ("noise", 2, 0.6, False): "3a0a821ea61272fd61386017f338473219983b87b07d2103f674b0b2a0e9e177",
+    ("noise", 3, 0.0, False): "bcf0178953fc77a2a799a8ff37513133355463b6efff7c67015296087c62835c",
+    ("noise", 3, 0.6, False): "8aa1406b57a52b55b6f76cf60f71e82f7bac65e1aada35bef5be1aa921d8ab8f",
+}
 
 
 def random_vector_provider(rng, labels, dim=16):
@@ -91,6 +115,51 @@ def test_clusters_match_bfs_oracle():
         theta = rng.random()
         got = [list(c.members) for c in cluster_labels(labels, provider, lexicon, theta)]
         assert got == bfs_components(labels, provider, lexicon, theta)
+
+
+# surface variants, lexicon synonyms and free strings, so every link kind occurs
+ORACLE_LABELS = st.one_of(
+    st.sampled_from(("walk", "walked", "Walking", "hit", "strike", "attack", "insert",
+                     "insert_into", "Insert-Into", "eat_67", "eat_89", "eats")),
+    st.text("abeikst_", min_size=1, max_size=6).filter(lambda t: t.strip("_")),
+)
+# small integer vectors give many exact cosine ties between distinct labels
+GRID_VECTORS = st.lists(st.integers(-2, 2), min_size=3, max_size=3).filter(any)
+
+
+@st.composite
+def oracle_cases(draw):
+    labels = sorted(draw(st.sets(ORACLE_LABELS, min_size=2, max_size=12)))
+    if draw(st.booleans()):
+        provider = HASHED
+    else:
+        vectors = {label: draw(GRID_VECTORS) for label in labels}
+        provider = VectorFileProvider(vectors, 3, source="grid")
+    groups = [draw(st.lists(st.sampled_from(labels), min_size=2, max_size=3, unique=True))]
+    lexicon = SynonymLexicon.build(groups if draw(st.booleans()) else [], {})
+    a, b = draw(st.lists(st.sampled_from(labels), min_size=2, max_size=2, unique=True))
+    # the threshold is exactly one pair's cosine, so that pair sits on the boundary
+    threshold = min(max(cosine(provider.embed(a), provider.embed(b)), 0.0), 1.0)
+    return labels, provider, lexicon, threshold
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(oracle_cases())
+def test_clusters_match_bfs_oracle_at_pair_cosine_thresholds(case):
+    labels, provider, lexicon, threshold = case
+    got = [list(c.members) for c in cluster_labels(labels, provider, lexicon, threshold)]
+    assert got == bfs_components(labels, provider, lexicon, threshold)
+
+
+@pytest.mark.parametrize("kind,seed,variance,with_gold", sorted(MAP_DIGESTS))
+def test_map_bytes_match_pinned_digest(kind, seed, variance, with_gold):
+    doc = generate_fixture(kind, seed=seed, variance=variance)
+    gold = set(load_gold_labels(resources.gold_labels_bytes(kind))) if with_gold else None
+    norm_map = build_normalization_map(
+        doc, HashedNgramProvider(), resources.default_lexicon(), 0.75, gold_labels=gold
+    )
+    digest = hashlib.sha256(norm_map.to_json_bytes()).hexdigest()
+    assert digest == MAP_DIGESTS[(kind, seed, variance, with_gold)]
 
 
 def test_threshold_monotonicity_and_refinement():
@@ -203,6 +272,19 @@ def test_map_round_trip_and_rejects():
             0.75,
             "x",
         )
+
+
+@pytest.mark.parametrize("threshold", ["2.5", "-1", "NaN", "Infinity", "true", "\"0.5\""])
+def test_map_threshold_outside_unit_interval_rejected(threshold):
+    raw = f'{{"schema_version": 1, "threshold": {threshold}, "provider_id": "x", "clusters": []}}'
+    with pytest.raises(SchemaViolation, match="threshold"):
+        NormalizationMap.from_json_bytes(raw)
+
+
+def test_map_threshold_bounds_are_readable():
+    for threshold in (0, 0.0, 0.75, 1, 1.0):
+        raw = json.dumps({"schema_version": 1, "threshold": threshold, "provider_id": "x"})
+        assert NormalizationMap.from_json_bytes(raw).threshold == threshold
 
 
 def test_insert_variants_merge_at_default_threshold():

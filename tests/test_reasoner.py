@@ -146,6 +146,41 @@ def test_query_resolution_by_embedding_link():
     )
 
 
+# "shout_out" is in no cluster and links to "shout" only by hashed cosine
+# (0.87); "strikes" links to the attack cluster by its lexicon group
+FALLBACK_CASES = {
+    # an explicit provider wins over the map's provider id
+    "explicit_provider": (
+        BATTLE_MAP,
+        VectorFileProvider({"shout_out": [1.0, 0.0], "walk": [1.0, 0.0]}, 2, source="t"),
+        {"walk"},
+    ),
+    # the hashed provider is rebuilt from the map's provider id
+    "hashed_provider_id": (BATTLE_MAP, None, {"shout"}),
+    # no provider can be rebuilt: lexical links only
+    "other_provider_id": (
+        NormalizationMap(BATTLE_MAP.clusters, BATTLE_MAP.threshold, "file:elsewhere"),
+        None,
+        set(),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FALLBACK_CASES))
+def test_unseen_label_resolves_to_nearest_cluster(case):
+    norm_map, provider, shout_out = FALLBACK_CASES[case]
+    assert not norm_map.has_label("shout_out") and not norm_map.has_label("strikes")
+
+    def canonicals(query):
+        hits = retrieve_actions(
+            BATTLE_NORM, query, "normalized", norm_map=norm_map, lexicon=COMBAT, provider=provider
+        )
+        return {h.canonical_label for h in hits}
+
+    assert canonicals("shout_out") == shout_out
+    assert canonicals("strikes") == {"attack"}
+
+
 def test_hits_ordered_by_reading_order():
     for doc in all_fixture_docs():
         graph = build_all(doc)
