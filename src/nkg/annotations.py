@@ -18,7 +18,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-from .errors import DanglingReference, DuplicateId, MalformedJson, SchemaViolation
+from .errors import DanglingReference, DuplicateId, EmptyLabel, MalformedJson, SchemaViolation
+from .lexicon import fold_label
 
 SCHEMA_VERSION = 1
 
@@ -410,7 +411,10 @@ def _claim(ids: set[str], node_id: str, path: str, out: list[Violation]) -> None
 
 
 def _check_label(label: str, path: str, out: list[Violation]) -> None:
-    if not label.strip():
+    # blank means what fold_label rejects: nothing left but separators
+    try:
+        fold_label(label)
+    except EmptyLabel:
         out.append(Violation(path, "label must not be blank"))
 
 

@@ -6,9 +6,10 @@ this order:
 - panel content: one Panel node per panel plus CharacterInstance / Object /
   Action / Dialogue nodes, with co-occurrence, agent, target, text-image,
   and identity edges.
-- temporal chains: covering chains over the Panel nodes, one per order kind
-  (reading and storytime). Chains, not closures: each panel has at most one
-  successor per kind.
+- temporal chains: covering chains over the Panel nodes, one per panel order
+  in graph.PANEL_ORDERS (reading and storytime), each linking the panels in
+  the order of their order attribute. Chains, not closures: each panel has
+  at most one successor per kind.
 - event hierarchy: Event and MacroEvent nodes, subevent_of links up the
   hierarchy, precedes chains over sibling events and over macro-events, and
   the panel->event instantiates edges.
@@ -27,16 +28,15 @@ from __future__ import annotations
 
 import itertools
 import json
+from operator import attrgetter
 
 from .annotations import AnnotationDoc, PanelAnn, entity_node_id
-from .graph import Edge, EdgeKind, NarrativeGraph, Node, NodeKind
+from .graph import PANEL_ORDERS, Edge, EdgeKind, NarrativeGraph, Node, NodeKind
 
 
 def _add_panel_content(g: NarrativeGraph, panel: PanelAnn, entities_seen: set[str]) -> None:
-    attrs = {
-        "reading_order": str(panel.reading_order),
-        "storytime_order": str(panel.storytime_order),
-    }
+    # PanelAnn fields carry the names of the graph's order attributes
+    attrs = {attr: str(getattr(panel, attr)) for attr, _ in PANEL_ORDERS.values()}
     if panel.captions:
         attrs["captions"] = json.dumps(list(panel.captions), ensure_ascii=False)
     g.add_node(Node(panel.id, NodeKind.PANEL, attrs))
@@ -92,11 +92,8 @@ def build_all(doc: AnnotationDoc) -> NarrativeGraph:
     entities_seen: set[str] = set()
     for panel in panels:
         _add_panel_content(g, panel, entities_seen)
-    for order_key, kind in (
-        (lambda p: p.reading_order, EdgeKind.PRECEDES_READING),
-        (lambda p: p.storytime_order, EdgeKind.PRECEDES_STORYTIME),
-    ):
-        chain = sorted(panels, key=order_key)
+    for attr, kind in PANEL_ORDERS.values():
+        chain = sorted(panels, key=attrgetter(attr))
         for a, b in zip(chain, chain[1:]):
             g.add_edge(Edge(a.id, b.id, kind))
     _add_event_hierarchy(g, doc)

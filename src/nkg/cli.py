@@ -56,6 +56,7 @@ from .normalize import (
     build_normalization_map,
 )
 from .reasoner import (
+    ORDER_KINDS,
     character_trajectory,
     reconstruct_timeline,
     retrieve_actions,
@@ -76,8 +77,6 @@ class Config:
     threshold: float = DEFAULT_THRESHOLD
     embedder: str = "hashed"
     lexicon_path: str | None = None
-    mode: str = "raw"
-    output_format: str = "json"
 
 
 def resolve_config(args: argparse.Namespace, env: dict | None = None) -> Config:
@@ -105,7 +104,12 @@ def resolve_config(args: argparse.Namespace, env: dict | None = None) -> Config:
             raise ValueError(f"{ENV_THRESHOLD} must be a number, got {env[ENV_THRESHOLD]!r}")
     if threshold is None:
         threshold = file_cfg.get("threshold", DEFAULT_THRESHOLD)
-    if not isinstance(threshold, (int, float)) or not 0.0 <= threshold <= 1.0:
+    # bool is an int subclass; a config file's true must not read as 1.0
+    if (
+        isinstance(threshold, bool)
+        or not isinstance(threshold, (int, float))
+        or not 0.0 <= threshold <= 1.0
+    ):
         raise ValueError(f"threshold must be in [0, 1], got {threshold!r}")
 
     embedder = getattr(args, "embedder", None)
@@ -116,13 +120,7 @@ def resolve_config(args: argparse.Namespace, env: dict | None = None) -> Config:
 
     lexicon_path = getattr(args, "lexicon", None) or file_cfg.get("lexicon")
 
-    return Config(
-        threshold=float(threshold),
-        embedder=embedder,
-        lexicon_path=lexicon_path,
-        mode=getattr(args, "mode", None) or "raw",
-        output_format=getattr(args, "format", None) or "json",
-    )
+    return Config(threshold=float(threshold), embedder=embedder, lexicon_path=lexicon_path)
 
 
 def make_provider(spec: str):
@@ -224,7 +222,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         hits = retrieve_actions(
             graph,
             args.arg,
-            config.mode,
+            args.mode,
             norm_map=_query_norm_map(args),
             lexicon=load_lexicon_config(config.lexicon_path),
             provider=make_provider(config.embedder),
@@ -265,7 +263,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         norm_map=norm_map,
         normalized_all=args.normalized_all,
     )
-    _emit(render_report(report, config.output_format), args.output)
+    _emit(render_report(report, args.format), args.output)
     return 0
 
 
@@ -309,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("task", choices=QUERY_TASKS)
     p.add_argument("arg", help="query label or node/entity/scope id")
     p.add_argument("--input", required=True)
-    p.add_argument("--mode", choices=("raw", "normalized"), default=None)
-    p.add_argument("--order", choices=("reading", "storytime"), default="reading")
+    p.add_argument("--mode", choices=("raw", "normalized"), default="raw")
+    p.add_argument("--order", choices=ORDER_KINDS, default="reading")
     p.add_argument("--map", default=None, metavar="PATH")
     _add_config_flags(p)
     p.set_defaults(func=cmd_query)
@@ -320,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gold", default=None, metavar="PATH")
     p.add_argument("--output", default=None)
     p.add_argument(
-        "--format", choices=("json", "csv", "md", "plotdata"), default=None
+        "--format", choices=("json", "csv", "md", "plotdata"), default="json"
     )
     p.add_argument("--normalized-all", action="store_true", dest="normalized_all")
     _add_config_flags(p)

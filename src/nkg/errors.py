@@ -154,10 +154,6 @@ class NotAnEventNode(NkgError):
     """Summary requested for a node that is neither event nor macro-event."""
 
 
-class BrokenChain(NkgError):
-    """A temporal chain is missing a successor inside the queried scope."""
-
-
 # --- evaluation -------------------------------------------------------------
 
 

@@ -373,31 +373,29 @@ def run_eval(
 # --- rendering --------------------------------------------------------------
 
 
-def _render_csv(report: EvalReport) -> bytes:
+def _csv_bytes(header: list[str], rows) -> bytes:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["task", "macro_event_id", "variant", "precision", "recall", "f1"])
-    for row in report.rows:
-        writer.writerow(
-            [
-                row.task,
-                row.macro_event_id,
-                row.variant,
-                repr(row.precision),
-                repr(row.recall),
-                repr(row.f1),
-            ]
-        )
+    writer.writerow(header)
+    writer.writerows(rows)
     return buffer.getvalue().encode()
+
+
+def _render_csv(report: EvalReport) -> bytes:
+    return _csv_bytes(
+        ["task", "macro_event_id", "variant", "precision", "recall", "f1"],
+        (
+            [r.task, r.macro_event_id, r.variant, repr(r.precision), repr(r.recall), repr(r.f1)]
+            for r in report.rows
+        ),
+    )
 
 
 def _render_plotdata(report: EvalReport) -> bytes:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["macro_event", "task", "variant", "f1"])
-    for row in report.rows:
-        writer.writerow([row.macro_event_id, row.task, row.variant, repr(row.f1)])
-    return buffer.getvalue().encode()
+    return _csv_bytes(
+        ["macro_event", "task", "variant", "f1"],
+        ([r.macro_event_id, r.task, r.variant, repr(r.f1)] for r in report.rows),
+    )
 
 
 def _render_markdown(report: EvalReport) -> bytes:

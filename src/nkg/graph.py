@@ -4,8 +4,9 @@ Each node kind belongs to one of three layers (panel content, temporal
 sequence, event hierarchy); nodes carry string attributes and edges are
 (src, dst, kind) triples.
 The four order-bearing edge kinds must stay acyclic, and subevent_of must
-stay a forest; both are enforced on every add_edge. After finalize() the
-graph is immutable and safe to share.
+stay a forest; both are enforced on every add_edge. finalize() checks each
+panel order attribute against its chain and every attribute the reasoning
+tasks read; after it the graph is immutable and safe to share.
 
 Serialization is canonical: nodes sorted by id, edges by (src, dst, kind),
 keys sorted. Equal graphs produce identical bytes regardless of how they
@@ -90,6 +91,19 @@ LABELED_KINDS = frozenset(
     {NodeKind.ACTION, NodeKind.EVENT, NodeKind.MACRO_EVENT, NodeKind.OBJECT}
 )
 
+# each panel order: the attribute with a panel's position, the chain's edge kind
+PANEL_ORDERS = {
+    "reading": ("reading_order", EdgeKind.PRECEDES_READING),
+    "storytime": ("storytime_order", EdgeKind.PRECEDES_STORYTIME),
+}
+
+# edges the reasoning tasks follow to read attributes at the far end:
+# the node kinds at their source and target
+EDGE_ENDPOINTS = {
+    EdgeKind.REFERS_TO: (NodeKind.CHARACTER_INSTANCE, NodeKind.CHARACTER),
+    EdgeKind.INSTANTIATES: (NodeKind.PANEL, NodeKind.EVENT),
+}
+
 
 @dataclass(frozen=True)
 class Node:
@@ -172,16 +186,69 @@ class NarrativeGraph:
 
     def finalize(self) -> "NarrativeGraph":
         """Validate whole-graph invariants and freeze. Idempotent."""
-        for node in self._nodes.values():
-            if node.kind in LABELED_KINDS and not node.attrs.get("label"):
-                raise SchemaViolation(f"node {node.id}", f"{node.kind.value} requires a label")
-            if node.kind is NodeKind.CHARACTER_INSTANCE:
-                refs = self._out.get(EdgeKind.REFERS_TO, {}).get(node.id, set())
+        nodes = self._nodes
+        refers_to = self._out.get(EdgeKind.REFERS_TO, {})
+
+        def names(node_id: str | None, kind: NodeKind) -> bool:
+            node = nodes.get(node_id)
+            return node is not None and node.kind is kind
+
+        # every attribute a reasoning task reads is there and names the right kind
+        panels = []
+        for node in nodes.values():
+            kind, attrs = node.kind, node.attrs
+            problem = None
+            if kind is NodeKind.PANEL:
+                panels.append(node)
+            elif kind is NodeKind.CHARACTER_INSTANCE:
+                refs = refers_to.get(node.id, ())
                 if len(refs) != 1:
-                    raise SchemaViolation(
-                        f"node {node.id}",
-                        f"character instance must have exactly one refers_to edge, has {len(refs)}",
+                    problem = (
+                        "character instance must have exactly one refers_to edge, "
+                        f"has {len(refs)}"
                     )
+            elif kind is NodeKind.DIALOGUE:
+                _int_attr(node, "order")
+                speaker = attrs.get("speaker")
+                if "text" not in attrs:
+                    problem = "dialogue requires a text"
+                elif speaker and not names(speaker, NodeKind.CHARACTER_INSTANCE):
+                    problem = f"speaker {speaker!r} names no character instance"
+            elif kind is NodeKind.CHARACTER:
+                if not attrs.get("entity_id"):
+                    problem = "character requires an entity_id"
+            elif kind in LABELED_KINDS and not attrs.get("label"):
+                problem = f"{kind.value} requires a label"
+            if problem is None and (
+                kind is NodeKind.ACTION or kind is NodeKind.CHARACTER_INSTANCE
+            ) and not names(attrs.get("panel"), NodeKind.PANEL):
+                problem = f"panel {attrs.get('panel')!r} names no panel"
+            if problem is not None:
+                raise SchemaViolation(f"node {node.id}", problem)
+        for edge_kind, (src_kind, dst_kind) in EDGE_ENDPOINTS.items():
+            for src, dsts in self._out.get(edge_kind, {}).items():
+                for dst in dsts:
+                    if nodes[src].kind is not src_kind or nodes[dst].kind is not dst_kind:
+                        raise SchemaViolation(
+                            f"edge {src} -> {dst}",
+                            f"{edge_kind.value} must run from {src_kind.value} "
+                            f"to {dst_kind.value}",
+                        )
+        # each order's chain edges are exactly the consecutive pairs by attribute
+        for attr, edge_kind in PANEL_ORDERS.values():
+            keyed = sorted((_int_attr(panel, attr), panel.id) for panel in panels)
+            want = set()
+            for (a, a_id), (b, b_id) in zip(keyed, keyed[1:]):
+                if a == b:
+                    raise SchemaViolation(f"panels {a_id} and {b_id}", f"share {attr} {a}")
+                want.add((a_id, b_id))
+            have = {(s, d) for s, ds in self._out.get(edge_kind, {}).items() for d in ds}
+            if have != want:
+                src, dst = min(have ^ want)
+                state = "lacks" if (src, dst) in want else "has an extra"
+                raise SchemaViolation(
+                    f"{edge_kind.value} chain", f"{state} edge {src} -> {dst} by {attr}"
+                )
         self._frozen = True
         return self
 
@@ -325,6 +392,14 @@ class NarrativeGraph:
                 raise SchemaViolation(path, "src and dst must be strings")
             graph.add_edge(Edge(e["src"], e["dst"], kind))
         return graph.finalize()
+
+
+def _int_attr(node: Node, name: str) -> int:
+    try:
+        return int(node.attrs[name])
+    except (KeyError, ValueError):
+        value = node.attrs.get(name)
+        raise SchemaViolation(f"node {node.id}", f"{name} must be an integer, got {value!r}")
 
 
 def serialize(graph: NarrativeGraph) -> bytes:

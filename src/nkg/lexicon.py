@@ -25,10 +25,14 @@ _KEEP_DOUBLED = {"ll", "ss", "zz"}
 
 
 def fold_label(label: str) -> str:
-    """Case and separator folding only; no lemmatization."""
-    if not label or not label.strip():
+    """Case and separator folding only; no lemmatization.
+
+    Raises EmptyLabel when no token is left: "", "  ", "_" or "_ _".
+    """
+    folded = "_".join(t for t in _SPLIT.split(label.strip().lower()) if t)
+    if not folded:
         raise EmptyLabel(repr(label))
-    return "_".join(t for t in _SPLIT.split(label.strip().lower()) if t)
+    return folded
 
 
 @dataclass(frozen=True)

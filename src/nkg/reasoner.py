@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from .builder import entity_node_id
 from .embedding import HashedNgramProvider
 from .errors import (
-    BrokenChain,
     NotAnEventNode,
     NotNormalized,
     ProviderError,
@@ -22,19 +21,14 @@ from .errors import (
     UnknownNode,
     UnknownScope,
 )
-from .graph import EdgeKind, NarrativeGraph, Node, NodeKind
+from .graph import PANEL_ORDERS, EdgeKind, NarrativeGraph, Node, NodeKind
 from .lexicon import SynonymLexicon, fold_label, lexical_key
 from .normalize import ACTION_POOL, NormalizationMap, link_similarity
 
 MODES = ("raw", "normalized")
-ORDER_KINDS = ("reading", "storytime")
+ORDER_KINDS = tuple(PANEL_ORDERS)
 
 STORY_SCOPE = "story"
-
-_ORDER_EDGE = {
-    "reading": EdgeKind.PRECEDES_READING,
-    "storytime": EdgeKind.PRECEDES_STORYTIME,
-}
 
 
 @dataclass(frozen=True)
@@ -111,8 +105,9 @@ class EventSummary:
         }
 
 
-def _reading_key(graph: NarrativeGraph, panel_id: str) -> int:
-    return int(graph.node(panel_id).attrs["reading_order"])
+def _position(graph: NarrativeGraph, panel_id: str, order_kind: str = "reading") -> int:
+    """A panel's position in one order; finalize() checked it against that chain."""
+    return int(graph.node(panel_id).attrs[PANEL_ORDERS[order_kind][0]])
 
 
 def _surface(node: Node) -> str:
@@ -210,7 +205,7 @@ def retrieve_actions(
         target = _resolve_canonical(graph, query_label, norm_map, lexicon, provider)
         matched = [node for node in graph.nodes(NodeKind.ACTION) if node.label() == target]
 
-    matched.sort(key=lambda n: (_reading_key(graph, n.attrs["panel"]), n.id))
+    matched.sort(key=lambda n: (_position(graph, n.attrs["panel"]), n.id))
     return [
         ActionHit(node.attrs["panel"], node.id, _surface(node), node.label())
         for node in matched
@@ -229,13 +224,12 @@ def trace_dialogue(graph: NarrativeGraph, event_id: str) -> DialogueTrace:
                 continue
             speaker = None
             instance = node.attrs.get("speaker")
-            if instance:
-                targets = graph.neighbors(instance, EdgeKind.REFERS_TO, "out")
-                if targets:
-                    speaker = graph.node(targets[0]).attrs["entity_id"]
+            if instance:  # finalize() checked it refers to exactly one character
+                (entity,) = graph.neighbors(instance, EdgeKind.REFERS_TO, "out")
+                speaker = graph.node(entity).attrs["entity_id"]
             keyed.append(
                 (
-                    _reading_key(graph, panel_id),
+                    _position(graph, panel_id),
                     int(node.attrs["order"]),
                     (panel_id, dialogue_id, speaker, node.attrs["text"]),
                 )
@@ -253,7 +247,7 @@ def character_trajectory(graph: NarrativeGraph, entity_id: str) -> Trajectory:
         graph.node(instance).attrs["panel"]
         for instance in graph.neighbors(node_id, EdgeKind.REFERS_TO, "in")
     }
-    ordered_panels = sorted(panel_ids, key=lambda p: _reading_key(graph, p))
+    ordered_panels = sorted(panel_ids, key=lambda p: _position(graph, p))
     event_ids: list[str] = []
     for panel_id in ordered_panels:
         for event_id in graph.neighbors(panel_id, EdgeKind.INSTANTIATES, "out"):
@@ -286,35 +280,11 @@ def _scope_panels(graph: NarrativeGraph, scope_id: str) -> list[str]:
 def reconstruct_timeline(
     graph: NarrativeGraph, scope_id: str, order_kind: str = "reading"
 ) -> Timeline:
-    """Panels of a scope in the order given by one of the precedence chains."""
+    """Panels of a scope in one of the panel orders, sorted by its attribute."""
     if order_kind not in ORDER_KINDS:
         raise ValueError(f"order_kind must be one of {ORDER_KINDS}, got {order_kind!r}")
-    edge_kind = _ORDER_EDGE[order_kind]
     scope = set(_scope_panels(graph, scope_id))
-    if len(scope) <= 1:
-        return Timeline(scope_id, order_kind, tuple(scope))
-
-    heads = [
-        node.id
-        for node in graph.nodes(NodeKind.PANEL)
-        if not graph.neighbors(node.id, edge_kind, "in")
-    ]
-    if len(heads) != 1:
-        raise BrokenChain(f"{order_kind} chain has {len(heads)} heads, expected 1")
-    ordered: list[str] = []
-    current: str | None = heads[0]
-    while current is not None:
-        if current in scope:
-            ordered.append(current)
-        successors = graph.neighbors(current, edge_kind, "out")
-        if len(successors) > 1:
-            raise BrokenChain(f"{order_kind} chain branches at {current}")
-        current = successors[0] if successors else None
-    if len(ordered) != len(scope):
-        missing = sorted(scope - set(ordered))
-        raise BrokenChain(
-            f"{order_kind} chain never reaches {missing[0]} in scope {scope_id}"
-        )
+    ordered = sorted(scope, key=lambda panel_id: _position(graph, panel_id, order_kind))
     return Timeline(scope_id, order_kind, tuple(ordered))
 
 
@@ -345,7 +315,7 @@ def summarize_event(graph: NarrativeGraph, node_id: str) -> EventSummary:
     elif node.kind is NodeKind.EVENT:
         children = sorted(
             graph.neighbors(node_id, EdgeKind.INSTANTIATES, "in"),
-            key=lambda p: _reading_key(graph, p),
+            key=lambda p: _position(graph, p),
         )
     else:
         raise NotAnEventNode(f"not an event node: {node_id} ({node.kind.value})")

@@ -361,7 +361,7 @@ BLANK_LABEL_PATHS = {
 
 
 @pytest.mark.parametrize("tier", sorted(BLANK_LABEL_PATHS))
-@pytest.mark.parametrize("label", ["", "   ", "\t\n"])
+@pytest.mark.parametrize("label", ["", "   ", "\t\n", "_", "_ _", " __\t"])
 def test_blank_labels_rejected_at_parse(tier, label):
     raw = make_doc_obj(BLANK_LABEL_PATHS[tier], "label", label)
     with pytest.raises(SchemaViolation, match="label must not be blank"):

@@ -180,6 +180,60 @@ def test_query_rejects_map_threshold_outside_unit_interval(tmp_path, battle_file
     assert main(args + ["--map", str(bad)]) == 2
 
 
+def set_node_attr(obj, node_id, key, value):
+    attrs = next(n for n in obj["nodes"] if n["id"] == node_id)["attrs"]
+    if value is None:
+        del attrs[key]
+    else:
+        attrs[key] = value
+
+
+def swap_reading_orders(obj):
+    set_node_attr(obj, "0_0_0", "reading_order", "1")
+    set_node_attr(obj, "0_0_1", "reading_order", "0")
+
+
+def strip_reading_chain(obj):
+    obj["edges"] = [e for e in obj["edges"] if e["kind"] != "precedes_reading"]
+
+
+# each: how a battle graph file is edited, and a query that reads what the edit broke
+BROKEN_GRAPH_QUERIES = {
+    "swapped-reading-order": (swap_reading_orders, ["summary", "e0_0"]),
+    "stripped-reading-chain": (strip_reading_chain, ["timeline", "story"]),
+    "missing-reading-order": (
+        lambda obj: set_node_attr(obj, "0_0_1", "reading_order", None),
+        ["timeline", "e0_0"],
+    ),
+    "action-without-panel": (
+        lambda obj: set_node_attr(obj, "a:0_0_0:0", "panel", None),
+        ["action", "walk"],
+    ),
+    "character-without-entity-id": (
+        lambda obj: set_node_attr(obj, "entity:charA", "entity_id", None),
+        ["dialogue", "e3_0"],
+    ),
+    "speaker-names-no-node": (
+        lambda obj: set_node_attr(obj, "d:3_0_0:0", "speaker", "c:nobody"),
+        ["dialogue", "e3_0"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_GRAPH_QUERIES))
+def test_query_exits_2_on_graph_file_that_fails_the_read_check(tmp_path, battle_files, capsys, case):
+    _, raw, _ = battle_files
+    edit, query = BROKEN_GRAPH_QUERIES[case]
+    assert main(["query", *query, "--input", str(raw)]) == 0
+    obj = json.loads(raw.read_bytes())
+    edit(obj)
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["query", *query, "--input", str(broken)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # --- query command -----------------------------------------------------------
 
 
@@ -327,6 +381,18 @@ def test_config_precedence(tmp_path, monkeypatch):
     assert resolve_config(ns(**{**base, "threshold": 0.9})).threshold == 0.9
     monkeypatch.delenv("NKG_THRESHOLD")
     assert resolve_config(ns(threshold=None, embedder=None, lexicon=None, config=None)).threshold == 0.75
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_config_file_boolean_threshold_rejected(tmp_path, battle_files, value):
+    # bool is an int subclass in Python; true must not read as threshold 1.0
+    _, raw, _ = battle_files
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"threshold": value}))
+    out = tmp_path / "x.json"
+    args = ["normalize", "--input", str(raw), "--output", str(out), "--config", str(config)]
+    assert main(args) == 2
+    assert not out.exists()
 
 
 def test_env_embed_url(monkeypatch):

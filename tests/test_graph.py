@@ -17,6 +17,7 @@ from nkg.errors import (
 from nkg.graph import (
     ACYCLIC_KINDS,
     KIND_LAYER,
+    PANEL_ORDERS,
     Edge,
     EdgeKind,
     Layer,
@@ -28,21 +29,46 @@ from nkg.graph import (
 )
 
 
-def panel(node_id):
-    return Node(node_id, NodeKind.PANEL, {"label": node_id})
+def panel(node_id, reading=0, storytime=0):
+    return Node(
+        node_id,
+        NodeKind.PANEL,
+        {"reading_order": str(reading), "storytime_order": str(storytime)},
+    )
 
 
-def small_graph():
+def small_parts():
+    """Nodes and edges of a three-panel graph that passes finalize()."""
+    nodes = [
+        panel("p0", 0, 0),
+        panel("p1", 1, 1),
+        panel("p2", 2, 2),
+        Node("act", NodeKind.ACTION, {"label": "wave", "panel": "p0"}),
+        Node("ent", NodeKind.CHARACTER, {"entity_id": "n", "name": "N"}),
+        Node("inst", NodeKind.CHARACTER_INSTANCE, {"panel": "p0"}),
+    ]
+    edges = [
+        Edge("inst", "ent", EdgeKind.REFERS_TO),
+        Edge("act", "inst", EdgeKind.HAS_AGENT),
+        Edge("p0", "p1", EdgeKind.PRECEDES_READING),
+        Edge("p1", "p2", EdgeKind.PRECEDES_READING),
+        Edge("p0", "p1", EdgeKind.PRECEDES_STORYTIME),
+        Edge("p1", "p2", EdgeKind.PRECEDES_STORYTIME),
+    ]
+    return nodes, edges
+
+
+def small_graph(change=None):
+    """The small_parts() graph, after change(nodes by id, edges) edits them."""
+    nodes, edges = small_parts()
+    nodes = {node.id: node for node in nodes}
+    if change is not None:
+        change(nodes, edges)
     g = NarrativeGraph("tiny")
-    for pid in ("p0", "p1", "p2"):
-        g.add_node(panel(pid))
-    g.add_node(Node("act", NodeKind.ACTION, {"label": "wave"}))
-    g.add_node(Node("ent", NodeKind.CHARACTER, {"name": "N"}))
-    g.add_node(Node("inst", NodeKind.CHARACTER_INSTANCE, {"panel": "p0"}))
-    g.add_edge(Edge("inst", "ent", EdgeKind.REFERS_TO))
-    g.add_edge(Edge("act", "inst", EdgeKind.HAS_AGENT))
-    g.add_edge(Edge("p0", "p1", EdgeKind.PRECEDES_READING))
-    g.add_edge(Edge("p1", "p2", EdgeKind.PRECEDES_READING))
+    for node in nodes.values():
+        g.add_node(node)
+    for edge in edges:
+        g.add_edge(edge)
     return g
 
 
@@ -158,20 +184,20 @@ def test_finalize_freezes():
 def test_finalize_requires_labels():
     g = NarrativeGraph("s")
     g.add_node(Node("act", NodeKind.ACTION))
-    with pytest.raises(SchemaViolation):
+    with pytest.raises(SchemaViolation, match="requires a label"):
         g.finalize()
 
 
 def test_finalize_requires_one_refers_to():
     g = NarrativeGraph("s")
     g.add_node(Node("inst", NodeKind.CHARACTER_INSTANCE))
-    with pytest.raises(SchemaViolation):
+    with pytest.raises(SchemaViolation, match="exactly one refers_to edge, has 0"):
         g.finalize()
     g.add_node(Node("e1", NodeKind.CHARACTER))
     g.add_node(Node("e2", NodeKind.CHARACTER))
     g.add_edge(Edge("inst", "e1", EdgeKind.REFERS_TO))
     g.add_edge(Edge("inst", "e2", EdgeKind.REFERS_TO))
-    with pytest.raises(SchemaViolation):
+    with pytest.raises(SchemaViolation, match="exactly one refers_to edge, has 2"):
         g.finalize()
 
 
@@ -186,15 +212,11 @@ def test_round_trip_identity_and_stability():
 def test_serialization_ignores_construction_order():
     a = small_graph()
     b = NarrativeGraph("tiny")
-    b.add_node(Node("inst", NodeKind.CHARACTER_INSTANCE, {"panel": "p0"}))
-    b.add_node(Node("ent", NodeKind.CHARACTER, {"name": "N"}))
-    b.add_node(Node("act", NodeKind.ACTION, {"label": "wave"}))
-    for pid in ("p2", "p1", "p0"):
-        b.add_node(panel(pid))
-    b.add_edge(Edge("p1", "p2", EdgeKind.PRECEDES_READING))
-    b.add_edge(Edge("p0", "p1", EdgeKind.PRECEDES_READING))
-    b.add_edge(Edge("act", "inst", EdgeKind.HAS_AGENT))
-    b.add_edge(Edge("inst", "ent", EdgeKind.REFERS_TO))
+    nodes, edges = small_parts()
+    for node in reversed(nodes):
+        b.add_node(node)
+    for edge in reversed(edges):
+        b.add_edge(edge)
     assert a.to_json_bytes() == b.to_json_bytes()
     assert a == b
 
@@ -248,11 +270,97 @@ def test_random_chain_round_trips():
     for _ in range(20):
         g = NarrativeGraph(f"s{rng.randint(0, 99)}", normalized=bool(rng.random() < 0.5))
         n = rng.randint(1, 15)
-        order = [f"p{i}" for i in range(n)]
-        for pid in order:
-            g.add_node(panel(pid))
-        rng.shuffle(order)
-        for a, b in zip(order, order[1:]):
-            g.add_edge(Edge(a, b, EdgeKind.PRECEDES_STORYTIME))
+        storytime = list(range(n))
+        rng.shuffle(storytime)
+        for i in range(n):
+            g.add_node(panel(f"p{i}", i, storytime[i]))
+        for attr, kind in PANEL_ORDERS.values():
+            chain = sorted(g.nodes(NodeKind.PANEL), key=lambda p: int(p.attrs[attr]))
+            for a, b in zip(chain, chain[1:]):
+                g.add_edge(Edge(a.id, b.id, kind))
         data = g.finalize().to_json_bytes()
         assert deserialize(data).to_json_bytes() == data
+
+
+def set_attr(nodes, node_id, key, value):
+    attrs = dict(nodes[node_id].attrs)
+    if value is None:
+        attrs.pop(key, None)
+    else:
+        attrs[key] = value
+    nodes[node_id] = Node(node_id, nodes[node_id].kind, attrs)
+
+
+def swap_reading_orders(nodes, edges):
+    set_attr(nodes, "p0", "reading_order", "1")
+    set_attr(nodes, "p1", "reading_order", "0")
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda n, e: set_attr(n, "p1", "reading_order", None), "reading_order must be an int"),
+        (lambda n, e: set_attr(n, "p1", "storytime_order", "x"), "storytime_order must be an int"),
+        (lambda n, e: set_attr(n, "p1", "reading_order", "0"), "share reading_order 0"),
+        (lambda n, e: e.remove(Edge("p1", "p2", EdgeKind.PRECEDES_STORYTIME)), "lacks edge p1"),
+        (lambda n, e: e.append(Edge("p0", "p2", EdgeKind.PRECEDES_READING)), "extra edge p0"),
+        (swap_reading_orders, "precedes_reading chain: has an extra edge p0 -> p1 by"),
+    ],
+    ids=["missing", "not-a-number", "shared", "stripped-edge", "extra-edge", "swapped"],
+)
+def test_finalize_checks_each_order_against_its_chain(change, message):
+    with pytest.raises(SchemaViolation, match=message):
+        small_graph(change).finalize()
+
+
+def test_order_positions_need_not_be_consecutive():
+    g = small_graph(lambda n, e: set_attr(n, "p2", "storytime_order", "7"))
+    assert g.finalize().frozen
+
+
+def add_dialogue(nodes, edges, **changes):
+    nodes["dlg"] = Node("dlg", NodeKind.DIALOGUE, {"panel": "p0", "order": "0", "text": "hi"})
+    for key, value in changes.items():
+        set_attr(nodes, "dlg", key, value)
+    edges.append(Edge("dlg", "p0", EdgeKind.GROUNDED_IN))
+
+
+def refer_to_action(nodes, edges):
+    edges.remove(Edge("inst", "ent", EdgeKind.REFERS_TO))
+    edges.append(Edge("inst", "act", EdgeKind.REFERS_TO))
+
+
+def action_instantiates_event(nodes, edges):
+    nodes["ev"] = Node("ev", NodeKind.EVENT, {"label": "x"})
+    edges.append(Edge("act", "ev", EdgeKind.INSTANTIATES))
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda n, e: set_attr(n, "act", "panel", None), "panel None names no panel"),
+        (lambda n, e: set_attr(n, "act", "panel", "ent"), "panel 'ent' names no panel"),
+        (lambda n, e: set_attr(n, "inst", "panel", "ghost"), "panel 'ghost' names no panel"),
+        (lambda n, e: set_attr(n, "ent", "entity_id", None), "character requires an entity_id"),
+        (lambda n, e: add_dialogue(n, e, order="first"), "order must be an integer"),
+        (lambda n, e: add_dialogue(n, e, text=None), "dialogue requires a text"),
+        (lambda n, e: add_dialogue(n, e, speaker="ghost"), "speaker 'ghost' names no character"),
+        (lambda n, e: add_dialogue(n, e, speaker="act"), "speaker 'act' names no character"),
+        (refer_to_action, "refers_to must run from character_instance to character"),
+        (action_instantiates_event, "instantiates must run from panel to event"),
+    ],
+    ids=[
+        "action-without-panel", "action-panel-not-a-panel", "instance-panel-unknown",
+        "character-without-entity-id", "dialogue-order-not-integer", "dialogue-without-text",
+        "speaker-unknown", "speaker-not-an-instance", "refers-to-non-character",
+        "instantiates-from-non-panel",
+    ],
+)
+def test_finalize_checks_attributes_the_queries_read(change, message):
+    with pytest.raises(SchemaViolation, match=message):
+        small_graph(change).finalize()
+
+
+def test_finalize_accepts_dialogue_with_and_without_speaker():
+    assert small_graph(lambda n, e: add_dialogue(n, e, speaker="inst")).finalize().frozen
+    assert small_graph(add_dialogue).finalize().frozen

@@ -25,6 +25,16 @@ def test_fold_label():
             fold_label(bad)
 
 
+@pytest.mark.parametrize("label", ["_", "__", "_ _", " _\t_ ", "\n_"])
+def test_separator_only_labels_are_empty(label):
+    # nothing but separators leaves no token, so no lexical key and no embedding
+    with pytest.raises(EmptyLabel):
+        fold_label(label)
+    with pytest.raises(EmptyLabel):
+        lexical_key(label, EMPTY)
+    assert fold_label("_" + label + "a") == "a"
+
+
 def test_lemmatize_suffix_rules():
     cases = {
         "attacks": "attack",

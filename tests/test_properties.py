@@ -1,7 +1,7 @@
 """Property tests on generated annotation documents.
 
-Documents are small (at most 3 macro-events x 3 events x 3 panels) with a
-permuted storytime order and random characters, objects, actions, dialogue
+Documents are small (at most 3 macro-events x 3 events x 3 panels) with
+permuted reading and storytime orders and random characters, objects, actions, dialogue
 and captions, so the round-trip and idempotence guarantees are checked
 beyond the packaged fixtures.
 """
@@ -25,8 +25,9 @@ from nkg.annotations import (
 )
 from nkg.builder import build_all
 from nkg.embedding import HashedNgramProvider
-from nkg.graph import deserialize
+from nkg.graph import PANEL_ORDERS, NodeKind, deserialize
 from nkg.normalize import apply_normalization, build_normalization_map
+from nkg.reasoner import reconstruct_timeline
 from nkg.resources import default_lexicon
 
 # small and derandomized so the suite stays fast and every run sees the same documents
@@ -93,6 +94,7 @@ def documents(draw) -> AnnotationDoc:
     shape = draw(
         st.lists(st.lists(st.integers(1, 3), min_size=1, max_size=3), min_size=1, max_size=3)
     )
+    reading = draw(st.permutations(range(sum(map(sum, shape)))))
     storytime = draw(st.permutations(range(sum(map(sum, shape)))))
     position = 0
     macros = []
@@ -101,7 +103,7 @@ def documents(draw) -> AnnotationDoc:
         for ei, size in enumerate(event_sizes):
             event_panels = []
             for pi in range(size):
-                event_panels.append(draw(panels(f"{mi}_{ei}_{pi}", position, storytime[position])))
+                event_panels.append(draw(panels(f"{mi}_{ei}_{pi}", reading[position], storytime[position])))
                 position += 1
             events.append(
                 EventAnn(f"e{mi}_{ei}", draw(st.sampled_from(EVENT_LABELS)), tuple(event_panels))
@@ -133,3 +135,31 @@ def test_normalization_is_idempotent(doc):
     thawed["normalized"] = False
     again = apply_normalization(deserialize(json.dumps(thawed).encode()), norm_map)
     assert again.to_json_bytes() == normalized
+
+
+def chain_walk(graph, edge_kind, scope):
+    """Reference timeline: walk one chain from its single head, keep the scope's panels."""
+    panels = {node.id for node in graph.nodes(NodeKind.PANEL)}
+    heads = [p for p in panels if not graph.neighbors(p, edge_kind, "in")]
+    assert len(heads) == 1
+    walked = [heads[0]]
+    while successors := graph.neighbors(walked[-1], edge_kind):
+        assert len(successors) == 1
+        walked.append(successors[0])
+    assert sorted(walked) == sorted(panels)
+    return [p for p in walked if p in scope]
+
+
+@PROPERTY_SETTINGS
+@given(documents())
+def test_timeline_equals_chain_walk(doc):
+    graph = build_all(doc)
+    scopes = {"story": {p.id for _, _, p in doc.iter_panels()}}
+    for macro in doc.macro_events:
+        scopes[macro.id] = {p.id for e in macro.events for p in e.panels}
+        for event in macro.events:
+            scopes[event.id] = {p.id for p in event.panels}
+    for order_kind, (_, edge_kind) in PANEL_ORDERS.items():
+        for scope_id, scope in scopes.items():
+            timeline = reconstruct_timeline(graph, scope_id, order_kind)
+            assert list(timeline.panel_ids) == chain_walk(graph, edge_kind, scope)

@@ -7,10 +7,10 @@ from nkg.annotations import parse_annotations
 from nkg.builder import build_all
 from nkg.embedding import HashedNgramProvider, VectorFileProvider
 from nkg.errors import (
-    BrokenChain,
     EmptyLabel,
     NotAnEventNode,
     NotNormalized,
+    SchemaViolation,
     UnknownEntity,
     UnknownEvent,
     UnknownNode,
@@ -400,14 +400,41 @@ def test_unknown_scope_and_order_kind():
         reconstruct_timeline(BATTLE_RAW, "story", "sideways")
 
 
-def test_broken_chain_detected():
-    # with the reading chain stripped, every panel heads its own chain
-    obj = json.loads(build_all(generate_fixture("romance")).to_json_bytes())
+def first_two_panels(obj):
+    panels = [n for n in obj["nodes"] if n["kind"] == "panel"]
+    return sorted(panels, key=lambda n: int(n["attrs"]["reading_order"]))[:2]
+
+
+def strip_reading_chain(obj):
     obj["edges"] = [e for e in obj["edges"] if e["kind"] != EdgeKind.PRECEDES_READING.value]
-    graph = deserialize(json.dumps(obj).encode())
-    assert reconstruct_timeline(graph, "story", "storytime").panel_ids
-    with pytest.raises(BrokenChain):
-        reconstruct_timeline(graph, "story", "reading")
+
+
+def swap_first_reading_orders(obj):
+    a, b = first_two_panels(obj)
+    a["attrs"]["reading_order"], b["attrs"]["reading_order"] = (
+        b["attrs"]["reading_order"],
+        a["attrs"]["reading_order"],
+    )
+
+
+def drop_a_reading_order(obj):
+    del first_two_panels(obj)[1]["attrs"]["reading_order"]
+
+
+def test_broken_chain_detected():
+    # timelines sort by the order attributes, so a graph whose chain disagrees
+    # with them, or whose panels lack one, must fail when it is read
+    built = build_all(generate_fixture("romance")).to_json_bytes()
+    assert deserialize(built).to_json_bytes() == built
+    for change, message in (
+        (strip_reading_chain, "precedes_reading chain: lacks edge"),
+        (swap_first_reading_orders, "precedes_reading chain: has an extra edge"),
+        (drop_a_reading_order, "reading_order must be an integer, got None"),
+    ):
+        obj = json.loads(built)
+        change(obj)
+        with pytest.raises(SchemaViolation, match=message):
+            deserialize(json.dumps(obj).encode())
 
 
 # --- event summarization ----------------------------------------------------
