@@ -289,6 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nkg", description="Narrative knowledge graph toolkit"
     )
+    parser.add_argument(
+        "-v", "--verbose", action="store_true", help="log progress to stderr (level INFO)"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="build a raw graph from annotations")
@@ -357,11 +360,17 @@ _EXIT_MAP = (
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # log records go to this call's stderr, at WARNING, or INFO under -v
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    root = logging.getLogger()
+    saved_level = root.level
+    root.addHandler(handler)
+    root.setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - single translation point to exit codes
@@ -371,6 +380,9 @@ def main(argv=None) -> int:
                 return code
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 1
+    finally:
+        root.removeHandler(handler)
+        root.setLevel(saved_level)
 
 
 def entrypoint() -> None:

@@ -252,24 +252,41 @@ def _mean_triple(triples) -> tuple[float, float, float]:
     return tuple(sum(t[i] for t in triples) / n for i in range(3))
 
 
-def _score_t1(graph, variant, gold, macro_panel_ids, macro_action_gold, norm_map):
-    per_cluster = []
+def _by_macro(pairs, macro_of: dict[str, str]) -> dict[str, set[str]]:
+    """(panel id, action instance id) pairs -> instance ids per macro-event."""
+    split: dict[str, set[str]] = {}
+    for panel_id, instance_id in pairs:
+        macro_id = macro_of.get(panel_id)
+        if macro_id is not None:
+            split.setdefault(macro_id, set()).add(instance_id)
+    return split
+
+
+def _score_t1(graph, variant, gold, macro_of, action_gold, norm_map):
+    """Per macro-event, the set P/R/F1 of each gold cluster with instances there.
+
+    `action_gold` maps a cluster to its gold (panel id, instance id) pairs and
+    `macro_of` a panel to its macro-event. Each cluster's queries run once,
+    story-wide, and the hits are split by macro-event like the gold.
+    """
+    per_macro: dict[str, list] = {}
     for canonical in sorted(gold.action_clusters):
-        members = gold.action_clusters[canonical]
-        gold_instances = macro_action_gold.get(canonical, set())
-        if not gold_instances:
+        gold_by_macro = _by_macro(action_gold.get(canonical, ()), macro_of)
+        if not gold_by_macro:
             continue
-        predicted: set[str] = set()
-        for query in sorted({canonical} | set(members)):
+        found = []
+        for query in sorted({canonical} | set(gold.action_clusters[canonical])):
             if variant == "raw":
                 hits = retrieve_actions(graph, query, "raw")
             else:
                 hits = retrieve_actions(graph, query, "normalized", norm_map=norm_map)
-            predicted.update(
-                h.action_instance_id for h in hits if h.panel_id in macro_panel_ids
+            found.extend((h.panel_id, h.action_instance_id) for h in hits)
+        found_by_macro = _by_macro(found, macro_of)
+        for macro_id, gold_instances in gold_by_macro.items():
+            per_macro.setdefault(macro_id, []).append(
+                set_f1(found_by_macro.get(macro_id, set()), gold_instances)
             )
-        per_cluster.append(set_f1(predicted, gold_instances))
-    return _mean_triple(per_cluster)
+    return per_macro
 
 
 def run_eval(
@@ -291,27 +308,31 @@ def run_eval(
         for canonical, members in gold.action_clusters.items()
         for member in members
     }
+    macro_of: dict[str, str] = {}
+    # gold action instances per cluster, as (panel id, instance id) pairs
+    action_gold: dict[str, set[tuple[str, str]]] = {}
+    for macro, _, panel in doc.iter_panels():
+        macro_of[panel.id] = macro.id
+        for action in panel.actions:
+            canonical = member_to_canonical.get(action.label, action.label)
+            action_gold.setdefault(canonical, set()).add((panel.id, action.instance_id))
+
+    graphs = {"raw": graph_raw, "normalized": graph_norm}
+    variants = VARIANTS if normalized_all else ("raw",)
+    t1 = {
+        variant: _score_t1(graphs[variant], variant, gold, macro_of, action_gold, norm_map)
+        for variant in VARIANTS
+    }
+    # each entity's trajectory panels, read once per variant on first use
+    trajectories: dict[str, dict[str, set[str]]] = {variant: {} for variant in variants}
     rows: list[TaskScore] = []
     labels: dict[str, str] = {}
     for macro in doc.macro_events:
         labels[macro.id] = macro.label
-        macro_panels = [p for e in macro.events for p in e.panels]
-        macro_panel_ids = {p.id for p in macro_panels}
-
-        # gold action instances per cluster, restricted to this macro-event
-        macro_action_gold: dict[str, set[str]] = {}
-        for panel in macro_panels:
-            for action in panel.actions:
-                canonical = member_to_canonical.get(action.label, action.label)
-                macro_action_gold.setdefault(canonical, set()).add(action.instance_id)
-
-        graphs = {"raw": graph_raw, "normalized": graph_norm}
-        variants = VARIANTS if normalized_all else ("raw",)
+        macro_panel_ids = {p.id for e in macro.events for p in e.panels}
 
         for variant in VARIANTS:
-            p, r, f1 = _score_t1(
-                graphs[variant], variant, gold, macro_panel_ids, macro_action_gold, norm_map
-            )
+            p, r, f1 = _mean_triple(t1[variant].get(macro.id, ()))
             rows.append(TaskScore("T1", macro.id, variant, p, r, f1))
 
         for variant in variants:
@@ -335,9 +356,11 @@ def run_eval(
             )
             per_entity = []
             for entity in entities:
-                predicted = set(character_trajectory(graph, entity).panel_ids)
+                seen = trajectories[variant]
+                if entity not in seen:
+                    seen[entity] = set(character_trajectory(graph, entity).panel_ids)
                 score = coverage(
-                    predicted & macro_panel_ids,
+                    seen[entity] & macro_panel_ids,
                     gold.trajectory_gold[entity] & macro_panel_ids,
                 )
                 per_entity.append((score, score, score))

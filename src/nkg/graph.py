@@ -6,7 +6,9 @@ sequence, event hierarchy); nodes carry string attributes and edges are
 The four order-bearing edge kinds must stay acyclic, and subevent_of must
 stay a forest; both are enforced on every add_edge. finalize() checks each
 panel order attribute against its chain and every attribute the reasoning
-tasks read; after it the graph is immutable and safe to share.
+tasks read; after it the graph is immutable and safe to share. A frozen
+graph keeps its read-only views (nodes and edges in order, the reasoner's
+indexes) once built, each on its first read; memo() holds that rule.
 
 Serialization is canonical: nodes sorted by id, edges by (src, dst, kind),
 keys sorted. Equal graphs produce identical bytes regardless of how they
@@ -19,7 +21,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator
+from typing import Callable, TypeVar
 
 from .errors import (
     CycleIntroduced,
@@ -32,6 +34,8 @@ from .errors import (
     UnknownEndpoint,
     UnknownNode,
 )
+
+T = TypeVar("T")
 
 
 class NodeKind(Enum):
@@ -139,6 +143,8 @@ class NarrativeGraph:
         self._out: dict[EdgeKind, dict[str, set[str]]] = {}
         self._in: dict[EdgeKind, dict[str, set[str]]] = {}
         self._frozen = False
+        # read-only views of a frozen graph, each built on its first read
+        self._memo: dict = {}
 
     # --- mutation ------------------------------------------------------
 
@@ -267,17 +273,36 @@ class NarrativeGraph:
         except KeyError:
             raise UnknownNode(node_id) from None
 
-    def nodes(self, kind: NodeKind | None = None) -> Iterator[Node]:
-        for node_id in sorted(self._nodes):
-            node = self._nodes[node_id]
-            if kind is None or node.kind is kind:
-                yield node
+    def memo(self, key, build: Callable[[], T]) -> T:
+        """build() once per frozen graph, kept under `key`; on a graph that
+        can still change, build() on every call and nothing kept."""
+        if not self._frozen:
+            return build()
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
 
-    def edges(self, kind: EdgeKind | None = None) -> Iterator[Edge]:
-        for key in sorted(self._edges):
-            edge = self._edges[key]
-            if kind is None or edge.kind is kind:
-                yield edge
+    def nodes(self, kind: NodeKind | None = None) -> tuple[Node, ...]:
+        """Nodes of one kind, or all, in id order."""
+        nodes = self._nodes
+        return self.memo(
+            ("nodes", kind),
+            lambda: tuple(
+                nodes[i] for i in sorted(nodes) if kind is None or nodes[i].kind is kind
+            ),
+        )
+
+    def edges(self, kind: EdgeKind | None = None) -> tuple[Edge, ...]:
+        """Edges of one kind, or all, in (src, dst, kind) order."""
+        edges = self._edges
+        return self.memo(
+            ("edges", kind),
+            lambda: tuple(
+                edges[k] for k in sorted(edges) if kind is None or edges[k].kind is kind
+            ),
+        )
 
     def node_count(self) -> int:
         return len(self._nodes)

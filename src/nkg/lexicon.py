@@ -43,7 +43,8 @@ class SynonymLexicon:
 
     @classmethod
     def empty(cls) -> "SynonymLexicon":
-        return cls()
+        """The one shared empty lexicon, so tables keyed by lexicon reuse it."""
+        return _EMPTY
 
     @classmethod
     def build(cls, groups, lemma_exceptions=None) -> "SynonymLexicon":
@@ -70,6 +71,9 @@ class SynonymLexicon:
     def same_group(self, key_a: str, key_b: str) -> bool:
         ia = self._group_of.get(key_a)
         return ia is not None and ia == self._group_of.get(key_b)
+
+
+_EMPTY = SynonymLexicon()
 
 
 def load_lexicon(raw: bytes | str) -> SynonymLexicon:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .annotations import AnnotationDoc
 from .errors import AlreadyNormalized, MalformedJson, SchemaViolation
 from .graph import NarrativeGraph, Node, NodeKind
-from .lexicon import SynonymLexicon, lexical_key
+from .lexicon import SynonymLexicon, fold_label, lexical_key
 from .embedding import cosine
 
 ACTION_POOL = "action"
@@ -110,6 +110,9 @@ class NormalizationMap:
                         f"label {member!r} appears in two {cluster.pool} clusters",
                     )
                 table[member] = cluster.canonical
+        # query-time tables, each built on its first use
+        self._by_fold: dict[str, dict[str, str]] = {}
+        self._keyed: dict[str, tuple[SynonymLexicon, tuple]] = {}
 
     def lookup(self, label: str, pool: str = ACTION_POOL) -> str:
         """Canonical for a surface label; identity when the label is unmapped."""
@@ -120,6 +123,33 @@ class NormalizationMap:
 
     def pool_labels(self, pool: str) -> set[str]:
         return set(self._by_pool.get(pool, {}))
+
+    def lookup_fold(self, folded: str, pool: str = ACTION_POOL) -> str | None:
+        """Canonical of the first member, in sorted order, whose fold_label is
+        `folded`; None when no member folds to it."""
+        table = self._by_fold.get(pool)
+        if table is None:
+            table = {}
+            for member in sorted(self._by_pool.get(pool, {})):
+                table.setdefault(fold_label(member), self.lookup(member, pool))
+            self._by_fold[pool] = table
+        return table.get(folded)
+
+    def keyed_members(
+        self, lexicon: SynonymLexicon, pool: str = ACTION_POOL
+    ) -> tuple[tuple[str, str, str], ...]:
+        """(member, lexical key, canonical) for every member of a pool; the
+        keys are kept for the last lexicon object asked for."""
+        kept = self._keyed.get(pool)
+        if kept is None or kept[0] is not lexicon:
+            rows = tuple(
+                (member, lexical_key(member, lexicon), cluster.canonical)
+                for cluster in self.clusters
+                if cluster.pool == pool
+                for member in cluster.members
+            )
+            kept = self._keyed[pool] = (lexicon, rows)
+        return kept[1]
 
     def __eq__(self, other):
         if not isinstance(other, NormalizationMap):

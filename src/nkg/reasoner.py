@@ -125,6 +125,39 @@ def _provider_from_id(provider_id: str):
     return None
 
 
+def _actions_by(graph: NarrativeGraph, name: str, key) -> dict[str, tuple[ActionHit, ...]]:
+    """The action index `name`: every action as a hit, grouped by key(hit),
+    each group in (reading position, id) order. Built on the first query."""
+
+    def build():
+        groups: dict[str, list[ActionHit]] = {}
+        for node in sorted(
+            graph.nodes(NodeKind.ACTION),
+            key=lambda n: (_position(graph, n.attrs["panel"]), n.id),
+        ):
+            hit = ActionHit(node.attrs["panel"], node.id, _surface(node), node.label())
+            groups.setdefault(key(hit), []).append(hit)
+        return {k: tuple(hits) for k, hits in groups.items()}
+
+    return graph.memo(("actions_by", name), build)
+
+
+def _canonical_by_fold(graph: NarrativeGraph) -> dict[str, str]:
+    """Folded label -> canonical, for resolving a query without a map: a fold
+    of a canonical label wins over a fold of a surface label, and within each
+    the first action node in id order."""
+
+    def build():
+        by_surface: dict[str, str] = {}
+        by_canonical: dict[str, str] = {}
+        for node in graph.nodes(NodeKind.ACTION):
+            by_canonical.setdefault(fold_label(node.label()), node.label())
+            by_surface.setdefault(fold_label(_surface(node)), node.label())
+        return {**by_surface, **by_canonical}
+
+    return graph.memo("canonical_by_fold", build)
+
+
 def _resolve_canonical(
     graph: NarrativeGraph,
     query: str,
@@ -140,36 +173,25 @@ def _resolve_canonical(
     """
     folded = fold_label(query)
     if norm_map is None:
-        canonical_by_fold: dict[str, str] = {}
-        surface_by_fold: dict[str, str] = {}
-        for node in graph.nodes(NodeKind.ACTION):
-            canonical_by_fold.setdefault(fold_label(node.label()), node.label())
-            surface_by_fold.setdefault(fold_label(_surface(node)), node.label())
-        if folded in canonical_by_fold:
-            return canonical_by_fold[folded]
-        return surface_by_fold.get(folded, query)
+        return _canonical_by_fold(graph).get(folded, query)
 
     if norm_map.has_label(query, ACTION_POOL):
         return norm_map.lookup(query, ACTION_POOL)
-    for member in sorted(norm_map.pool_labels(ACTION_POOL)):
-        if fold_label(member) == folded:
-            return norm_map.lookup(member, ACTION_POOL)
+    by_fold = norm_map.lookup_fold(folded, ACTION_POOL)
+    if by_fold is not None:
+        return by_fold
 
     lex = lexicon if lexicon is not None else SynonymLexicon.empty()
     prov = provider if provider is not None else _provider_from_id(norm_map.provider_id)
     query_key = lexical_key(query, lex)
     linked_to = []  # (-similarity, canonical): the best link sorts first
-    for cluster in norm_map.clusters:
-        if cluster.pool != ACTION_POOL:
+    for member, member_key, canonical in norm_map.keyed_members(lex, ACTION_POOL):
+        try:
+            sim = link_similarity(query, query_key, member, member_key, prov, lex)
+        except ProviderError:
             continue
-        for member in cluster.members:
-            member_key = lexical_key(member, lex)
-            try:
-                sim = link_similarity(query, query_key, member, member_key, prov, lex)
-            except ProviderError:
-                continue
-            if sim >= norm_map.threshold:
-                linked_to.append((-sim, cluster.canonical))
+        if sim >= norm_map.threshold:
+            linked_to.append((-sim, canonical))
     return min(linked_to)[1] if linked_to else query
 
 
@@ -182,12 +204,13 @@ def retrieve_actions(
     lexicon: SynonymLexicon | None = None,
     provider=None,
 ) -> list[ActionHit]:
-    """All action instances matching a query label.
+    """All action instances matching a query label, in reading order.
 
     Raw mode matches the stored surface label after case and separator
     folding only. Normalized mode requires a normalized graph and matches
     on canonical labels, resolving the query through the normalization
-    map when one is supplied.
+    map when one is supplied. Both read an index of the graph's actions,
+    built on the first query of a frozen graph.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -196,20 +219,11 @@ def retrieve_actions(
         raise NotNormalized("normalized-mode retrieval requires a normalized graph")
 
     if mode == "raw":
-        matched = [
-            node
-            for node in graph.nodes(NodeKind.ACTION)
-            if fold_label(_surface(node)) == folded
-        ]
-    else:
-        target = _resolve_canonical(graph, query_label, norm_map, lexicon, provider)
-        matched = [node for node in graph.nodes(NodeKind.ACTION) if node.label() == target]
-
-    matched.sort(key=lambda n: (_position(graph, n.attrs["panel"]), n.id))
-    return [
-        ActionHit(node.attrs["panel"], node.id, _surface(node), node.label())
-        for node in matched
-    ]
+        index = _actions_by(graph, "surface_fold", lambda hit: fold_label(hit.surface_label))
+        return list(index.get(folded, ()))
+    target = _resolve_canonical(graph, query_label, norm_map, lexicon, provider)
+    index = _actions_by(graph, "canonical", lambda hit: hit.canonical_label)
+    return list(index.get(target, ()))
 
 
 def trace_dialogue(graph: NarrativeGraph, event_id: str) -> DialogueTrace:
@@ -248,16 +262,17 @@ def character_trajectory(graph: NarrativeGraph, entity_id: str) -> Trajectory:
         for instance in graph.neighbors(node_id, EdgeKind.REFERS_TO, "in")
     }
     ordered_panels = sorted(panel_ids, key=lambda p: _position(graph, p))
-    event_ids: list[str] = []
-    for panel_id in ordered_panels:
-        for event_id in graph.neighbors(panel_id, EdgeKind.INSTANTIATES, "out"):
-            if event_id not in event_ids:
-                event_ids.append(event_id)
-    macro_ids: list[str] = []
-    for event_id in event_ids:
-        for macro_id in graph.neighbors(event_id, EdgeKind.SUBEVENT_OF, "out"):
-            if macro_id not in macro_ids:
-                macro_ids.append(macro_id)
+    # dict.fromkeys drops repeats and keeps the first-seen order
+    event_ids = dict.fromkeys(
+        event_id
+        for panel_id in ordered_panels
+        for event_id in graph.neighbors(panel_id, EdgeKind.INSTANTIATES, "out")
+    )
+    macro_ids = dict.fromkeys(
+        macro_id
+        for event_id in event_ids
+        for macro_id in graph.neighbors(event_id, EdgeKind.SUBEVENT_OF, "out")
+    )
     return Trajectory(entity_id, tuple(ordered_panels), tuple(event_ids), tuple(macro_ids))
 
 

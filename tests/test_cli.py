@@ -430,3 +430,21 @@ def test_build_stdout_is_silent(tmp_path, capsys, battle_files):
     out = tmp_path / "g.json"
     assert main(["build", "--input", str(doc), "--output", str(out)]) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_verbose_logs_progress_to_stderr(tmp_path, capsys, battle_files):
+    doc, _, _ = battle_files
+    capsys.readouterr()
+    out = tmp_path / "g.json"
+    assert main(["-v", "build", "--input", str(doc), "--output", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "INFO nkg.cli: built graph for battle" in captured.err
+
+
+def test_without_verbose_stderr_stays_empty(tmp_path, capsys, battle_files):
+    doc, _, _ = battle_files
+    capsys.readouterr()
+    out = tmp_path / "g.json"
+    assert main(["build", "--input", str(doc), "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""

@@ -181,6 +181,31 @@ def test_finalize_freezes():
         g.add_edge(Edge("p0", "p2", EdgeKind.PRECEDES_STORYTIME))
 
 
+def test_frozen_graph_keeps_its_ordered_views():
+    g = small_graph()
+    assert g.nodes() == g.nodes() and g.nodes() is not g.nodes()
+    assert [n.id for n in g.nodes()] == sorted(n.id for n in g.nodes())
+    assert [e.key() for e in g.edges()] == sorted(e.key() for e in g.edges())
+    unfrozen = (g.nodes(), g.nodes(NodeKind.PANEL), g.edges(), g.edges(EdgeKind.REFERS_TO))
+    g.finalize()
+    frozen = (g.nodes(), g.nodes(NodeKind.PANEL), g.edges(), g.edges(EdgeKind.REFERS_TO))
+    assert frozen == unfrozen
+    assert all(view is again for view, again in zip(frozen, (
+        g.nodes(), g.nodes(NodeKind.PANEL), g.edges(), g.edges(EdgeKind.REFERS_TO)
+    )))
+    assert [n.id for n in g.nodes(NodeKind.PANEL)] == ["p0", "p1", "p2"]
+
+
+def test_memo_builds_once_only_when_frozen():
+    g = small_graph()
+    calls = []
+    build = lambda: calls.append(1) or len(calls)
+    assert (g.memo("k", build), g.memo("k", build)) == (1, 2)
+    g.finalize()
+    assert (g.memo("k", build), g.memo("k", build)) == (3, 3)
+    assert g.memo("other", build) == 4
+
+
 def test_finalize_requires_labels():
     g = NarrativeGraph("s")
     g.add_node(Node("act", NodeKind.ACTION))

@@ -25,9 +25,17 @@ from nkg.annotations import (
 )
 from nkg.builder import build_all
 from nkg.embedding import HashedNgramProvider
+from nkg.errors import ProviderError
 from nkg.graph import PANEL_ORDERS, NodeKind, deserialize
-from nkg.normalize import apply_normalization, build_normalization_map
-from nkg.reasoner import reconstruct_timeline
+from nkg.lexicon import SynonymLexicon, fold_label, lexical_key
+from nkg.normalize import (
+    LabelCluster,
+    NormalizationMap,
+    apply_normalization,
+    build_normalization_map,
+    link_similarity,
+)
+from nkg.reasoner import ActionHit, _provider_from_id, reconstruct_timeline, retrieve_actions
 from nkg.resources import default_lexicon
 
 # small and derandomized so the suite stays fast and every run sees the same documents
@@ -163,3 +171,102 @@ def test_timeline_equals_chain_walk(doc):
         for scope_id, scope in scopes.items():
             timeline = reconstruct_timeline(graph, scope_id, order_kind)
             assert list(timeline.panel_ids) == chain_walk(graph, edge_kind, scope)
+
+
+def scan_resolve_canonical(graph, query, norm_map, lexicon, provider):
+    """Reference resolution: the scans over every action node and map member
+    that ran on each query before the action index."""
+    folded = fold_label(query)
+    if norm_map is None:
+        canonical_by_fold, surface_by_fold = {}, {}
+        for node in graph.nodes(NodeKind.ACTION):
+            canonical_by_fold.setdefault(fold_label(node.label()), node.label())
+            surface = node.attrs.get("surface_label", node.label())
+            surface_by_fold.setdefault(fold_label(surface), node.label())
+        if folded in canonical_by_fold:
+            return canonical_by_fold[folded]
+        return surface_by_fold.get(folded, query)
+    if norm_map.has_label(query, "action"):
+        return norm_map.lookup(query, "action")
+    for member in sorted(norm_map.pool_labels("action")):
+        if fold_label(member) == folded:
+            return norm_map.lookup(member, "action")
+    lex = lexicon if lexicon is not None else SynonymLexicon.empty()
+    prov = provider if provider is not None else _provider_from_id(norm_map.provider_id)
+    query_key = lexical_key(query, lex)
+    linked_to = []
+    for cluster in norm_map.clusters:
+        if cluster.pool != "action":
+            continue
+        for member in cluster.members:
+            try:
+                sim = link_similarity(
+                    query, query_key, member, lexical_key(member, lex), prov, lex
+                )
+            except ProviderError:
+                continue
+            if sim >= norm_map.threshold:
+                linked_to.append((-sim, cluster.canonical))
+    return min(linked_to)[1] if linked_to else query
+
+
+def scan_retrieve_actions(graph, query, mode, norm_map=None, lexicon=None, provider=None):
+    """Reference retrieval: fold or compare every action node, then sort."""
+    surface = lambda node: node.attrs.get("surface_label", node.label())
+    if mode == "raw":
+        folded = fold_label(query)
+        matched = [n for n in graph.nodes(NodeKind.ACTION) if fold_label(surface(n)) == folded]
+    else:
+        target = scan_resolve_canonical(graph, query, norm_map, lexicon, provider)
+        matched = [n for n in graph.nodes(NodeKind.ACTION) if n.label() == target]
+    position = lambda n: int(graph.node(n.attrs["panel"]).attrs["reading_order"])
+    matched.sort(key=lambda n: (position(n), n.id))
+    return [ActionHit(n.attrs["panel"], n.id, surface(n), n.label()) for n in matched]
+
+
+def label_variants(label):
+    """A label as typed differently: case and separator variants fold alike."""
+    spaced = " ".join(label.split("_"))
+    return {label, label.upper(), label.swapcase(), f" {spaced}_ ", "__".join(label.split())}
+
+
+def random_map(surfaces, rng):
+    """A map that groups the labels and their upper-case forms at random and
+    names each group after any of them, so fold-equal members and canonicals
+    land in different clusters."""
+    members = sorted(set(surfaces) | {label.upper() for label in surfaces})
+    groups: dict[int, list[str]] = {}
+    for label in members:
+        groups.setdefault(rng.randrange(3), []).append(label)
+    clusters = [
+        LabelCluster(tuple(group), rng.choice(members), "action") for group in groups.values()
+    ]
+    return NormalizationMap(clusters, 0.75, HASHED.provider_id)
+
+
+@PROPERTY_SETTINGS
+@given(documents(), st.lists(labels, max_size=4), st.randoms(use_true_random=False))
+def test_indexed_action_retrieval_equals_scan(doc, unseen, rng):
+    raw = build_all(doc)
+    surfaces = {a.label for _, _, p in doc.iter_panels() for a in p.actions}
+    queries = set(unseen) | {"never_seen"}
+    for label in surfaces:
+        queries |= label_variants(label)
+    settings = [(raw, "raw", {})]
+    maps = [build_normalization_map(doc, HASHED, LEXICON, 0.75)]
+    if surfaces:
+        maps.append(random_map(surfaces, rng))
+    for norm_map in maps:
+        normalized = apply_normalization(raw, norm_map)
+        queries |= {c.canonical for c in norm_map.clusters if c.pool == "action"}
+        settings += [
+            (normalized, "raw", {}),
+            (normalized, "normalized", {}),
+            (normalized, "normalized", {"norm_map": norm_map}),
+            (normalized, "normalized", {"norm_map": norm_map, "lexicon": LEXICON}),
+            (normalized, "normalized", {"norm_map": norm_map, "provider": HASHED}),
+        ]
+    for query in sorted(queries):
+        for graph, mode, kwargs in settings:
+            want = scan_retrieve_actions(graph, query, mode, **kwargs)
+            assert retrieve_actions(graph, query, mode, **kwargs) == want, (query, mode, kwargs)

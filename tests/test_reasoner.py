@@ -17,7 +17,7 @@ from nkg.errors import (
     UnknownScope,
 )
 from nkg.fixtures import generate_fixture
-from nkg.graph import EdgeKind, NodeKind, deserialize
+from nkg.graph import EdgeKind, NarrativeGraph, NodeKind, deserialize
 from nkg.lexicon import SynonymLexicon, fold_label
 from nkg.normalize import (
     EVENT_POOL,
@@ -276,6 +276,17 @@ def test_trajectory_matches_annotation_scan():
                 if any(p.id in want_panels for p in e.panels)
             }
             assert set(traj.event_ids) == want_events
+            # events and macro-events in the order the trajectory first reaches them
+            event_of = {p.id: e.id for m in doc.macro_events for e in m.events for p in e.panels}
+            macro_of = {e.id: m.id for m in doc.macro_events for e in m.events}
+            first_events, first_macros = [], []
+            for panel_id in traj.panel_ids:
+                if event_of[panel_id] not in first_events:
+                    first_events.append(event_of[panel_id])
+                if macro_of[event_of[panel_id]] not in first_macros:
+                    first_macros.append(macro_of[event_of[panel_id]])
+            assert list(traj.event_ids) == first_events
+            assert list(traj.macro_event_ids) == first_macros
 
 
 def test_single_appearance_entity():
@@ -503,3 +514,73 @@ def test_queries_leave_graph_untouched():
     reconstruct_timeline(graph, "story", "storytime")
     summarize_event(graph, "m0")
     assert graph.to_json_bytes() == before
+
+
+@pytest.fixture
+def memo_builds(monkeypatch):
+    """Keys of the graph memos built while a test runs, in build order."""
+    built = []
+    memo = NarrativeGraph.memo
+
+    def spy(self, key, build):
+        return memo(self, key, lambda: built.append(key) or build())
+
+    monkeypatch.setattr(NarrativeGraph, "memo", spy)
+    return built
+
+
+def test_action_index_is_built_on_the_first_query_only(memo_builds):
+    data = build_all(generate_fixture("battle")).to_json_bytes()
+    memo_builds.clear()
+    graph = deserialize(data)
+    graph.finalize()
+    assert memo_builds == []  # neither deserialize nor finalize() builds an index
+    first = retrieve_actions(graph, "fight", "raw")
+    assert ("actions_by", "surface_fold") in memo_builds
+    built = list(memo_builds)
+    assert retrieve_actions(graph, "fight", "raw") == first
+    assert retrieve_actions(graph, "Fight", "raw") == first
+    assert memo_builds == built  # later queries read the index
+
+
+def test_queries_on_an_unfrozen_graph_cache_nothing(memo_builds):
+    frozen = build_all(generate_fixture("battle"))
+    graph = NarrativeGraph(frozen.story_id)
+    for node in frozen.nodes():
+        graph.add_node(node)
+    for edge in frozen.edges():
+        graph.add_edge(edge)
+    want = retrieve_actions(frozen, "fight", "raw")
+    memo_builds.clear()
+    assert retrieve_actions(graph, "fight", "raw") == want
+    assert retrieve_actions(graph, "fight", "raw") == want
+    assert memo_builds.count(("actions_by", "surface_fold")) == 2
+    graph.finalize()
+    memo_builds.clear()
+    assert retrieve_actions(graph, "fight", "raw") == want
+    assert retrieve_actions(graph, "fight", "raw") == want
+    assert memo_builds.count(("actions_by", "surface_fold")) == 1
+
+
+def test_fallback_keys_map_members_once_per_lexicon(monkeypatch):
+    doc = generate_fixture("noise", seed=3, variance=0.6)
+    norm_map = build_normalization_map(doc, HASHED, SynonymLexicon.empty(), 0.75)
+    graph = apply_normalization(build_all(doc), norm_map)
+    tables = []
+    keyed_members = NormalizationMap.keyed_members
+
+    def spy(self, lexicon, pool="action"):
+        tables.append(keyed_members(self, lexicon, pool))
+        return tables[-1]
+
+    monkeypatch.setattr(NormalizationMap, "keyed_members", spy)
+    for query in ("shoved", "jumpin", "grabbers"):  # none is a map member
+        retrieve_actions(graph, query, "normalized", norm_map=norm_map)
+    for query in ("shoved", "jumpin"):
+        retrieve_actions(graph, query, "normalized", norm_map=norm_map, lexicon=COMBAT)
+    assert len(tables) == 5
+    assert tables[0] is tables[1] is tables[2]  # lexicon=None: the shared empty lexicon
+    assert tables[3] is tables[4] and tables[3] is not tables[0]
+    assert [member for member, _, _ in tables[0]] == [
+        member for c in norm_map.clusters if c.pool == "action" for member in c.members
+    ]
