@@ -76,6 +76,25 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
+def embed_matrix(provider, labels: list[str]) -> np.ndarray:
+    """The provider's vectors for a list of labels, one row each.
+
+    A provider with `embed_batch` gets one call for the whole list, which
+    for RemoteProvider is one request; any other provider gets one `embed`
+    call per label."""
+    batch = getattr(provider, "embed_batch", None)
+    vectors = batch(labels) if batch is not None else [provider.embed(l) for l in labels]
+    return np.array(vectors, dtype=np.float64)
+
+
+def unit_rows(vectors) -> np.ndarray:
+    """Each row (or a single vector) scaled to unit length; zero rows stay
+    zero, so their products are exactly 0.0, as cosine() gives."""
+    vectors = np.asarray(vectors, dtype=np.float64)
+    norms = np.linalg.norm(vectors, axis=-1, keepdims=True)
+    return np.divide(vectors, norms, out=np.zeros_like(vectors), where=norms > 0)
+
+
 def _normalized(values, dim: int, context: str) -> np.ndarray:
     vec = np.asarray(values, dtype=np.float64)
     if vec.shape != (dim,):

@@ -72,6 +72,11 @@ class SynonymLexicon:
         ia = self._group_of.get(key_a)
         return ia is not None and ia == self._group_of.get(key_b)
 
+    def link_bucket(self, key: str) -> int | str:
+        """Two lexical keys link (equal, or one lexicon group) exactly when
+        their buckets are equal: the group's index, or else the key itself."""
+        return self._group_of.get(key, key)
+
 
 _EMPTY = SynonymLexicon()
 

@@ -3,9 +3,16 @@ relabeling of graphs.
 
 Two labels land in one cluster when any of three links holds: equal lexical
 keys, shared synonym-lexicon group, or embedding cosine at or above the
-threshold; link_similarity holds that rule. Clusters are the connected
-components of the link relation. Action labels and event labels form
-separate pools so the two vocabularies never merge with each other.
+threshold; link_similarity holds that rule, pair by pair. Clusters are the
+connected components of the link relation. Action labels and event labels
+form separate pools so the two vocabularies never merge with each other.
+
+Clustering finds the links in one batched pass per pool. Lexical links
+bucket the labels by lexical key or lexicon group. Cosine links come from
+row-blocked products of the pool's embedding matrix, which the provider
+fills once per pool, and only when the buckets are more than one. A product
+within TIE_BAND of the threshold is re-checked with the scalar cosine()
+that link_similarity uses, so a float tie falls on the same side for both.
 
 Canonical selection prefers gold labels (highest annotation frequency first),
 otherwise the shortest member; remaining ties break lexicographically.
@@ -18,15 +25,21 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .annotations import AnnotationDoc
-from .errors import AlreadyNormalized, MalformedJson, SchemaViolation
+from .errors import AlreadyNormalized, EmptyLabel, MalformedJson, ProviderError, SchemaViolation
 from .graph import NarrativeGraph, Node, NodeKind
 from .lexicon import SynonymLexicon, fold_label, lexical_key
-from .embedding import cosine
+from .embedding import HashedNgramProvider, cosine, embed_matrix, unit_rows
 
 ACTION_POOL = "action"
 EVENT_POOL = "event"
 DEFAULT_THRESHOLD = 0.75
+# a product this close to the threshold may fall on the other side of it
+# than cosine() does, so cosine() decides those pairs
+TIE_BAND = 1e-9
+_BLOCK_ROWS = 256  # rows per product block: memory stays O(block x pool)
 
 _POOL_KINDS = {
     ACTION_POOL: (NodeKind.ACTION,),
@@ -60,26 +73,58 @@ def linked(a: str, b: str, provider, lexicon: SynonymLexicon, threshold: float) 
 def cluster_labels(
     labels, provider, lexicon: SynonymLexicon, threshold: float, pool: str = ACTION_POOL
 ) -> list[LabelCluster]:
-    """Connected components of the link relation; canonicals left unassigned."""
+    """Connected components of the link relation; canonicals left unassigned.
+
+    provider=None: lexical links only. Otherwise the provider embeds every
+    label of a pool that lexical links leave in more than one bucket."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-    keys = {label: lexical_key(label, lexicon) for label in sorted(set(labels))}
-    clusters: list[list[str]] = []
-    for label, key in keys.items():  # each label merges every cluster it links to
-        merged, apart = [label], []
-        for cluster in clusters:
-            if any(
-                link_similarity(m, keys[m], label, key, provider, lexicon) >= threshold
-                for m in cluster
-            ):
-                merged.extend(cluster)
-            else:
-                apart.append(cluster)
-        clusters = apart + [merged]
-    return [
-        LabelCluster(tuple(members), "", pool)
-        for members in sorted(sorted(c) for c in clusters)
-    ]
+    buckets: dict[int | str, list[str]] = {}
+    for label in sorted(set(labels)):
+        buckets.setdefault(lexicon.link_bucket(lexical_key(label, lexicon)), []).append(label)
+    groups = list(buckets.values())
+    if provider is not None and len(groups) > 1:
+        groups = _join_by_cosine(groups, provider, threshold)
+    return [LabelCluster(tuple(members), "", pool) for members in sorted(map(sorted, groups))]
+
+
+def _join_by_cosine(groups: list[list[str]], provider, threshold: float) -> list[list[str]]:
+    """The groups merged along cosine links between their labels."""
+    labels = [label for group in groups for label in group]
+    owner = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
+    parent = list(range(len(groups)))
+
+    def root(g: int) -> int:
+        while parent[g] != g:
+            parent[g] = parent[parent[g]]
+            g = parent[g]
+        return g
+
+    for rows, cols in _cosine_links(embed_matrix(provider, labels), threshold):
+        # pairs already joined before this block are dropped without a loop
+        roots = np.array([root(g) for g in range(len(groups))])
+        a, b = roots[owner[rows]], roots[owner[cols]]
+        apart = a != b
+        for x, y in zip(a[apart].tolist(), b[apart].tolist()):
+            parent[root(x)] = root(y)
+    merged: dict[int, list[str]] = {}
+    for g, group in enumerate(groups):
+        merged.setdefault(root(g), []).extend(group)
+    return list(merged.values())
+
+
+def _cosine_links(vectors: np.ndarray, threshold: float):
+    """Yields, one block of rows at a time, the index pairs i < j whose
+    cosine(vectors[i], vectors[j]) is at or above the threshold."""
+    unit = unit_rows(vectors)
+    for start in range(0, len(unit), _BLOCK_ROWS):
+        sims = unit[start : start + _BLOCK_ROWS] @ unit.T
+        rows, cols = np.nonzero(np.triu(sims >= threshold - TIE_BAND, start + 1))
+        near = np.flatnonzero(sims[rows, cols] < threshold + TIE_BAND)
+        rows += start
+        keep = np.ones(len(rows), dtype=bool)
+        keep[near] = [cosine(vectors[rows[k]], vectors[cols[k]]) >= threshold for k in near]
+        yield rows[keep], cols[keep]
 
 
 def assign_canonical(
@@ -112,7 +157,9 @@ class NormalizationMap:
                 table[member] = cluster.canonical
         # query-time tables, each built on its first use
         self._by_fold: dict[str, dict[str, str]] = {}
-        self._keyed: dict[str, tuple[SynonymLexicon, tuple]] = {}
+        self._buckets: dict[str, tuple[SynonymLexicon, dict]] = {}
+        self._vectors: dict[str, tuple] = {}
+        self._own_provider = provider_from_id(provider_id)  # for queries given none
 
     def lookup(self, label: str, pool: str = ACTION_POOL) -> str:
         """Canonical for a surface label; identity when the label is unmapped."""
@@ -135,20 +182,53 @@ class NormalizationMap:
             self._by_fold[pool] = table
         return table.get(folded)
 
-    def keyed_members(
-        self, lexicon: SynonymLexicon, pool: str = ACTION_POOL
-    ) -> tuple[tuple[str, str, str], ...]:
-        """(member, lexical key, canonical) for every member of a pool; the
-        keys are kept for the last lexicon object asked for."""
-        kept = self._keyed.get(pool)
+    def nearest_canonical(
+        self, query: str, lexicon: SynonymLexicon, provider, pool: str = ACTION_POOL
+    ) -> str | None:
+        """Canonical of the member that links best to the query under the
+        map's threshold: the highest link similarity wins, then the smallest
+        canonical; None when no member links.
+
+        provider=None uses the provider the map's id names, built once per
+        map, when the id can rebuild one. Members or a query the provider
+        cannot embed link lexically only."""
+        members = tuple(self._by_pool.get(pool, {}).items())  # (member, canonical)
+        query_bucket = lexicon.link_bucket(lexical_key(query, lexicon))
+        lexical = self._member_buckets(lexicon, pool).get(query_bucket, [])
+        linked_to = [(-1.0, members[i][1]) for i in lexical]
+        if provider is None:
+            provider = self._own_provider
+        vectors = None if provider is None else self._member_vectors(provider, pool)
+        vec = None if vectors is None else _embed_or_none(provider, query)
+        if vec is not None:
+            matrix, unit, embedded = vectors
+            near = embedded & (unit @ unit_rows(vec) >= self.threshold - TIE_BAND)
+            near[lexical] = False  # a lexical link scores 1.0, whatever the cosine
+            for i in np.flatnonzero(near).tolist():
+                sim = cosine(vec, matrix[i])
+                if sim >= self.threshold:
+                    linked_to.append((-sim, members[i][1]))
+        return min(linked_to)[1] if linked_to else None
+
+    def _member_buckets(self, lexicon: SynonymLexicon, pool: str) -> dict[int | str, list[int]]:
+        """Link bucket -> positions of the pool's members in it; kept for the
+        last lexicon object asked for."""
+        kept = self._buckets.get(pool)
         if kept is None or kept[0] is not lexicon:
-            rows = tuple(
-                (member, lexical_key(member, lexicon), cluster.canonical)
-                for cluster in self.clusters
-                if cluster.pool == pool
-                for member in cluster.members
-            )
-            kept = self._keyed[pool] = (lexicon, rows)
+            table: dict[int | str, list[int]] = {}
+            for i, member in enumerate(self._by_pool.get(pool, {})):
+                table.setdefault(lexicon.link_bucket(lexical_key(member, lexicon)), []).append(i)
+            kept = self._buckets[pool] = (lexicon, table)
+        return kept[1]
+
+    def _member_vectors(self, provider, pool: str):
+        """(matrix, unit rows, embedded mask) of the pool's members, or None
+        when the provider embeds none of them; kept for the last provider
+        object asked for."""
+        kept = self._vectors.get(pool)
+        if kept is None or kept[0] is not provider:
+            members = list(self._by_pool.get(pool, {}))
+            kept = self._vectors[pool] = (provider, _embed_members(provider, members))
         return kept[1]
 
     def __eq__(self, other):
@@ -198,18 +278,60 @@ class NormalizationMap:
             members = c.get("members")
             canonical = c.get("canonical")
             pool = c.get("pool")
-            if (
-                not isinstance(members, list)
-                or not members
-                or not all(isinstance(m, str) and m for m in members)
-            ):
-                raise SchemaViolation(f"{path}.members", "nonempty list of strings required")
-            if not isinstance(canonical, str) or not canonical:
-                raise SchemaViolation(f"{path}.canonical", "nonempty string required")
+            if not isinstance(members, list) or not members or not all(map(_is_label, members)):
+                raise SchemaViolation(
+                    f"{path}.members", "nonempty list of labels with a non-separator character"
+                )
+            if not _is_label(canonical):
+                raise SchemaViolation(f"{path}.canonical", "label with a non-separator character")
             if pool not in (ACTION_POOL, EVENT_POOL):
                 raise SchemaViolation(f"{path}.pool", "must be 'action' or 'event'")
             clusters.append(LabelCluster(tuple(sorted(members)), canonical, pool))
         return cls(clusters, float(threshold), provider_id)
+
+
+def _is_label(value) -> bool:
+    """A string that fold_label accepts: not empty, not only separators."""
+    if not isinstance(value, str):
+        return False
+    try:
+        fold_label(value)
+    except EmptyLabel:
+        return False
+    return True
+
+
+def _embed_members(provider, members: list[str]):
+    """(matrix, unit rows, embedded mask) for map members, or None when the
+    provider embeds none of them."""
+    try:
+        vectors = list(embed_matrix(provider, members))
+    except ProviderError:  # one at a time, so the members it can embed still link
+        vectors = [_embed_or_none(provider, member) for member in members]
+    embedded = np.array([vec is not None for vec in vectors], dtype=bool)
+    if not embedded.any():
+        return None
+    dim = len(vectors[int(np.argmax(embedded))])
+    matrix = np.array([np.zeros(dim) if vec is None else vec for vec in vectors])
+    return matrix, unit_rows(matrix), embedded
+
+
+def _embed_or_none(provider, label: str):
+    try:
+        return provider.embed(label)
+    except ProviderError:
+        return None
+
+
+def provider_from_id(provider_id: str):
+    """A provider rebuilt from its id alone; only the hashed one can be."""
+    prefix = "hashed:fnv1a-trigram:"
+    if provider_id.startswith(prefix):
+        try:
+            return HashedNgramProvider(int(provider_id[len(prefix):]))
+        except ValueError:
+            return None
+    return None
 
 
 def collect_label_pools(source) -> tuple[Counter, Counter]:

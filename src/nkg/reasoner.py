@@ -11,19 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .builder import entity_node_id
-from .embedding import HashedNgramProvider
 from .errors import (
     NotAnEventNode,
     NotNormalized,
-    ProviderError,
     UnknownEntity,
     UnknownEvent,
     UnknownNode,
     UnknownScope,
 )
 from .graph import PANEL_ORDERS, EdgeKind, NarrativeGraph, Node, NodeKind
-from .lexicon import SynonymLexicon, fold_label, lexical_key
-from .normalize import ACTION_POOL, NormalizationMap, link_similarity
+from .lexicon import SynonymLexicon, fold_label
+from .normalize import ACTION_POOL, NormalizationMap
 
 MODES = ("raw", "normalized")
 ORDER_KINDS = tuple(PANEL_ORDERS)
@@ -114,17 +112,6 @@ def _surface(node: Node) -> str:
     return node.attrs.get("surface_label", node.label())
 
 
-def _provider_from_id(provider_id: str):
-    # the hashed provider is reproducible from its id alone
-    prefix = "hashed:fnv1a-trigram:"
-    if provider_id.startswith(prefix):
-        try:
-            return HashedNgramProvider(int(provider_id[len(prefix):]))
-        except ValueError:
-            return None
-    return None
-
-
 def _actions_by(graph: NarrativeGraph, name: str, key) -> dict[str, tuple[ActionHit, ...]]:
     """The action index `name`: every action as a hit, grouped by key(hit),
     each group in (reading position, id) order. Built on the first query."""
@@ -182,17 +169,8 @@ def _resolve_canonical(
         return by_fold
 
     lex = lexicon if lexicon is not None else SynonymLexicon.empty()
-    prov = provider if provider is not None else _provider_from_id(norm_map.provider_id)
-    query_key = lexical_key(query, lex)
-    linked_to = []  # (-similarity, canonical): the best link sorts first
-    for member, member_key, canonical in norm_map.keyed_members(lex, ACTION_POOL):
-        try:
-            sim = link_similarity(query, query_key, member, member_key, prov, lex)
-        except ProviderError:
-            continue
-        if sim >= norm_map.threshold:
-            linked_to.append((-sim, canonical))
-    return min(linked_to)[1] if linked_to else query
+    nearest = norm_map.nearest_canonical(query, lex, provider, ACTION_POOL)
+    return query if nearest is None else nearest
 
 
 def retrieve_actions(

@@ -180,6 +180,17 @@ def test_query_rejects_map_threshold_outside_unit_interval(tmp_path, battle_file
     assert main(args + ["--map", str(bad)]) == 2
 
 
+def test_query_rejects_map_with_separator_only_member(tmp_path, battle_files, capsys):
+    _, _, norm = battle_files
+    side = json.loads((tmp_path / "norm.map.json").read_text())
+    side["clusters"][0]["members"].append("_")
+    bad = tmp_path / "bad.map.json"
+    bad.write_text(json.dumps(side))
+    args = ["query", "action", "ATTACK", "--input", str(norm), "--mode", "normalized"]
+    assert main(args + ["--map", str(bad)]) == 2
+    assert "members" in capsys.readouterr().err
+
+
 def set_node_attr(obj, node_id, key, value):
     attrs = next(n for n in obj["nodes"] if n["id"] == node_id)["attrs"]
     if value is None:

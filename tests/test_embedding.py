@@ -24,6 +24,9 @@ from nkg.errors import (
     MissingLabel,
     SchemaViolation,
 )
+from nkg.fixtures import generate_fixture
+from nkg.normalize import build_normalization_map
+from nkg.resources import default_lexicon
 
 
 def random_labels(rng, n):
@@ -88,8 +91,10 @@ def test_vector_file_rejects_bad_shapes():
 class _EmbedHandler(BaseHTTPRequestHandler):
     behavior = "ok"
     dim = 4
+    posts = 0  # POST requests served since the fixture started
 
     def do_POST(self):
+        type(self).posts += 1
         if self.path != "/embed":
             self.send_error(404)
             return
@@ -124,6 +129,7 @@ def embed_server():
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     _EmbedHandler.behavior = "ok"
+    _EmbedHandler.posts = 0
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
     thread.join()
@@ -166,3 +172,16 @@ def test_remote_http_error(embed_server):
 def test_remote_unreachable():
     with pytest.raises(BadStatus):
         remote_embed("http://127.0.0.1:1", ["a"], timeout=0.5)
+
+
+def test_normalization_map_sends_one_request_per_pool(embed_server):
+    provider = RemoteProvider(embed_server)
+    lexicon = default_lexicon()
+    norm_map = build_normalization_map(generate_fixture("battle"), provider, lexicon, 0.75)
+    pools = {c.pool for c in norm_map.clusters}
+    assert pools == {"action", "event"}
+    assert 1 <= _EmbedHandler.posts <= len(pools)
+    # a fallback query sends only the query: the members are cached
+    sent = _EmbedHandler.posts
+    norm_map.nearest_canonical("somersault", lexicon, provider)
+    assert _EmbedHandler.posts == sent + 1

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from nkg import resources
 from nkg.builder import build_all
 from nkg.embedding import HashedNgramProvider, VectorFileProvider, cosine
-from nkg.errors import AlreadyNormalized, SchemaViolation
+from nkg.errors import AlreadyNormalized, MissingLabel, SchemaViolation
 from nkg.evaluation import load_gold_labels
 from nkg.fixtures import generate_fixture
 from nkg.graph import NodeKind, deserialize
@@ -20,14 +20,17 @@ from nkg.lexicon import SynonymLexicon
 from nkg.normalize import (
     ACTION_POOL,
     EVENT_POOL,
+    TIE_BAND,
     LabelCluster,
     NormalizationMap,
     apply_normalization,
     assign_canonical,
     build_normalization_map,
     cluster_labels,
+    link_similarity,
     linked,
 )
+from nkg.lexicon import lexical_key
 
 HASHED = HashedNgramProvider()
 COMBAT = SynonymLexicon.build([["attack", "strike", "fight", "hit"]], {})
@@ -149,6 +152,151 @@ def test_clusters_match_bfs_oracle_at_pair_cosine_thresholds(case):
     labels, provider, lexicon, threshold = case
     got = [list(c.members) for c in cluster_labels(labels, provider, lexicon, threshold)]
     assert got == bfs_components(labels, provider, lexicon, threshold)
+
+
+def greedy_cluster_labels(labels, provider, lexicon, threshold):
+    """The pair-by-pair clustering the batched one replaced: each label, in
+    sorted order, merges every cluster it links to."""
+    keys = {label: lexical_key(label, lexicon) for label in sorted(set(labels))}
+    clusters = []
+    for label, key in keys.items():
+        merged, apart = [label], []
+        for cluster in clusters:
+            if any(
+                link_similarity(m, keys[m], label, key, provider, lexicon) >= threshold
+                for m in cluster
+            ):
+                merged.extend(cluster)
+            else:
+                apart.append(cluster)
+        clusters = apart + [merged]
+    return sorted(sorted(c) for c in clusters)
+
+
+VERBS = ("kick", "push", "pull", "lift", "look", "grab", "open", "turn", "wait", "call",
+         "watch", "help", "jump", "pass", "mark", "work", "park", "pack", "lock", "rock")
+NOUNS = ("cart", "door", "rock", "lamp", "rope", "box", "bag", "map", "coin", "bell",
+         "gate", "wall", "boat", "key", "book")
+
+
+def verb_noun_labels(rng, n):
+    """n distinct labels verb_noun or verb_noun_k, with mark_bag and work_bag."""
+    labels = {"mark_bag", "work_bag"}
+    while len(labels) < n:
+        label = f"{rng.choice(VERBS)}_{rng.choice(NOUNS)}"
+        labels.add(label if rng.random() < 0.6 else f"{label}_{rng.randint(1, 9)}")
+    return sorted(labels)
+
+
+def test_batched_clusters_equal_greedy_at_pair_cosine_thresholds():
+    labels = verb_noun_labels(random.Random(6), 300)
+    vectors = np.array([HASHED.embed(label) for label in labels])
+    sims = np.triu(vectors @ vectors.T, 1)
+    # thresholds that are exactly some pair's cosine(), near 0.5, 0.75 and 0.9
+    thresholds = {cosine(HASHED.embed("mark_bag"), HASHED.embed("work_bag"))}
+    for target in (0.5, 0.75, 0.9):
+        i, j = np.unravel_index(np.argmin(np.abs(sims - target)), sims.shape)
+        thresholds.add(cosine(vectors[i], vectors[j]))
+    lexicon = resources.default_lexicon()
+    for threshold in sorted(thresholds):
+        got = [list(c.members) for c in cluster_labels(labels, HASHED, lexicon, threshold)]
+        assert got == greedy_cluster_labels(labels, HASHED, lexicon, threshold), threshold
+
+
+def test_product_tie_at_the_threshold_follows_cosine():
+    a, b = HASHED.embed("mark_bag"), HASHED.embed("work_bag")
+    tie = cosine(a, b)
+    assert tie == 0.7500000000000001
+    assert abs(float(a @ b) - 0.75) < TIE_BAND  # the product sits in the re-check band
+    empty = SynonymLexicon.empty()
+    pair = {"mark_bag", "work_bag"}
+    for threshold, merged in ((0.75, True), (tie, True), (np.nextafter(tie, 1.0), False)):
+        assert len(cluster_labels(pair, HASHED, empty, threshold)) == (1 if merged else 2)
+        norm_map = NormalizationMap(
+            [LabelCluster(("work_bag",), "work_bag")], float(threshold), HASHED.provider_id
+        )
+        want = "work_bag" if merged else None
+        assert norm_map.nearest_canonical("mark_bag", empty, HASHED) == want
+
+
+def test_cluster_edge_cases():
+    empty = SynonymLexicon.empty()
+    no_vectors = VectorFileProvider({}, 2, source="none")  # raises if ever asked
+    assert cluster_labels([], HASHED, empty, 0.75) == []
+    assert cluster_labels({"walk"}, no_vectors, empty, 0.75) == [LabelCluster(("walk",))]
+    # one lexical bucket: nothing to embed
+    assert cluster_labels({"walk", "walked", "Walking"}, no_vectors, empty, 0.75) == [
+        LabelCluster(("Walking", "walk", "walked"))
+    ]
+    # two buckets: every label must have a vector
+    with pytest.raises(MissingLabel):
+        cluster_labels({"walk", "walked", "run"}, no_vectors, empty, 0.75)
+    # provider=None: lexical links only
+    assert [c.members for c in cluster_labels({"walk", "walked", "run"}, None, empty, 0.0)] == [
+        ("run",),
+        ("walk", "walked"),
+    ]
+    # a zero vector has cosine 0.0 with everything, which links at threshold 0.0
+    zero = VectorFileProvider(
+        {"a": np.zeros(2), "b": np.array([1.0, 0.0]), "c": np.array([-1.0, 0.0])}, 2
+    )
+    assert [c.members for c in cluster_labels("abc", zero, empty, 0.0)] == [("a", "b", "c")]
+    assert [c.members for c in cluster_labels("bc", zero, empty, 0.0)] == [("b",), ("c",)]
+    assert [c.members for c in cluster_labels("abc", zero, empty, 1e-12)] == [
+        ("a",), ("b",), ("c",)
+    ]
+
+
+@pytest.mark.parametrize("label", ["", "_", " ", "_ _", "\t\n"])
+@pytest.mark.parametrize("field", ["members", "canonical"])
+def test_map_rejects_separator_only_labels(field, label):
+    cluster = {"pool": "action", "canonical": "walk", "members": ["walk"]}
+    cluster[field] = [label] if field == "members" else label
+    raw = json.dumps(
+        {"schema_version": 1, "threshold": 0.75, "provider_id": "x", "clusters": [cluster]}
+    )
+    with pytest.raises(SchemaViolation, match=field):
+        NormalizationMap.from_json_bytes(raw)
+
+
+@st.composite
+def fallback_cases(draw):
+    labels, provider, lexicon, _ = draw(oracle_cases())
+    query = draw(st.sampled_from(labels))
+    members = [label for label in labels if label != query]
+    # the threshold is the query's cosine to one member: that link is a tie
+    member = draw(st.sampled_from(members))
+    threshold = min(max(cosine(provider.embed(query), provider.embed(member)), 0.0), 1.0)
+    canonicals = draw(st.lists(st.sampled_from(labels), min_size=len(members),
+                               max_size=len(members)))
+    clusters = [LabelCluster((m,), c) for m, c in zip(members, canonicals)]
+    return query, NormalizationMap(clusters, threshold, "test"), provider, lexicon
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(fallback_cases())
+def test_nearest_canonical_matches_pair_scan_at_pair_cosine_thresholds(case):
+    query, norm_map, provider, lexicon = case
+    query_key = lexical_key(query, lexicon)
+    linked_to = []
+    for cluster in norm_map.clusters:
+        (member,) = cluster.members
+        sim = link_similarity(query, query_key, member, lexical_key(member, lexicon),
+                              provider, lexicon)
+        if sim >= norm_map.threshold:
+            linked_to.append((-sim, cluster.canonical))
+    want = min(linked_to)[1] if linked_to else None
+    assert norm_map.nearest_canonical(query, lexicon, provider) == want
+
+
+def test_nearest_canonical_skips_members_the_provider_cannot_embed():
+    provider = VectorFileProvider({"a": np.array([1.0, 0.0]), "q": np.array([-1.0, 0.0])}, 2)
+    clusters = [LabelCluster(("a",), "a"), LabelCluster(("b",), "b")]
+    empty = SynonymLexicon.empty()
+    # at threshold 0.0 a zero row would link; "b" has no vector at all
+    assert NormalizationMap(clusters, 0.0, "test").nearest_canonical("q", empty, provider) is None
+    lexicon = SynonymLexicon.build([["q", "b"]], {})
+    assert NormalizationMap(clusters, 0.0, "test").nearest_canonical("q", lexicon, provider) == "b"
 
 
 @pytest.mark.parametrize("kind,seed,variance,with_gold", sorted(MAP_DIGESTS))

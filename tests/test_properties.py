@@ -34,8 +34,9 @@ from nkg.normalize import (
     apply_normalization,
     build_normalization_map,
     link_similarity,
+    provider_from_id,
 )
-from nkg.reasoner import ActionHit, _provider_from_id, reconstruct_timeline, retrieve_actions
+from nkg.reasoner import ActionHit, reconstruct_timeline, retrieve_actions
 from nkg.resources import default_lexicon
 
 # small and derandomized so the suite stays fast and every run sees the same documents
@@ -192,7 +193,7 @@ def scan_resolve_canonical(graph, query, norm_map, lexicon, provider):
         if fold_label(member) == folded:
             return norm_map.lookup(member, "action")
     lex = lexicon if lexicon is not None else SynonymLexicon.empty()
-    prov = provider if provider is not None else _provider_from_id(norm_map.provider_id)
+    prov = provider if provider is not None else provider_from_id(norm_map.provider_id)
     query_key = lexical_key(query, lex)
     linked_to = []
     for cluster in norm_map.clusters:

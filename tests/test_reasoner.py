@@ -1,11 +1,13 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
+from nkg import embedding, normalize
 from nkg.annotations import parse_annotations
 from nkg.builder import build_all
-from nkg.embedding import HashedNgramProvider, VectorFileProvider
+from nkg.embedding import HashedNgramProvider, VectorFileProvider, embed_hashed
 from nkg.errors import (
     EmptyLabel,
     NotAnEventNode,
@@ -18,7 +20,7 @@ from nkg.errors import (
 )
 from nkg.fixtures import generate_fixture
 from nkg.graph import EdgeKind, NarrativeGraph, NodeKind, deserialize
-from nkg.lexicon import SynonymLexicon, fold_label
+from nkg.lexicon import SynonymLexicon, fold_label, lexical_key
 from nkg.normalize import (
     EVENT_POOL,
     NormalizationMap,
@@ -562,25 +564,54 @@ def test_queries_on_an_unfrozen_graph_cache_nothing(memo_builds):
     assert memo_builds.count(("actions_by", "surface_fold")) == 1
 
 
-def test_fallback_keys_map_members_once_per_lexicon(monkeypatch):
+def test_fallback_buckets_map_members_once_per_lexicon(monkeypatch):
     doc = generate_fixture("noise", seed=3, variance=0.6)
     norm_map = build_normalization_map(doc, HASHED, SynonymLexicon.empty(), 0.75)
     graph = apply_normalization(build_all(doc), norm_map)
-    tables = []
-    keyed_members = NormalizationMap.keyed_members
+    members = norm_map.pool_labels("action")
+    keyed = Counter()
 
-    def spy(self, lexicon, pool="action"):
-        tables.append(keyed_members(self, lexicon, pool))
-        return tables[-1]
+    def counting_key(label, lexicon):
+        keyed[label] += 1
+        return lexical_key(label, lexicon)
 
-    monkeypatch.setattr(NormalizationMap, "keyed_members", spy)
+    monkeypatch.setattr(normalize, "lexical_key", counting_key)
     for query in ("shoved", "jumpin", "grabbers"):  # none is a map member
         retrieve_actions(graph, query, "normalized", norm_map=norm_map)
     for query in ("shoved", "jumpin"):
         retrieve_actions(graph, query, "normalized", norm_map=norm_map, lexicon=COMBAT)
-    assert len(tables) == 5
-    assert tables[0] is tables[1] is tables[2]  # lexicon=None: the shared empty lexicon
-    assert tables[3] is tables[4] and tables[3] is not tables[0]
-    assert [member for member, _, _ in tables[0]] == [
-        member for c in norm_map.clusters if c.pool == "action" for member in c.members
-    ]
+    # lexicon=None is the shared empty lexicon: one table for the first three
+    # queries and one for COMBAT; each query is keyed once per call
+    assert {m: keyed[m] for m in members} == dict.fromkeys(members, 2)
+    assert keyed - Counter(dict.fromkeys(members, 2)) == Counter(shoved=2, jumpin=2, grabbers=1)
+
+
+def test_fallback_without_provider_embeds_each_member_once(monkeypatch):
+    embedded = Counter()
+
+    def counting_embed(label, dim=embedding.DEFAULT_DIM):
+        embedded[label] += 1
+        return embed_hashed(label, dim)
+
+    monkeypatch.setattr(embedding, "embed_hashed", counting_embed)
+    norm_map = NormalizationMap.from_json_bytes(BATTLE_MAP.to_json_bytes())
+    for query in ("shout_out", "somersault"):  # no member, no fold-equal member
+        retrieve_actions(BATTLE_NORM, query, "normalized", norm_map=norm_map)
+    members = norm_map.pool_labels("action")
+    assert embedded == Counter(members) + Counter(["shout_out", "somersault"])
+
+
+def test_fallback_query_the_provider_cannot_embed_links_lexically():
+    # the vector file covers every member but not the queries
+    vectors = {m: [1.0, float(i)] for i, m in enumerate(sorted(BATTLE_MAP.pool_labels("action")))}
+    provider = VectorFileProvider(vectors, 2, source="members")
+
+    def canonicals(query):
+        hits = retrieve_actions(
+            BATTLE_NORM, query, "normalized", norm_map=BATTLE_MAP, lexicon=COMBAT,
+            provider=provider,
+        )
+        return {h.canonical_label for h in hits}
+
+    assert canonicals("strikes") == {"attack"}  # lexicon group, similarity 1.0
+    assert canonicals("shout_out") == set()  # would need a cosine link
