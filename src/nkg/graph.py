@@ -12,7 +12,8 @@ indexes) once built, each on its first read; memo() holds that rule.
 
 Serialization is canonical: nodes sorted by id, edges by (src, dst, kind),
 keys sorted. Equal graphs produce identical bytes regardless of how they
-were assembled.
+were assembled. The writer fills a template of the graph's fixed shape; its
+bytes are those of json.dumps(indent=2, sort_keys=True, ensure_ascii=False).
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, TypeVar
+from json.encoder import encode_basestring
+from typing import Callable, Iterable, TypeVar
 
 from .errors import (
     CycleIntroduced,
@@ -67,6 +69,11 @@ class Layer(Enum):
     TEMPORAL = "temporal"
     EVENT = "event"
 
+
+# value -> member, for the reader: a dict lookup costs less than an Enum call
+_NODE_KINDS = {kind.value: kind for kind in NodeKind}
+_EDGE_KINDS = {kind.value: kind for kind in EdgeKind}
+_LAYERS = {layer.value: layer for layer in Layer}
 
 # every node kind lives on exactly one layer; Node.layer reads it from here
 KIND_LAYER = {
@@ -130,7 +137,7 @@ class Edge:
     kind: EdgeKind
 
     def key(self) -> tuple[str, str, str]:
-        return (self.src, self.dst, self.kind.value)
+        return (self.src, self.dst, self.kind._value_)
 
 
 class NarrativeGraph:
@@ -140,8 +147,8 @@ class NarrativeGraph:
         self._nodes: dict[str, Node] = {}
         self._edges: dict[tuple[str, str, str], Edge] = {}
         # kind -> src -> dst set, for O(1) duplicate probes and cycle walks
-        self._out: dict[EdgeKind, dict[str, set[str]]] = {}
-        self._in: dict[EdgeKind, dict[str, set[str]]] = {}
+        self._out: dict[EdgeKind, dict[str, set[str]]] = {kind: {} for kind in EdgeKind}
+        self._in: dict[EdgeKind, dict[str, set[str]]] = {kind: {} for kind in EdgeKind}
         self._frozen = False
         # read-only views of a frozen graph, each built on its first read
         self._memo: dict = {}
@@ -163,23 +170,25 @@ class NarrativeGraph:
 
     def add_edge(self, edge: Edge) -> None:
         self._check_mutable()
-        if edge.src not in self._nodes or edge.dst not in self._nodes:
-            missing = edge.src if edge.src not in self._nodes else edge.dst
-            raise UnknownEndpoint(missing)
-        if edge.key() in self._edges:
-            raise DuplicateEdge(str(edge.key()))
-        if edge.kind is EdgeKind.SUBEVENT_OF and self._out.get(edge.kind, {}).get(edge.src):
-            raise ForestViolation(edge.src)
-        if edge.kind in ACYCLIC_KINDS and self._reaches(edge.kind, edge.dst, edge.src):
-            raise CycleIntroduced(edge.kind.value, f"{edge.src} -> {edge.dst}")
-        self._edges[edge.key()] = edge
-        self._out.setdefault(edge.kind, {}).setdefault(edge.src, set()).add(edge.dst)
-        self._in.setdefault(edge.kind, {}).setdefault(edge.dst, set()).add(edge.src)
+        src, dst, kind = edge.src, edge.dst, edge.kind
+        if src not in self._nodes or dst not in self._nodes:
+            raise UnknownEndpoint(src if src not in self._nodes else dst)
+        key = edge.key()
+        if key in self._edges:
+            raise DuplicateEdge(str(key))
+        out = self._out[kind]
+        if kind is EdgeKind.SUBEVENT_OF and out.get(src):
+            raise ForestViolation(src)
+        if kind in ACYCLIC_KINDS and self._reaches(kind, dst, src):
+            raise CycleIntroduced(kind.value, f"{src} -> {dst}")
+        self._edges[key] = edge
+        out.setdefault(src, set()).add(dst)
+        self._in[kind].setdefault(dst, set()).add(src)
 
     def _reaches(self, kind: EdgeKind, start: str, goal: str) -> bool:
         if start == goal:
             return True
-        adjacency = self._out.get(kind, {})
+        adjacency = self._out[kind]
         queue, seen = deque([start]), {start}
         while queue:
             for nxt in adjacency.get(queue.popleft(), ()):
@@ -193,7 +202,7 @@ class NarrativeGraph:
     def finalize(self) -> "NarrativeGraph":
         """Validate whole-graph invariants and freeze. Idempotent."""
         nodes = self._nodes
-        refers_to = self._out.get(EdgeKind.REFERS_TO, {})
+        refers_to = self._out[EdgeKind.REFERS_TO]
 
         def names(node_id: str | None, kind: NodeKind) -> bool:
             node = nodes.get(node_id)
@@ -232,7 +241,7 @@ class NarrativeGraph:
             if problem is not None:
                 raise SchemaViolation(f"node {node.id}", problem)
         for edge_kind, (src_kind, dst_kind) in EDGE_ENDPOINTS.items():
-            for src, dsts in self._out.get(edge_kind, {}).items():
+            for src, dsts in self._out[edge_kind].items():
                 for dst in dsts:
                     if nodes[src].kind is not src_kind or nodes[dst].kind is not dst_kind:
                         raise SchemaViolation(
@@ -248,7 +257,7 @@ class NarrativeGraph:
                 if a == b:
                     raise SchemaViolation(f"panels {a_id} and {b_id}", f"share {attr} {a}")
                 want.add((a_id, b_id))
-            have = {(s, d) for s, ds in self._out.get(edge_kind, {}).items() for d in ds}
+            have = {(s, d) for s, ds in self._out[edge_kind].items() for d in ds}
             if have != want:
                 src, dst = min(have ^ want)
                 state = "lacks" if (src, dst) in want else "has an extra"
@@ -261,6 +270,20 @@ class NarrativeGraph:
     @property
     def frozen(self) -> bool:
         return self._frozen
+
+    def relabeled(self, nodes: Iterable[Node]) -> "NarrativeGraph":
+        """A finalized, normalized copy of this frozen graph with `nodes` in place of
+        those of their ids; it shares the edge tables, since neither graph can change."""
+        if not self._frozen:
+            raise ValueError(f"graph {self.story_id!r} must be finalized before relabeling")
+        out = NarrativeGraph(self.story_id, normalized=True)
+        out._nodes = dict(self._nodes)
+        for node in nodes:
+            if out._nodes.pop(node.id, None) is None:
+                raise UnknownNode(node.id)
+            out.add_node(node)
+        out._edges, out._out, out._in = self._edges, self._out, self._in
+        return out.finalize()
 
     # --- inspection ------------------------------------------------------
 
@@ -345,25 +368,22 @@ class NarrativeGraph:
     # --- serialization ---------------------------------------------------
 
     def to_json_bytes(self) -> bytes:
-        obj = {
-            "story_id": self.story_id,
-            "normalized": self.normalized,
-            "nodes": [
-                {
-                    "id": n.id,
-                    "kind": n.kind.value,
-                    "layer": n.layer.value,
-                    "attrs": dict(sorted(n.attrs.items())),
-                }
-                for n in self.nodes()
-            ],
-            "edges": [
-                {"src": e.src, "dst": e.dst, "kind": e.kind.value} for e in self.edges()
-            ],
-        }
-        return (json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n").encode(
-            "utf-8"
-        )
+        q = encode_basestring  # the quoting json.dumps uses under ensure_ascii=False
+        nodes = [
+            f'    {{\n      "attrs": {_json_object(n.attrs)},\n      "id": {q(n.id)},\n'
+            f'      "kind": {q(n.kind._value_)},\n'
+            f'      "layer": {q(KIND_LAYER[n.kind]._value_)}\n    }}'
+            for n in self.nodes()
+        ]
+        edges = [
+            f'    {{\n      "dst": {q(e.dst)},\n      "kind": {q(e.kind._value_)},\n'
+            f'      "src": {q(e.src)}\n    }}'
+            for e in self.edges()
+        ]
+        return (
+            f'{{\n  "edges": {_json_list(edges)},\n  "nodes": {_json_list(nodes)},\n'
+            f'  "normalized": {json.dumps(self.normalized)},\n  "story_id": {q(self.story_id)}\n}}\n'
+        ).encode("utf-8")
 
     @classmethod
     def from_json_bytes(cls, raw: bytes | str) -> "NarrativeGraph":
@@ -389,9 +409,8 @@ class NarrativeGraph:
             if not isinstance(n, dict):
                 raise SchemaViolation(path, "node must be an object")
             try:
-                kind = NodeKind(n["kind"])
-                layer = Layer(n["layer"])
-            except (KeyError, ValueError) as exc:
+                kind, layer = _NODE_KINDS[n["kind"]], _LAYERS[n["layer"]]
+            except (KeyError, TypeError) as exc:  # TypeError: an unhashable kind or layer
                 raise SchemaViolation(path, f"bad node kind/layer: {exc}") from exc
             if layer is not KIND_LAYER[kind]:
                 raise SchemaViolation(
@@ -404,14 +423,14 @@ class NarrativeGraph:
                 raise SchemaViolation(path, "attrs must be an object")
             if not isinstance(n.get("id"), str):
                 raise SchemaViolation(path, "id must be a string")
-            graph.add_node(Node(n["id"], kind, dict(attrs)))
+            graph.add_node(Node(n["id"], kind, attrs))
         for i, e in enumerate(obj["edges"]):
             path = f"$.edges[{i}]"
             if not isinstance(e, dict):
                 raise SchemaViolation(path, "edge must be an object")
             try:
-                kind = EdgeKind(e["kind"])
-            except (KeyError, ValueError) as exc:
+                kind = _EDGE_KINDS[e["kind"]]
+            except (KeyError, TypeError) as exc:
                 raise SchemaViolation(path, f"bad edge kind: {exc}") from exc
             if not isinstance(e.get("src"), str) or not isinstance(e.get("dst"), str):
                 raise SchemaViolation(path, "src and dst must be strings")
@@ -419,12 +438,28 @@ class NarrativeGraph:
         return graph.finalize()
 
 
+# the writer's parts, laid out as json.dumps(indent=2, sort_keys=True) lays them out
+def _json_object(attrs: dict[str, str]) -> str:
+    if not attrs:
+        return "{}"
+    q = encode_basestring
+    items = ",\n".join(f"        {q(k)}: {q(v)}" for k, v in sorted(attrs.items()))
+    return "{\n" + items + "\n      }"
+
+
+def _json_list(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
 def _int_attr(node: Node, name: str) -> int:
+    """The attribute's integer, written as str(int) writes it: not "+1", "01", "1_0"."""
+    value = node.attrs.get(name)
     try:
-        return int(node.attrs[name])
-    except (KeyError, ValueError):
-        value = node.attrs.get(name)
-        raise SchemaViolation(f"node {node.id}", f"{name} must be an integer, got {value!r}")
+        if str(int(value)) == value:
+            return int(value)
+    except (TypeError, ValueError):
+        pass
+    raise SchemaViolation(f"node {node.id}", f"{name} must be an integer, got {value!r}")
 
 
 def serialize(graph: NarrativeGraph) -> bytes:

@@ -383,20 +383,15 @@ def build_normalization_map(
 
 
 def apply_normalization(graph: NarrativeGraph, norm_map: NormalizationMap) -> NarrativeGraph:
-    """Relabel action/event/macro-event nodes to canonicals; topology untouched."""
+    """Relabel action/event/macro-event nodes of a finalized graph to canonicals."""
     if graph.normalized:
         raise AlreadyNormalized(graph.story_id)
-    out = NarrativeGraph(graph.story_id, normalized=True)
-    for node in graph.nodes():
-        pool = next((p for p, kinds in _POOL_KINDS.items() if node.kind in kinds), None)
-        if pool is None:
-            out.add_node(node)
-            continue
-        attrs = dict(node.attrs)
-        old = attrs.get("label", "")
-        attrs["label"] = norm_map.lookup(old, pool)
-        attrs.setdefault("surface_label", old)
-        out.add_node(Node(node.id, node.kind, attrs))
-    for edge in graph.edges():
-        out.add_edge(edge)
-    return out.finalize()
+    relabeled = []
+    for pool, kinds in _POOL_KINDS.items():
+        for kind in kinds:
+            for node in graph.nodes(kind):
+                old = node.attrs.get("label", "")
+                attrs = {**node.attrs, "label": norm_map.lookup(old, pool)}
+                attrs.setdefault("surface_label", old)
+                relabeled.append(Node(node.id, kind, attrs))
+    return graph.relabeled(relabeled)

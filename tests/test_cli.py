@@ -8,6 +8,15 @@ from nkg.annotations import parse_annotations
 from nkg.builder import build_all
 from nkg.cli import main, map_side_path, resolve_config
 from nkg.embedding import HashedNgramProvider
+from nkg.errors import (
+    CycleIntroduced,
+    DuplicateEdge,
+    DuplicateNode,
+    ForestViolation,
+    MalformedJson,
+    SchemaViolation,
+    UnknownEndpoint,
+)
 from nkg.fixtures import generate_fixture
 from nkg.graph import deserialize
 from nkg.normalize import build_normalization_map
@@ -208,6 +217,14 @@ def strip_reading_chain(obj):
     obj["edges"] = [e for e in obj["edges"] if e["kind"] != "precedes_reading"]
 
 
+def underscore_reading_orders(obj):
+    """Each reading_order n becomes "n_0": int() reads n0, which keeps the
+    order, but the file no longer writes it as str(int)."""
+    for node in obj["nodes"]:
+        if node["kind"] == "panel":
+            node["attrs"]["reading_order"] += "_0"
+
+
 # each: how a battle graph file is edited, and a query that reads what the edit broke
 BROKEN_GRAPH_QUERIES = {
     "swapped-reading-order": (swap_reading_orders, ["summary", "e0_0"]),
@@ -228,6 +245,7 @@ BROKEN_GRAPH_QUERIES = {
         lambda obj: set_node_attr(obj, "d:3_0_0:0", "speaker", "c:nobody"),
         ["dialogue", "e3_0"],
     ),
+    "underscored-reading-orders": (underscore_reading_orders, ["timeline", "story"]),
 }
 
 
@@ -242,6 +260,42 @@ def test_query_exits_2_on_graph_file_that_fails_the_read_check(tmp_path, battle_
     broken.write_text(json.dumps(obj))
     capsys.readouterr()
     assert main(["query", *query, "--input", str(broken)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def dumped(change):
+    def edit(obj):
+        change(obj)
+        return json.dumps(obj).encode()
+    return edit
+
+
+def append_edge(src, dst, kind):
+    return lambda obj: obj["edges"].append({"src": src, "dst": dst, "kind": kind})
+
+
+# one graph file per exception class the reader raises: an edited battle graph's bytes
+READ_ERRORS = {
+    MalformedJson: lambda obj: json.dumps(obj).encode()[:-1],
+    SchemaViolation: dumped(lambda obj: obj["nodes"][0].update(kind=["panel"])),
+    DuplicateNode: dumped(lambda obj: obj["nodes"].append(obj["nodes"][0])),
+    DuplicateEdge: dumped(lambda obj: obj["edges"].append(obj["edges"][0])),
+    UnknownEndpoint: dumped(append_edge("0_0_0", "ghost", "co_occurs_with")),
+    ForestViolation: dumped(append_edge("e0_0", "m1", "subevent_of")),
+    CycleIntroduced: dumped(append_edge("m0", "e0_0", "subevent_of")),
+}
+
+
+@pytest.mark.parametrize("error", list(READ_ERRORS), ids=lambda error: error.__name__)
+def test_query_exits_2_for_each_class_of_read_error(tmp_path, battle_files, capsys, error):
+    _, raw, _ = battle_files
+    broken = tmp_path / "broken.json"
+    broken.write_bytes(READ_ERRORS[error](json.loads(raw.read_bytes())))
+    with pytest.raises(error) as raised:
+        deserialize(broken.read_bytes())
+    assert type(raised.value) is error
+    capsys.readouterr()
+    assert main(["query", "timeline", "story", "--input", str(broken)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 

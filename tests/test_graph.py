@@ -1,8 +1,12 @@
+import copy
 import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from nkg.builder import build_all
 from nkg.errors import (
     CycleIntroduced,
     DuplicateEdge,
@@ -27,6 +31,7 @@ from nkg.graph import (
     deserialize,
     serialize,
 )
+from nkg.fixtures import generate_fixture
 
 
 def panel(node_id, reading=0, storytime=0):
@@ -196,6 +201,27 @@ def test_frozen_graph_keeps_its_ordered_views():
     assert [n.id for n in g.nodes(NodeKind.PANEL)] == ["p0", "p1", "p2"]
 
 
+def test_relabeled_replaces_nodes_and_keeps_the_topology():
+    g = small_graph().finalize()
+    waved = Node("act", NodeKind.ACTION, {"label": "greet", "panel": "p0"})
+    out = g.relabeled([waved])
+    assert out.frozen and out.normalized and not g.normalized
+    assert out.node("act") is waved and g.node("act").label() == "wave"
+    assert out.nodes(NodeKind.PANEL) == g.nodes(NodeKind.PANEL)
+    assert out.edges() == g.edges()
+    with pytest.raises(GraphFrozen):
+        out.add_edge(Edge("p0", "p2", EdgeKind.CO_OCCURS_WITH))
+    assert g.edge_count() == out.edge_count() == 6
+    with pytest.raises(UnknownNode):
+        g.relabeled([Node("ghost", NodeKind.ACTION, {"label": "x", "panel": "p0"})])
+    with pytest.raises(SchemaViolation, match="string→string"):
+        g.relabeled([Node("act", NodeKind.ACTION, {"label": 5, "panel": "p0"})])
+    with pytest.raises(SchemaViolation, match="action requires a label"):
+        g.relabeled([Node("act", NodeKind.ACTION, {"label": "", "panel": "p0"})])
+    with pytest.raises(ValueError, match="must be finalized"):
+        small_graph().relabeled([])
+
+
 def test_memo_builds_once_only_when_frozen():
     g = small_graph()
     calls = []
@@ -224,6 +250,62 @@ def test_finalize_requires_one_refers_to():
     g.add_edge(Edge("inst", "e2", EdgeKind.REFERS_TO))
     with pytest.raises(SchemaViolation, match="exactly one refers_to edge, has 2"):
         g.finalize()
+
+
+def json_dumps_oracle(g):
+    """The canonical bytes as the pure-Python json encoder writes them; the
+    graph writer must give exactly these."""
+    obj = {
+        "story_id": g.story_id,
+        "normalized": g.normalized,
+        "nodes": [
+            {"id": n.id, "kind": n.kind.value, "layer": n.layer.value, "attrs": n.attrs}
+            for n in g.nodes()
+        ],
+        "edges": [{"src": e.src, "dst": e.dst, "kind": e.kind.value} for e in g.edges()],
+    }
+    return (json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n").encode()
+
+
+# quotes, backslashes, control characters, line and paragraph separators,
+# non-BMP characters; empty strings come from min_size=0
+HOSTILE = [
+    '"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "\u2028", "\u2029", "\U0001f600", "é", "/",
+]
+hostile_text = st.text(
+    st.one_of(st.sampled_from(HOSTILE), st.characters(blacklist_categories=("Cs",))),
+    max_size=6,
+)
+# kinds that allow cycles and a second parent, so any generated edge set is valid
+FREE_EDGE_KINDS = sorted(set(EdgeKind) - ACYCLIC_KINDS, key=lambda kind: kind.value)
+
+
+@st.composite
+def hostile_graphs(draw):
+    g = NarrativeGraph(draw(hostile_text), normalized=draw(st.booleans()))
+    ids = draw(st.lists(hostile_text, unique=True, max_size=6))
+    for node_id in ids:
+        attrs = draw(st.dictionaries(hostile_text, hostile_text, max_size=3))
+        g.add_node(Node(node_id, draw(st.sampled_from(list(NodeKind))), attrs))
+    if ids:
+        ends = st.sampled_from(ids)
+        edges = st.tuples(ends, ends, st.sampled_from(FREE_EDGE_KINDS))
+        for src, dst, kind in draw(st.lists(edges, unique=True, max_size=8)):
+            g.add_edge(Edge(src, dst, kind))
+    return g
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(hostile_graphs())
+@example(NarrativeGraph())
+@example(NarrativeGraph("", normalized=True))
+def test_writer_bytes_equal_json_dumps(g):
+    assert g.to_json_bytes() == json_dumps_oracle(g)
+
+
+def test_writer_bytes_equal_json_dumps_on_a_built_story():
+    g = build_all(generate_fixture("battle"))
+    assert g.to_json_bytes() == json_dumps_oracle(g)
 
 
 def test_round_trip_identity_and_stability():
@@ -261,6 +343,131 @@ def test_deserialize_rejects_bad_input():
     obj["edges"].append({"src": "p0", "dst": "p0", "kind": "sideways"})
     with pytest.raises(SchemaViolation):
         deserialize(json.dumps(obj).encode())
+
+
+def battle_node(obj, node_id):
+    return next(n for n in obj["nodes"] if n["id"] == node_id)
+
+
+DELETE = object()
+
+
+def set_field(node_id, key, value, attr=False):
+    """An edit that sets (or, with DELETE, drops) a node field or attribute."""
+    def edit(obj):
+        record = battle_node(obj, node_id)
+        record = record["attrs"] if attr else record
+        if value is DELETE:
+            del record[key]
+        else:
+            record[key] = value
+    return edit
+
+
+def set_edge_field(key, value):
+    def edit(obj):
+        if value is DELETE:
+            del obj["edges"][0][key]
+        else:
+            obj["edges"][0][key] = value
+    return edit
+
+
+def append_edge(src, dst, kind):
+    return lambda obj: obj["edges"].append({"src": src, "dst": dst, "kind": kind})
+
+
+def strip_battle_storytime_chain(obj):
+    obj["edges"] = [e for e in obj["edges"] if e["kind"] != "precedes_storytime"]
+
+
+def swap_battle_reading_orders(obj):
+    set_field("0_0_0", "reading_order", "1", attr=True)(obj)
+    set_field("0_0_1", "reading_order", "0", attr=True)(obj)
+
+
+# corrupted battle graph files and the exception class the reader raised for
+# each before its per-record lookups were replaced; every class must hold
+CORRUPT_GRAPH_FILES = {
+    "document-is-a-list": (lambda obj: obj.clear(), SchemaViolation),
+    "story-id-number": (lambda obj: obj.update(story_id=7), SchemaViolation),
+    "normalized-string": (lambda obj: obj.update(normalized="false"), SchemaViolation),
+    "nodes-missing": (lambda obj: obj.pop("nodes"), SchemaViolation),
+    "edges-object": (lambda obj: obj.update(edges={}), SchemaViolation),
+    "node-not-object": (lambda obj: obj["nodes"].append("0_0_0"), SchemaViolation),
+    "node-kind-list": (set_field("0_0_0", "kind", ["panel"]), SchemaViolation),
+    "node-kind-dict": (set_field("0_0_0", "kind", {"panel": "temporal"}), SchemaViolation),
+    "node-kind-number": (set_field("0_0_0", "kind", 3), SchemaViolation),
+    "node-kind-bool": (set_field("0_0_0", "kind", True), SchemaViolation),
+    "node-kind-null": (set_field("0_0_0", "kind", None), SchemaViolation),
+    "node-kind-unknown": (set_field("0_0_0", "kind", "hologram"), SchemaViolation),
+    "node-kind-missing": (set_field("0_0_0", "kind", DELETE), SchemaViolation),
+    "node-layer-list": (set_field("0_0_0", "layer", ["temporal"]), SchemaViolation),
+    "node-layer-dict": (set_field("0_0_0", "layer", {"temporal": 1}), SchemaViolation),
+    "node-layer-unknown": (set_field("0_0_0", "layer", "astral"), SchemaViolation),
+    "node-layer-missing": (set_field("0_0_0", "layer", DELETE), SchemaViolation),
+    "node-layer-disagrees": (set_field("a:0_0_0:0", "layer", "event"), SchemaViolation),
+    "node-id-number": (set_field("e0_0", "id", 5), SchemaViolation),
+    "node-id-list": (set_field("e0_0", "id", ["e0_0"]), SchemaViolation),
+    "node-id-missing": (set_field("e0_0", "id", DELETE), SchemaViolation),
+    "node-attrs-list": (set_field("e0_0", "attrs", []), SchemaViolation),
+    "attr-value-number": (set_field("e0_0", "label", 5, attr=True), SchemaViolation),
+    "attr-value-null": (set_field("e0_0", "label", None, attr=True), SchemaViolation),
+    "attr-value-list": (set_field("e0_0", "label", ["Village dawn"], attr=True), SchemaViolation),
+    "duplicate-node": (
+        lambda obj: obj["nodes"].append(copy.deepcopy(battle_node(obj, "e0_0"))), DuplicateNode
+    ),
+    "edge-not-object": (lambda obj: obj["edges"].append(["0_0_0", "0_0_1"]), SchemaViolation),
+    "edge-kind-list": (set_edge_field("kind", ["co_occurs_with"]), SchemaViolation),
+    "edge-kind-dict": (set_edge_field("kind", {"co_occurs_with": 1}), SchemaViolation),
+    "edge-kind-number": (set_edge_field("kind", 1), SchemaViolation),
+    "edge-kind-unknown": (set_edge_field("kind", "sideways"), SchemaViolation),
+    "edge-kind-missing": (set_edge_field("kind", DELETE), SchemaViolation),
+    "edge-src-number": (set_edge_field("src", 1), SchemaViolation),
+    "edge-dst-missing": (set_edge_field("dst", DELETE), SchemaViolation),
+    "duplicate-edge": (lambda obj: obj["edges"].append(dict(obj["edges"][0])), DuplicateEdge),
+    "unknown-src": (append_edge("ghost", "0_0_0", "co_occurs_with"), UnknownEndpoint),
+    "unknown-dst": (append_edge("0_0_0", "ghost", "precedes_reading"), UnknownEndpoint),
+    "second-subevent-parent": (append_edge("e0_0", "m1", "subevent_of"), ForestViolation),
+    "cycle-precedes-reading": (append_edge("0_0_1", "0_0_0", "precedes_reading"), CycleIntroduced),
+    "cycle-precedes-storytime": (
+        append_edge("0_0_1", "0_0_0", "precedes_storytime"), CycleIntroduced
+    ),
+    "cycle-precedes": (append_edge("e0_1", "e0_0", "precedes"), CycleIntroduced),
+    "cycle-subevent-of": (append_edge("m0", "e0_0", "subevent_of"), CycleIntroduced),
+    "self-loop-precedes": (append_edge("e0_0", "e0_0", "precedes"), CycleIntroduced),
+    "chain-swapped-orders": (swap_battle_reading_orders, SchemaViolation),
+    "chain-stripped": (strip_battle_storytime_chain, SchemaViolation),
+    "chain-extra-edge": (append_edge("0_0_0", "0_1_0", "precedes_reading"), SchemaViolation),
+    "chain-missing-order": (
+        set_field("0_0_1", "storytime_order", DELETE, attr=True), SchemaViolation
+    ),
+    "chain-shared-order": (set_field("0_0_1", "reading_order", "0", attr=True), SchemaViolation),
+    "chain-order-not-integer": (
+        set_field("0_0_1", "reading_order", "one", attr=True), SchemaViolation
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def battle_bytes():
+    return build_all(generate_fixture("battle")).to_json_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_GRAPH_FILES))
+def test_reader_rejects_corrupt_file_with_its_class(battle_bytes, case):
+    edit, error = CORRUPT_GRAPH_FILES[case]
+    obj = json.loads(battle_bytes)
+    edit(obj)
+    with pytest.raises(error) as raised:  # an emptied document stands for a list
+        deserialize(json.dumps(obj if obj else []).encode())
+    assert type(raised.value) is error
+
+
+@pytest.mark.parametrize("raw", [b"{nope", b'{"story_id": "\xff"}', b"\xff\xfe"])
+def test_reader_rejects_bytes_that_are_not_json(raw):
+    with pytest.raises(MalformedJson):
+        deserialize(raw)
 
 
 def test_layer_follows_kind():
@@ -341,6 +548,25 @@ def test_finalize_checks_each_order_against_its_chain(change, message):
 def test_order_positions_need_not_be_consecutive():
     g = small_graph(lambda n, e: set_attr(n, "p2", "storytime_order", "7"))
     assert g.finalize().frozen
+    g = small_graph(lambda n, e: set_attr(n, "p0", "reading_order", "-1"))
+    assert g.finalize().frozen
+
+
+# int() takes all of these, and "1_0" reads as 10, but the builder writes str(int)
+NON_CANONICAL_INTEGERS = [" 1", "1 ", "+1", "01", "1_0", "\u0661", "-0", "1.0", ""]
+
+
+@pytest.mark.parametrize("value", NON_CANONICAL_INTEGERS)
+@pytest.mark.parametrize("node_id, attr", [
+    ("p1", "reading_order"), ("p1", "storytime_order"), ("dlg", "order"),
+])
+def test_finalize_rejects_non_canonical_integers(node_id, attr, value):
+    def change(nodes, edges):
+        add_dialogue(nodes, edges)
+        set_attr(nodes, node_id, attr, value)
+
+    with pytest.raises(SchemaViolation, match=f"node {node_id}: {attr} must be an integer"):
+        small_graph(change).finalize()
 
 
 def add_dialogue(nodes, edges, **changes):

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from nkg import resources
 from nkg.builder import build_all
 from nkg.embedding import HashedNgramProvider, VectorFileProvider, cosine
-from nkg.errors import AlreadyNormalized, MissingLabel, SchemaViolation
+from nkg.errors import AlreadyNormalized, GraphFrozen, MissingLabel, SchemaViolation
 from nkg.evaluation import load_gold_labels
 from nkg.fixtures import generate_fixture
-from nkg.graph import NodeKind, deserialize
+from nkg.graph import Edge, EdgeKind, NarrativeGraph, Node, NodeKind, deserialize
 from nkg.lexicon import SynonymLexicon
 from nkg.normalize import (
     ACTION_POOL,
@@ -471,6 +471,37 @@ def test_apply_normalization_preserves_topology():
     for node in graph.nodes():
         if node.kind not in (NodeKind.ACTION, NodeKind.EVENT, NodeKind.MACRO_EVENT):
             assert normalized.node(node.id) == node
+
+
+def test_apply_normalization_leaves_the_raw_graph_as_it_was():
+    doc = generate_fixture("battle")
+    graph = build_all(doc)
+    before = graph.to_json_bytes()
+    norm_map = build_normalization_map(doc, HASHED, COMBAT, 0.75, gold_labels=BATTLE_GOLD)
+    normalized = apply_normalization(graph, norm_map)
+    assert graph.to_json_bytes() == before
+    assert not graph.normalized and graph.node("a:1_0_0:0").label() == "fight"
+    assert normalized.node("a:1_0_0:0").label() == "attack"
+    assert normalized.edges() == graph.edges()
+    for g in (graph, normalized):
+        with pytest.raises(GraphFrozen):
+            g.add_edge(Edge("0_0_0", "1_0_0", EdgeKind.CO_OCCURS_WITH))
+        with pytest.raises(GraphFrozen):
+            g.add_node(Node("p:new", NodeKind.PANEL, {}))
+    assert graph.to_json_bytes() == before
+
+
+def test_apply_normalization_needs_a_finalized_graph():
+    graph = NarrativeGraph("s")
+    graph.add_node(Node("p0", NodeKind.PANEL, {"reading_order": "0", "storytime_order": "0"}))
+    graph.add_node(Node("a", NodeKind.ACTION, {"label": "hit", "panel": "p0"}))
+    before = graph.to_json_bytes()
+    norm_map = NormalizationMap([LabelCluster(("hit", "strike"), "strike")], 0.75, "none")
+    with pytest.raises(ValueError, match="must be finalized"):
+        apply_normalization(graph, norm_map)
+    assert not graph.frozen and graph.to_json_bytes() == before
+    graph.add_edge(Edge("a", "p0", EdgeKind.GROUNDED_IN))  # still open to changes
+    assert apply_normalization(graph.finalize(), norm_map).node("a").label() == "strike"
 
 
 def test_apply_twice_rejected():

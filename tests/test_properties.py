@@ -26,7 +26,8 @@ from nkg.annotations import (
 from nkg.builder import build_all
 from nkg.embedding import HashedNgramProvider
 from nkg.errors import ProviderError
-from nkg.graph import PANEL_ORDERS, NodeKind, deserialize
+from nkg.fixtures import generate_fixture
+from nkg.graph import PANEL_ORDERS, NarrativeGraph, Node, NodeKind, deserialize
 from nkg.lexicon import SynonymLexicon, fold_label, lexical_key
 from nkg.normalize import (
     LabelCluster,
@@ -144,6 +145,48 @@ def test_normalization_is_idempotent(doc):
     thawed["normalized"] = False
     again = apply_normalization(deserialize(json.dumps(thawed).encode()), norm_map)
     assert again.to_json_bytes() == normalized
+
+
+def rebuild_normalized(graph, norm_map):
+    """Reference relabel: a new graph rebuilt node by node and edge by edge
+    through add_node and add_edge, then finalized."""
+    pools = {NodeKind.ACTION: "action", NodeKind.EVENT: "event", NodeKind.MACRO_EVENT: "event"}
+    out = NarrativeGraph(graph.story_id, normalized=True)
+    for node in graph.nodes():
+        if node.kind in pools:
+            attrs = dict(node.attrs)
+            attrs["label"] = norm_map.lookup(node.label(), pools[node.kind])
+            attrs.setdefault("surface_label", node.label())
+            node = Node(node.id, node.kind, attrs)
+        out.add_node(node)
+    for edge in graph.edges():
+        out.add_edge(edge)
+    return out.finalize()
+
+
+def assert_relabel_equals_rebuild(doc):
+    raw = build_all(doc)
+    for norm_map in (
+        build_normalization_map(doc, HASHED, LEXICON, 0.75),
+        build_normalization_map(doc, None, SynonymLexicon.empty(), 1.0),
+    ):
+        want = rebuild_normalized(raw, norm_map)
+        got = apply_normalization(raw, norm_map)
+        assert got == want
+        assert got.to_json_bytes() == want.to_json_bytes()
+        assert got.frozen and got.normalized
+
+
+@PROPERTY_SETTINGS
+@given(documents())
+def test_relabel_equals_rebuild(doc):
+    assert_relabel_equals_rebuild(doc)
+
+
+def test_relabel_equals_rebuild_on_fixtures():
+    for kind in ("battle", "romance"):
+        assert_relabel_equals_rebuild(generate_fixture(kind))
+    assert_relabel_equals_rebuild(generate_fixture("noise", seed=3, variance=0.9))
 
 
 def chain_walk(graph, edge_kind, scope):
