@@ -14,11 +14,11 @@ representable.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Iterator
 
-from .errors import DanglingReference, DuplicateId, EmptyLabel, MalformedJson, SchemaViolation
+from .errors import DanglingReference, DuplicateId, EmptyLabel, NkgError, SchemaViolation
+from .jsonio import dump_canonical, load_object, require
 from .lexicon import fold_label
 
 SCHEMA_VERSION = 1
@@ -99,11 +99,9 @@ class AnnotationDoc:
         return sum(1 for _ in self.iter_panels())
 
     def to_json_bytes(self) -> bytes:
-        """Canonical UTF-8 JSON; equal documents serialize to equal bytes."""
-        return (
-            json.dumps(_doc_to_obj(self), indent=2, sort_keys=True, ensure_ascii=False)
-            + "\n"
-        ).encode("utf-8")
+        """Canonical UTF-8 JSON; equal documents serialize to equal bytes.
+        The field names are the wire keys."""
+        return dump_canonical(asdict(self))
 
 
 @dataclass(frozen=True)
@@ -112,142 +110,50 @@ class Violation:
 
     path: str
     message: str
+    # what parse_annotations raises for it; None means SchemaViolation
+    error: NkgError | None = field(default=None, compare=False)
 
     def __str__(self) -> str:
         return f"{self.path}: {self.message}"
 
 
-# --- serialization ----------------------------------------------------------
-
-
-def _doc_to_obj(doc: AnnotationDoc) -> dict[str, Any]:
-    return {
-        "schema_version": doc.schema_version,
-        "story_id": doc.story_id,
-        "macro_events": [
-            {
-                "id": m.id,
-                "label": m.label,
-                "events": [
-                    {
-                        "id": e.id,
-                        "label": e.label,
-                        "panels": [_panel_to_obj(p) for p in e.panels],
-                    }
-                    for e in m.events
-                ],
-            }
-            for m in doc.macro_events
-        ],
-    }
-
-
-def _panel_to_obj(p: PanelAnn) -> dict[str, Any]:
-    return {
-        "id": p.id,
-        "characters": [
-            {"instance_id": c.instance_id, "entity_id": c.entity_id, "name": c.name}
-            for c in p.characters
-        ],
-        "objects": [{"instance_id": o.instance_id, "label": o.label} for o in p.objects],
-        "actions": [
-            {
-                "instance_id": a.instance_id,
-                "label": a.label,
-                "agent": a.agent,
-                "target": a.target,
-            }
-            for a in p.actions
-        ],
-        "dialogues": [
-            {"instance_id": d.instance_id, "speaker": d.speaker, "text": d.text}
-            for d in p.dialogues
-        ],
-        "captions": list(p.captions),
-        "reading_order": p.reading_order,
-        "storytime_order": p.storytime_order,
-    }
-
-
 # --- parsing ----------------------------------------------------------------
 
-
-def _require(obj: dict, key: str, kind: type, path: str) -> Any:
-    if key not in obj:
-        raise SchemaViolation(f"{path}.{key}", "missing required field")
-    value = obj[key]
-    if kind is int and isinstance(value, bool):
-        raise SchemaViolation(f"{path}.{key}", "expected integer, got boolean")
-    if not isinstance(value, kind):
-        raise SchemaViolation(
-            f"{path}.{key}", f"expected {kind.__name__}, got {type(value).__name__}"
-        )
-    return value
+# (name, default) of each panel content field; dataclasses.MISSING, which
+# require() reads as "no default", marks a required one
+_FIELDS = {
+    cls: tuple((f.name, f.default) for f in fields(cls))
+    for cls in (CharacterAnn, ObjectAnn, ActionAnn, DialogueAnn)
+}
 
 
-def _optional_str(obj: dict, key: str, path: str) -> str | None:
-    value = obj.get(key)
-    if value is None:
-        return None
-    if not isinstance(value, str):
-        raise SchemaViolation(f"{path}.{key}", "expected string or null")
-    return value
+def _read_items(obj: dict, key: str, cls: type, path: str) -> tuple:
+    """The objects listed under obj[key], each read into a `cls` whose fields
+    are its keys: every value is a string, and a field with a default may be
+    missing or null. A missing or null list is empty."""
+    items = []
+    for i, item in enumerate(require(obj, key, list, path, default=[])):
+        ipath = f"{path}.{key}[{i}]"
+        if not isinstance(item, dict):
+            raise SchemaViolation(ipath, "expected object")
+        items.append(cls(*[require(item, name, str, ipath, d) for name, d in _FIELDS[cls]]))
+    return tuple(items)
 
 
 def _parse_panel(obj: Any, path: str) -> PanelAnn:
     if not isinstance(obj, dict):
         raise SchemaViolation(path, "panel must be an object")
-    characters = []
-    for i, c in enumerate(obj.get("characters", []) or []):
-        cpath = f"{path}.characters[{i}]"
-        characters.append(
-            CharacterAnn(
-                instance_id=_require(c, "instance_id", str, cpath),
-                entity_id=_require(c, "entity_id", str, cpath),
-                name=c.get("name", "") or "",
-            )
-        )
-    objects = []
-    for i, o in enumerate(obj.get("objects", []) or []):
-        opath = f"{path}.objects[{i}]"
-        objects.append(
-            ObjectAnn(
-                instance_id=_require(o, "instance_id", str, opath),
-                label=_require(o, "label", str, opath),
-            )
-        )
-    actions = []
-    for i, a in enumerate(obj.get("actions", []) or []):
-        apath = f"{path}.actions[{i}]"
-        actions.append(
-            ActionAnn(
-                instance_id=_require(a, "instance_id", str, apath),
-                label=_require(a, "label", str, apath),
-                agent=_optional_str(a, "agent", apath),
-                target=_optional_str(a, "target", apath),
-            )
-        )
-    dialogues = []
-    for i, d in enumerate(obj.get("dialogues", []) or []):
-        dpath = f"{path}.dialogues[{i}]"
-        dialogues.append(
-            DialogueAnn(
-                instance_id=_require(d, "instance_id", str, dpath),
-                text=_require(d, "text", str, dpath),
-                speaker=_optional_str(d, "speaker", dpath),
-            )
-        )
-    captions = obj.get("captions", []) or []
-    if not isinstance(captions, list) or not all(isinstance(c, str) for c in captions):
+    captions = require(obj, "captions", list, path, default=[])
+    if not all(isinstance(c, str) for c in captions):
         raise SchemaViolation(f"{path}.captions", "expected list of strings")
     return PanelAnn(
-        id=_require(obj, "id", str, path),
-        reading_order=_require(obj, "reading_order", int, path),
-        storytime_order=_require(obj, "storytime_order", int, path),
-        characters=tuple(characters),
-        objects=tuple(objects),
-        actions=tuple(actions),
-        dialogues=tuple(dialogues),
+        id=require(obj, "id", str, path),
+        reading_order=require(obj, "reading_order", int, path),
+        storytime_order=require(obj, "storytime_order", int, path),
+        characters=_read_items(obj, "characters", CharacterAnn, path),
+        objects=_read_items(obj, "objects", ObjectAnn, path),
+        actions=_read_items(obj, "actions", ActionAnn, path),
+        dialogues=_read_items(obj, "dialogues", DialogueAnn, path),
         captions=tuple(captions),
     )
 
@@ -259,27 +165,14 @@ def parse_annotations(raw_bytes: bytes | str) -> AnnotationDoc:
     problems, DuplicateId / DanglingReference for the corresponding invariant
     violations. The returned document always satisfies validate_annotations.
     """
-    if isinstance(raw_bytes, bytes):
-        try:
-            text = raw_bytes.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedJson(f"input is not valid UTF-8: {exc}") from exc
-    else:
-        text = raw_bytes
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedJson(f"invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise SchemaViolation("$", "top level must be an object")
-
-    version = _require(obj, "schema_version", int, "$")
+    obj = load_object(raw_bytes, "annotation document")
+    version = require(obj, "schema_version", int, "$")
     if version != SCHEMA_VERSION:
         raise SchemaViolation(
             "$.schema_version", f"unsupported version {version}, expected {SCHEMA_VERSION}"
         )
-    story_id = _require(obj, "story_id", str, "$")
-    macros_obj = _require(obj, "macro_events", list, "$")
+    story_id = require(obj, "story_id", str, "$")
+    macros_obj = require(obj, "macro_events", list, "$")
 
     macro_events = []
     for mi, m in enumerate(macros_obj):
@@ -287,45 +180,35 @@ def parse_annotations(raw_bytes: bytes | str) -> AnnotationDoc:
         if not isinstance(m, dict):
             raise SchemaViolation(mpath, "macro-event must be an object")
         events = []
-        events_obj = _require(m, "events", list, mpath)
+        events_obj = require(m, "events", list, mpath)
         for ei, e in enumerate(events_obj):
             epath = f"{mpath}.events[{ei}]"
             if not isinstance(e, dict):
                 raise SchemaViolation(epath, "event must be an object")
-            panels_obj = _require(e, "panels", list, epath)
+            panels_obj = require(e, "panels", list, epath)
             panels = tuple(
                 _parse_panel(p, f"{epath}.panels[{pi}]") for pi, p in enumerate(panels_obj)
             )
             events.append(
                 EventAnn(
-                    id=_require(e, "id", str, epath),
-                    label=_require(e, "label", str, epath),
+                    id=require(e, "id", str, epath),
+                    label=require(e, "label", str, epath),
                     panels=panels,
                 )
             )
         macro_events.append(
             MacroEventAnn(
-                id=_require(m, "id", str, mpath),
-                label=_require(m, "label", str, mpath),
+                id=require(m, "id", str, mpath),
+                label=require(m, "label", str, mpath),
                 events=tuple(events),
             )
         )
 
     doc = AnnotationDoc(story_id=story_id, macro_events=tuple(macro_events))
-    _raise_first_violation(doc)
-    return doc
-
-
-def _raise_first_violation(doc: AnnotationDoc) -> None:
     violations = validate_annotations(doc)
-    if not violations:
-        return
-    v = violations[0]
-    if v.message.startswith("duplicate id"):
-        raise DuplicateId(v.message.split(": ", 1)[1])
-    if v.message.startswith("dangling reference"):
-        raise DanglingReference(v.message.split(": ", 1)[1], v.path)
-    raise SchemaViolation(v.path, v.message)
+    if violations:
+        raise violations[0].error or SchemaViolation(violations[0].path, violations[0].message)
+    return doc
 
 
 # --- validation -------------------------------------------------------------
@@ -406,8 +289,12 @@ def validate_annotations(doc: AnnotationDoc) -> list[Violation]:
 
 def _claim(ids: set[str], node_id: str, path: str, out: list[Violation]) -> None:
     if node_id in ids:
-        out.append(Violation(path, f"duplicate id: {node_id}"))
+        out.append(Violation(path, f"duplicate id: {node_id}", DuplicateId(node_id)))
     ids.add(node_id)
+
+
+def _dangling(ref: str, path: str) -> Violation:
+    return Violation(path, f"dangling reference: {ref}", DanglingReference(ref, path))
 
 
 def _check_label(label: str, path: str, out: list[Violation]) -> None:
@@ -439,14 +326,14 @@ def _validate_panel_content(panel: PanelAnn, ppath: str, ids: set[str]) -> list[
         _claim(ids, a.instance_id, apath, out)
         _check_label(a.label, apath, out)
         if a.agent is not None and a.agent not in local_characters:
-            out.append(Violation(apath, f"dangling reference: {a.agent}"))
+            out.append(_dangling(a.agent, apath))
         if a.target is not None and a.target not in (local_characters | local_objects):
-            out.append(Violation(apath, f"dangling reference: {a.target}"))
+            out.append(_dangling(a.target, apath))
     for i, d in enumerate(panel.dialogues):
         dpath = f"{ppath}.dialogues[{i}]"
         _claim(ids, d.instance_id, dpath, out)
         if not d.text:
             out.append(Violation(dpath, "text must be nonempty"))
         if d.speaker is not None and d.speaker not in local_characters:
-            out.append(Violation(dpath, f"dangling reference: {d.speaker}"))
+            out.append(_dangling(d.speaker, dpath))
     return out

@@ -48,6 +48,7 @@ from .errors import (
 from .evaluation import build_gold, load_gold_labels, render_report, run_eval
 from .fixtures import FIXTURE_KINDS, generate_fixture
 from .graph import deserialize
+from .jsonio import load_object, require
 from .lexicon import SynonymLexicon, load_lexicon
 from .normalize import (
     DEFAULT_THRESHOLD,
@@ -89,12 +90,7 @@ def resolve_config(args: argparse.Namespace, env: dict | None = None) -> Config:
     file_cfg: dict = {}
     config_path = getattr(args, "config", None)
     if config_path:
-        try:
-            file_cfg = json.loads(Path(config_path).read_text())
-        except json.JSONDecodeError as exc:
-            raise MalformedJson(f"config file {config_path}: {exc}") from exc
-        if not isinstance(file_cfg, dict):
-            raise SchemaViolation(str(config_path), "config file must hold an object")
+        file_cfg = load_object(Path(config_path).read_bytes(), f"config file {config_path}")
 
     threshold = getattr(args, "threshold", None)
     if threshold is None and ENV_THRESHOLD in env:
@@ -116,9 +112,11 @@ def resolve_config(args: argparse.Namespace, env: dict | None = None) -> Config:
     if embedder is None and ENV_EMBED_URL in env:
         embedder = f"remote:{env[ENV_EMBED_URL]}"
     if embedder is None:
-        embedder = file_cfg.get("embedder", "hashed")
+        embedder = require(file_cfg, "embedder", str, "$", default="hashed")
 
-    lexicon_path = getattr(args, "lexicon", None) or file_cfg.get("lexicon")
+    lexicon_path = getattr(args, "lexicon", None) or require(
+        file_cfg, "lexicon", str, "$", default=None
+    )
 
     return Config(threshold=float(threshold), embedder=embedder, lexicon_path=lexicon_path)
 

@@ -25,11 +25,11 @@ from .errors import (
     BadStatus,
     DimensionMismatch,
     EmptyLabel,
-    MalformedJson,
     MissingLabel,
     RemoteTimeout,
     SchemaViolation,
 )
+from .jsonio import load_object, require
 from .lexicon import fold_label
 
 DEFAULT_DIM = 256
@@ -96,9 +96,14 @@ def unit_rows(vectors) -> np.ndarray:
 
 
 def _normalized(values, dim: int, context: str) -> np.ndarray:
-    vec = np.asarray(values, dtype=np.float64)
+    try:
+        vec = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # a string, an object or a ragged list
+        raise DimensionMismatch(f"{context}: {exc}") from exc
     if vec.shape != (dim,):
         raise DimensionMismatch(f"{context}: expected {dim} values, got shape {vec.shape}")
+    if not np.isfinite(vec).all():  # a null reads as nan, which would never link
+        raise DimensionMismatch(f"{context}: values must be finite numbers")
     norm = np.linalg.norm(vec)
     return vec / norm if norm > 0 else vec
 
@@ -135,20 +140,15 @@ class VectorFileProvider:
 
 
 def parse_vector_file(raw: bytes | str, source: str = "<memory>") -> VectorFileProvider:
-    if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
-    try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise MalformedJson(f"invalid vector file JSON: {exc}") from exc
-    if not isinstance(obj, dict) or not isinstance(obj.get("vectors"), dict):
-        raise SchemaViolation("$", 'vector file must be {"dim": int, "vectors": {...}}')
-    dim = obj.get("dim", DEFAULT_DIM)
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+    """A provider for a vector file: {"dim": int, "vectors": {label: [...]}}."""
+    obj = load_object(raw, "vector file")
+    vectors = require(obj, "vectors", dict, "$")
+    dim = require(obj, "dim", int, "$", default=DEFAULT_DIM)
+    if dim < 1:
         raise SchemaViolation("$.dim", "dim must be a positive integer")
     vectors = {
         label: _normalized(values, dim, f"vector for {label!r}")
-        for label, values in obj["vectors"].items()
+        for label, values in vectors.items()
     }
     return VectorFileProvider(vectors, dim, source)
 
@@ -173,6 +173,7 @@ def remote_embed(
         with urllib.request.urlopen(request, timeout=timeout) as response:
             payload = response.read()
     except urllib.error.HTTPError as exc:
+        exc.close()  # the error is also the response; unclosed, its socket leaks
         raise BadStatus(exc.code, exc.reason) from exc
     except urllib.error.URLError as exc:
         if isinstance(exc.reason, TimeoutError):

@@ -16,8 +16,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .annotations import AnnotationDoc
-from .errors import DuplicateElements, EmptyGold, MalformedJson, SchemaViolation
+from .errors import DuplicateElements, EmptyGold, SchemaViolation
 from .graph import NarrativeGraph
+from .jsonio import load_object, require
 from .normalize import ACTION_POOL, EVENT_POOL, NormalizationMap
 from .reasoner import (
     character_trajectory,
@@ -130,17 +131,12 @@ class GoldReference:
 
 def load_gold_labels(raw: bytes | str) -> dict[str, frozenset[str]]:
     """Parse a gold label file: {"action_clusters": {canonical: [members]}}."""
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise MalformedJson(f"gold label file: {exc}") from exc
-    if not isinstance(data, dict) or not isinstance(data.get("action_clusters"), dict):
-        raise SchemaViolation("gold label file", "expected an action_clusters mapping")
+    data = load_object(raw, "gold label file")
     clusters: dict[str, frozenset[str]] = {}
-    for canonical, members in data["action_clusters"].items():
+    for canonical, members in require(data, "action_clusters", dict, "$").items():
         if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
             raise SchemaViolation(
-                f"action_clusters[{canonical!r}]", "members must be a list of strings"
+                f"$.action_clusters[{canonical!r}]", "members must be a list of strings"
             )
         clusters[canonical] = frozenset(members)
     return clusters

@@ -31,11 +31,11 @@ from .errors import (
     DuplicateNode,
     ForestViolation,
     GraphFrozen,
-    MalformedJson,
     SchemaViolation,
     UnknownEndpoint,
     UnknownNode,
 )
+from .jsonio import load_object, require
 
 T = TypeVar("T")
 
@@ -387,24 +387,10 @@ class NarrativeGraph:
 
     @classmethod
     def from_json_bytes(cls, raw: bytes | str) -> "NarrativeGraph":
-        if isinstance(raw, bytes):
-            try:
-                raw = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise MalformedJson(f"graph file is not valid UTF-8: {exc}") from exc
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise MalformedJson(f"invalid graph JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise SchemaViolation("$", "graph document must be an object")
-        for key, kind in (("story_id", str), ("normalized", bool), ("nodes", list), ("edges", list)):
-            if key not in obj:
-                raise SchemaViolation(f"$.{key}", "missing required field")
-            if not isinstance(obj[key], kind):
-                raise SchemaViolation(f"$.{key}", f"expected {kind.__name__}")
-        graph = cls(obj["story_id"], obj["normalized"])
-        for i, n in enumerate(obj["nodes"]):
+        obj = load_object(raw, "graph")
+        graph = cls(require(obj, "story_id", str, "$"), require(obj, "normalized", bool, "$"))
+        nodes, edges = require(obj, "nodes", list, "$"), require(obj, "edges", list, "$")
+        for i, n in enumerate(nodes):
             path = f"$.nodes[{i}]"
             if not isinstance(n, dict):
                 raise SchemaViolation(path, "node must be an object")
@@ -424,7 +410,7 @@ class NarrativeGraph:
             if not isinstance(n.get("id"), str):
                 raise SchemaViolation(path, "id must be a string")
             graph.add_node(Node(n["id"], kind, attrs))
-        for i, e in enumerate(obj["edges"]):
+        for i, e in enumerate(edges):
             path = f"$.edges[{i}]"
             if not isinstance(e, dict):
                 raise SchemaViolation(path, "edge must be an object")

@@ -9,12 +9,12 @@ silent-e forms can be pinned explicitly.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from dataclasses import dataclass, field
 
-from .errors import EmptyLabel, MalformedJson, SchemaViolation
+from .errors import EmptyLabel, SchemaViolation
+from .jsonio import load_object, require
 
 log = logging.getLogger(__name__)
 
@@ -83,23 +83,12 @@ _EMPTY = SynonymLexicon()
 
 def load_lexicon(raw: bytes | str) -> SynonymLexicon:
     """Parse the lexicon JSON: {"groups": [[...], ...], "lemma_exceptions": {...}}."""
-    if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
-    try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise MalformedJson(f"invalid lexicon JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise SchemaViolation("$", "lexicon must be an object")
-    groups = obj.get("groups", [])
-    exceptions = obj.get("lemma_exceptions", {})
-    if not isinstance(groups, list) or not all(
-        isinstance(g, list) and all(isinstance(x, str) and x for x in g) for g in groups
-    ):
+    obj = load_object(raw, "lexicon")
+    groups = require(obj, "groups", list, "$", default=[])
+    exceptions = require(obj, "lemma_exceptions", dict, "$", default={})
+    if not all(isinstance(g, list) and all(isinstance(x, str) and x for x in g) for g in groups):
         raise SchemaViolation("$.groups", "expected list of lists of nonempty strings")
-    if not isinstance(exceptions, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) and k and v for k, v in exceptions.items()
-    ):
+    if not all(isinstance(v, str) and k and v for k, v in exceptions.items()):
         raise SchemaViolation("$.lemma_exceptions", "expected map of string to string")
     return SynonymLexicon.build(groups, exceptions)
 

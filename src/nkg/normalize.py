@@ -20,7 +20,6 @@ otherwise the shortest member; remaining ties break lexicographically.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -28,8 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .annotations import AnnotationDoc
-from .errors import AlreadyNormalized, EmptyLabel, MalformedJson, ProviderError, SchemaViolation
+from .errors import AlreadyNormalized, EmptyLabel, ProviderError, SchemaViolation
 from .graph import NarrativeGraph, Node, NodeKind
+from .jsonio import dump_canonical, load_object, require
 from .lexicon import SynonymLexicon, fold_label, lexical_key
 from .embedding import HashedNgramProvider, cosine, embed_matrix, unit_rows
 
@@ -250,28 +250,19 @@ class NormalizationMap:
                 for c in self.clusters
             ],
         }
-        return (json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n").encode(
-            "utf-8"
-        )
+        return dump_canonical(obj)
 
     @classmethod
     def from_json_bytes(cls, raw: bytes | str) -> "NormalizationMap":
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise MalformedJson(f"invalid normalization map JSON: {exc}") from exc
-        if not isinstance(obj, dict) or obj.get("schema_version") != 1:
-            raise SchemaViolation("$", "expected a version-1 normalization map object")
+        obj = load_object(raw, "normalization map")
+        if require(obj, "schema_version", int, "$") != 1:
+            raise SchemaViolation("$.schema_version", "expected a version-1 normalization map")
         threshold = obj.get("threshold")
         if type(threshold) not in (int, float) or not 0.0 <= threshold <= 1.0:
             raise SchemaViolation("$.threshold", "must be a number in [0, 1]")
-        provider_id = obj.get("provider_id")
-        if not isinstance(provider_id, str):
-            raise SchemaViolation("$.provider_id", "must be a string")
+        provider_id = require(obj, "provider_id", str, "$")
         clusters = []
-        for i, c in enumerate(obj.get("clusters", [])):
+        for i, c in enumerate(require(obj, "clusters", list, "$", default=[])):
             path = f"$.clusters[{i}]"
             if not isinstance(c, dict):
                 raise SchemaViolation(path, "cluster must be an object")

@@ -233,14 +233,38 @@ def test_parse_rejects_unknown_schema_version():
 
 
 def test_missing_content_lists_default_to_empty():
+    for absent in (lambda panel, key: panel.pop(key), lambda panel, key: panel.update({key: None})):
+        obj = json.loads(make_doc().to_json_bytes())
+        panel = obj["macro_events"][1]["events"][0]["panels"][0]
+        for key in ("characters", "objects", "actions", "dialogues", "captions"):
+            absent(panel, key)
+        doc = parse_annotations(json.dumps(obj).encode())
+        parsed = doc.macro_events[1].events[0].panels[0]
+        assert parsed.characters == parsed.objects == parsed.actions == parsed.dialogues == ()
+        assert parsed.captions == ()
+
+
+@pytest.mark.parametrize("value", [{}, "", 0, 5, True, [None], [7], [[]]], ids=repr)
+@pytest.mark.parametrize("key", ["characters", "objects", "actions", "dialogues", "captions"])
+def test_mistyped_content_list_names_its_path(key, value):
     obj = json.loads(make_doc().to_json_bytes())
-    panel = obj["macro_events"][1]["events"][0]["panels"][0]
-    for key in ("characters", "objects", "actions", "dialogues", "captions"):
-        del panel[key]
-    doc = parse_annotations(json.dumps(obj).encode())
-    parsed = doc.macro_events[1].events[0].panels[0]
-    assert parsed.characters == ()
-    assert parsed.captions == ()
+    obj["macro_events"][0]["events"][0]["panels"][1][key] = value
+    with pytest.raises(SchemaViolation) as exc:
+        parse_annotations(json.dumps(obj).encode())
+    assert exc.value.path.startswith(f"$.macro_events[0].events[0].panels[1].{key}")
+
+
+@pytest.mark.parametrize("key, field", [
+    ("characters", "instance_id"), ("characters", "entity_id"), ("characters", "name"),
+    ("objects", "label"), ("actions", "label"), ("actions", "agent"), ("actions", "target"),
+    ("dialogues", "text"), ("dialogues", "speaker"),
+])
+def test_mistyped_content_field_names_its_path(key, field):
+    obj = json.loads(make_doc().to_json_bytes())
+    obj["macro_events"][0]["events"][0]["panels"][1][key][0][field] = 5
+    with pytest.raises(SchemaViolation) as exc:
+        parse_annotations(json.dumps(obj).encode())
+    assert exc.value.path == f"$.macro_events[0].events[0].panels[1].{key}[0].{field}"
 
 
 def test_duplicate_ids_rejected():
@@ -279,6 +303,25 @@ def test_dangling_references_rejected():
     obj["macro_events"][0]["events"][0]["panels"][0]["actions"][0]["agent"] = "c1"
     with pytest.raises(DanglingReference):
         parse_annotations(json.dumps(obj).encode())
+
+
+def test_violation_carries_the_exception_parse_raises():
+    doc = make_doc()
+    twin = AnnotationDoc(doc.story_id, (doc.macro_events[0], doc.macro_events[0]))
+    (violation, *_) = validate_annotations(twin)
+    assert type(violation.error) is DuplicateId and violation.error.id == "m0"
+    assert violation == Violation(violation.path, violation.message)  # error is not compared
+
+    ghost = make_panel(0, 0, 0, 0, dialogues=(DialogueAnn("d0", "hi", speaker="ghost"),))
+    doc = AnnotationDoc("s", (MacroEventAnn("m0", "M", (EventAnn("e0", "E", (ghost,)),)),))
+    assert [(type(v.error), v.error.id, v.path) for v in validate_annotations(doc)] == [
+        (DanglingReference, "ghost", "$.macro_events[0].events[0].panels[0].dialogues[0]")
+    ]
+    with pytest.raises(DanglingReference, match=r"ghost \(\$\.macro_events\[0\]"):
+        parse_annotations(doc.to_json_bytes())
+
+    blank = AnnotationDoc("s", (MacroEventAnn("m0", "M", ()),))
+    assert [v.error for v in validate_annotations(blank)] == [None]
 
 
 def test_action_target_may_be_object_or_character():

@@ -299,6 +299,73 @@ def test_query_exits_2_for_each_class_of_read_error(tmp_path, battle_files, caps
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def build_with_first_panel(change):
+    def argv(tmp_path, files):
+        obj = json.loads(files[0].read_bytes())
+        change(obj["macro_events"][0]["events"][0]["panels"][0])
+        doc = tmp_path / "edited.json"
+        doc.write_text(json.dumps(obj))
+        return ["build", "--input", str(doc), "--output", str(tmp_path / "g.json")]
+    return argv
+
+
+def query_with_map(clusters):
+    def argv(tmp_path, files):
+        side = tmp_path / "bad.map.json"
+        side.write_text(json.dumps(
+            {"schema_version": 1, "threshold": 0.75, "provider_id": "x", "clusters": clusters}
+        ))
+        return ["query", "action", "attack", "--input", str(files[2]), "--mode", "normalized",
+                "--map", str(side)]
+    return argv
+
+
+def normalize_with_config(config):
+    def argv(tmp_path, files):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        return ["normalize", "--input", str(files[1]), "--output", str(tmp_path / "n.json"),
+                "--config", str(path)]
+    return argv
+
+
+def query_graph_nested_too_deep(tmp_path, files):
+    graph = tmp_path / "deep.json"
+    graph.write_text("[" * 100_000)
+    return ["query", "timeline", "story", "--input", str(graph)]
+
+
+# each: the argv of a command given a valid-JSON but mistyped input, and what
+# its error message names
+MISTYPED_INPUTS = {
+    "panel-characters-a-number": (
+        build_with_first_panel(lambda p: p.update(characters=5)),
+        "$.macro_events[0].events[0].panels[0].characters",
+    ),
+    "panel-character-a-string": (
+        build_with_first_panel(lambda p: p.update(characters=["instance_id"])),
+        "$.macro_events[0].events[0].panels[0].characters[0]",
+    ),
+    "panel-action-null": (
+        build_with_first_panel(lambda p: p.update(actions=[None])),
+        "$.macro_events[0].events[0].panels[0].actions[0]",
+    ),
+    "map-clusters-a-number": (query_with_map(5), "$.clusters"),
+    "config-embedder-a-number": (normalize_with_config({"embedder": 5}), "$.embedder"),
+    "config-lexicon-a-number": (normalize_with_config({"lexicon": 5}), "$.lexicon"),
+    "graph-nested-too-deep": (query_graph_nested_too_deep, "invalid graph JSON"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED_INPUTS))
+def test_mistyped_input_exits_2_and_names_its_path(tmp_path, battle_files, capsys, case):
+    argv, named = MISTYPED_INPUTS[case]
+    capsys.readouterr()
+    assert main(argv(tmp_path, battle_files)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
 # --- query command -----------------------------------------------------------
 
 

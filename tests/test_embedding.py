@@ -88,6 +88,14 @@ def test_vector_file_rejects_bad_shapes():
         parse_vector_file(json.dumps({"dim": 3, "vectors": {"a": [1.0, 2.0]}}).encode())
 
 
+# a null reads as nan, 1e400 as inf; a string or an object is no number at all
+@pytest.mark.parametrize("values", ["[1, null]", "[1e400, 1]", "[-1e400, 1]", "[NaN, 1]",
+                                    '[1, "a"]', '{"x": 1}', "[[1], 2]"])
+def test_vector_file_rejects_values_that_are_not_finite_numbers(values):
+    with pytest.raises(DimensionMismatch, match="vector for 'a'"):
+        parse_vector_file(f'{{"dim": 2, "vectors": {{"a": {values}}}}}'.encode())
+
+
 class _EmbedHandler(BaseHTTPRequestHandler):
     behavior = "ok"
     dim = 4
@@ -105,6 +113,8 @@ class _EmbedHandler(BaseHTTPRequestHandler):
             return
         if self.behavior == "short":
             vectors = [[1.0] * self.dim for _ in texts[:-1]]
+        elif self.behavior == "nan":
+            vectors = [[1.0, float("nan")] + [1.0] * (self.dim - 2) for _ in texts]
         elif self.behavior == "ragged":
             vectors = [[1.0] * (self.dim + i) for i, _ in enumerate(texts)]
         else:
@@ -132,6 +142,7 @@ def embed_server():
     _EmbedHandler.posts = 0
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
     thread.join()
 
 
@@ -159,6 +170,12 @@ def test_remote_count_mismatch(embed_server):
 def test_remote_ragged_vectors(embed_server):
     _EmbedHandler.behavior = "ragged"
     with pytest.raises(DimensionMismatch):
+        remote_embed(embed_server, ["a", "b"])
+
+
+def test_remote_vector_with_nan_rejected(embed_server):
+    _EmbedHandler.behavior = "nan"
+    with pytest.raises(DimensionMismatch, match="finite"):
         remote_embed(embed_server, ["a", "b"])
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from nkg.annotations import parse_annotations, validate_annotations
@@ -9,6 +11,27 @@ def test_all_kinds_validate_and_round_trip():
         doc = generate_fixture(kind, seed=3, variance=0.5)
         assert validate_annotations(doc) == []
         assert parse_annotations(doc.to_json_bytes()) == doc
+
+
+# SHA-256 of each fixture document's canonical bytes, which `nkg fixture` prints
+DOC_DIGESTS = {
+    ("battle", 0, 0.0): "33320adc5540f8dec21950a9163538180b491eae42eca702d52f6648356a4734",
+    ("romance", 0, 0.0): "acbfe4743b2de0740fcc489510169fbcf412c2b51fb6ccd7daeb2f45c1632f63",
+    ("noise", 0, 0.0): "070ec750e8f08a24ee2057db5a12b1151a7388cfd9a2b622fc9664479720c6ee",
+    ("noise", 0, 0.6): "872dc7d2145441171b65dc2eb1014932896cf54d99ae68ee2adbd6b2f809f3ab",
+    ("noise", 1, 0.0): "58bb776f9656882ccc444d62ba38f77436f48c1192ce0f50561b35bacee18c48",
+    ("noise", 1, 0.6): "4e8c6d3e2f1b747c86189e093f4162263355f670bf853639a3de6e393ebc2ed8",
+    ("noise", 2, 0.0): "ac095a736cd1639563b54ffb838c854bb45154ed4b3f825edcf2cf6e99a90f39",
+    ("noise", 2, 0.6): "f84be08a5a1c176a78fa2413693b8eda789c89efbef8bfd46ddb46627e893338",
+    ("noise", 3, 0.0): "d07a1ec8123c46dc3abd7661a1821c77ca560c53b4702e3c4c2d54f7c38a7e53",
+    ("noise", 3, 0.6): "a01685e6a174ab8a1c2574c910d1b9ec0b6170d0abe93caa486498c0d65234d8",
+}
+
+
+@pytest.mark.parametrize("kind,seed,variance", sorted(DOC_DIGESTS))
+def test_document_bytes_match_pinned_digest(kind, seed, variance):
+    doc = generate_fixture(kind, seed=seed, variance=variance)
+    assert hashlib.sha256(doc.to_json_bytes()).hexdigest() == DOC_DIGESTS[(kind, seed, variance)]
 
 
 def test_unknown_kind_rejected():
