@@ -3,8 +3,10 @@
 A story annotation is a three-tier hierarchy: macro-events contain events,
 events contain panels, and panels carry the concrete content (characters,
 objects, actions, dialogue, captions). Documents interchange as JSON with
-an explicit schema_version; see parse_annotations / AnnotationDoc.to_json_bytes
-for the wire format.
+an explicit schema_version, which is always required. Otherwise the
+dataclasses below are the wire format: a document's keys are their field
+names, a field with a default may be missing or null, and every other field
+is required.
 
 Panel ids are position-derived ("m_e_p" for the p-th panel of the e-th event
 of the m-th macro-event). reading_order and storytime_order are explicit
@@ -15,7 +17,7 @@ representable.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Iterator
+from typing import Any, Iterator, get_args, get_origin, get_type_hints
 
 from .errors import DanglingReference, DuplicateId, EmptyLabel, NkgError, SchemaViolation
 from .jsonio import dump_canonical, load_object, require
@@ -73,20 +75,20 @@ class PanelAnn:
 class EventAnn:
     id: str
     label: str
-    panels: tuple[PanelAnn, ...] = ()
+    panels: tuple[PanelAnn, ...]
 
 
 @dataclass(frozen=True)
 class MacroEventAnn:
     id: str
     label: str
-    events: tuple[EventAnn, ...] = ()
+    events: tuple[EventAnn, ...]
 
 
 @dataclass(frozen=True)
 class AnnotationDoc:
     story_id: str
-    macro_events: tuple[MacroEventAnn, ...] = ()
+    macro_events: tuple[MacroEventAnn, ...]
     schema_version: int = SCHEMA_VERSION
 
     def iter_panels(self) -> Iterator[tuple[MacroEventAnn, EventAnn, PanelAnn]]:
@@ -119,43 +121,49 @@ class Violation:
 
 # --- parsing ----------------------------------------------------------------
 
-# (name, default) of each panel content field; dataclasses.MISSING, which
-# require() reads as "no default", marks a required one
-_FIELDS = {
-    cls: tuple((f.name, f.default) for f in fields(cls))
-    for cls in (CharacterAnn, ObjectAnn, ActionAnn, DialogueAnn)
+
+def _wire_fields(cls: type) -> tuple:
+    """(key, JSON type, list item type or None, default) of each field of
+    `cls`. A `str | None` field reads as a str; a tuple field reads as a list
+    of strings or of a nested class. dataclasses.MISSING, which require()
+    reads as "no default", marks a required field."""
+    hints = get_type_hints(cls)
+    table = []
+    for f in fields(cls):
+        kind, item = hints[f.name], None
+        if get_origin(kind) is tuple:
+            kind, item = list, get_args(kind)[0]
+        elif type(None) in get_args(kind):
+            kind = get_args(kind)[0]
+        table.append((f.name, kind, item, f.default))
+    return tuple(table)
+
+
+_WIRE = {
+    cls: _wire_fields(cls)
+    for cls in (
+        AnnotationDoc, MacroEventAnn, EventAnn, PanelAnn,
+        CharacterAnn, ObjectAnn, ActionAnn, DialogueAnn,
+    )
 }
 
 
-def _read_items(obj: dict, key: str, cls: type, path: str) -> tuple:
-    """The objects listed under obj[key], each read into a `cls` whose fields
-    are its keys: every value is a string, and a field with a default may be
-    missing or null. A missing or null list is empty."""
-    items = []
-    for i, item in enumerate(require(obj, key, list, path, default=[])):
-        ipath = f"{path}.{key}[{i}]"
-        if not isinstance(item, dict):
-            raise SchemaViolation(ipath, "expected object")
-        items.append(cls(*[require(item, name, str, ipath, d) for name, d in _FIELDS[cls]]))
-    return tuple(items)
-
-
-def _parse_panel(obj: Any, path: str) -> PanelAnn:
+def _read(cls: type, obj: Any, path: str) -> Any:
+    """The `cls` that the JSON object `obj` at `path` holds, nested tiers
+    included; a missing or null field with a default reads as the default."""
     if not isinstance(obj, dict):
-        raise SchemaViolation(path, "panel must be an object")
-    captions = require(obj, "captions", list, path, default=[])
-    if not all(isinstance(c, str) for c in captions):
-        raise SchemaViolation(f"{path}.captions", "expected list of strings")
-    return PanelAnn(
-        id=require(obj, "id", str, path),
-        reading_order=require(obj, "reading_order", int, path),
-        storytime_order=require(obj, "storytime_order", int, path),
-        characters=_read_items(obj, "characters", CharacterAnn, path),
-        objects=_read_items(obj, "objects", ObjectAnn, path),
-        actions=_read_items(obj, "actions", ActionAnn, path),
-        dialogues=_read_items(obj, "dialogues", DialogueAnn, path),
-        captions=tuple(captions),
-    )
+        raise SchemaViolation(path, "expected object")
+    values = []
+    for key, kind, item, default in _WIRE[cls]:
+        value = require(obj, key, kind, path, default)
+        if item is str:
+            if not all(isinstance(v, str) for v in value):
+                raise SchemaViolation(f"{path}.{key}", "expected list of strings")
+            value = tuple(value)
+        elif item is not None:
+            value = tuple(_read(item, v, f"{path}.{key}[{i}]") for i, v in enumerate(value))
+        values.append(value)
+    return cls(*values)
 
 
 def parse_annotations(raw_bytes: bytes | str) -> AnnotationDoc:
@@ -171,40 +179,7 @@ def parse_annotations(raw_bytes: bytes | str) -> AnnotationDoc:
         raise SchemaViolation(
             "$.schema_version", f"unsupported version {version}, expected {SCHEMA_VERSION}"
         )
-    story_id = require(obj, "story_id", str, "$")
-    macros_obj = require(obj, "macro_events", list, "$")
-
-    macro_events = []
-    for mi, m in enumerate(macros_obj):
-        mpath = f"$.macro_events[{mi}]"
-        if not isinstance(m, dict):
-            raise SchemaViolation(mpath, "macro-event must be an object")
-        events = []
-        events_obj = require(m, "events", list, mpath)
-        for ei, e in enumerate(events_obj):
-            epath = f"{mpath}.events[{ei}]"
-            if not isinstance(e, dict):
-                raise SchemaViolation(epath, "event must be an object")
-            panels_obj = require(e, "panels", list, epath)
-            panels = tuple(
-                _parse_panel(p, f"{epath}.panels[{pi}]") for pi, p in enumerate(panels_obj)
-            )
-            events.append(
-                EventAnn(
-                    id=require(e, "id", str, epath),
-                    label=require(e, "label", str, epath),
-                    panels=panels,
-                )
-            )
-        macro_events.append(
-            MacroEventAnn(
-                id=require(m, "id", str, mpath),
-                label=require(m, "label", str, mpath),
-                events=tuple(events),
-            )
-        )
-
-    doc = AnnotationDoc(story_id=story_id, macro_events=tuple(macro_events))
+    doc = _read(AnnotationDoc, obj, "$")
     violations = validate_annotations(doc)
     if violations:
         raise violations[0].error or SchemaViolation(violations[0].path, violations[0].message)
@@ -230,8 +205,8 @@ def validate_annotations(doc: AnnotationDoc) -> list[Violation]:
     # every id names a node of one graph, so macro-events, events, panels,
     # instances and the entity nodes all share one namespace
     ids = {entity_node_id(c.entity_id) for _, _, p in doc.iter_panels() for c in p.characters}
-    reading_seen: dict[int, str] = {}
-    storytime_seen: dict[int, str] = {}
+    # panel id by order value, for each of the two panel orders
+    orders_seen: dict[str, dict[int, str]] = {"reading_order": {}, "storytime_order": {}}
 
     for mi, macro in enumerate(doc.macro_events):
         mpath = f"$.macro_events[{mi}]"
@@ -256,32 +231,17 @@ def validate_annotations(doc: AnnotationDoc) -> list[Violation]:
                         )
                     )
                 _claim(ids, panel.id, ppath, out)
-                if panel.reading_order < 0:
-                    out.append(Violation(ppath, "reading_order must be non-negative"))
-                if panel.storytime_order < 0:
-                    out.append(Violation(ppath, "storytime_order must be non-negative"))
-                if panel.reading_order in reading_seen:
-                    out.append(
-                        Violation(
-                            ppath,
-                            "duplicate reading_order "
-                            f"{panel.reading_order} on panels "
-                            f"{reading_seen[panel.reading_order]} and {panel.id}",
-                        )
-                    )
-                else:
-                    reading_seen[panel.reading_order] = panel.id
-                if panel.storytime_order in storytime_seen:
-                    out.append(
-                        Violation(
-                            ppath,
-                            "duplicate storytime_order "
-                            f"{panel.storytime_order} on panels "
-                            f"{storytime_seen[panel.storytime_order]} and {panel.id}",
-                        )
-                    )
-                else:
-                    storytime_seen[panel.storytime_order] = panel.id
+                duplicates = []  # reported after the sign of both orders
+                for key, seen in orders_seen.items():
+                    order = getattr(panel, key)
+                    if order < 0:
+                        out.append(Violation(ppath, f"{key} must be non-negative"))
+                    if order in seen:
+                        message = f"duplicate {key} {order} on panels {seen[order]} and {panel.id}"
+                        duplicates.append(Violation(ppath, message))
+                    else:
+                        seen[order] = panel.id
+                out.extend(duplicates)
                 out.extend(_validate_panel_content(panel, ppath, ids))
 
     return out

@@ -241,18 +241,20 @@ def cmd_query(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     doc = parse_annotations(Path(args.input).read_bytes())
-    gold_bytes = Path(args.gold).read_bytes() if args.gold else None
-    gold_labels = set(load_gold_labels(gold_bytes)) if gold_bytes else None
+    gold = None
+    if args.gold:  # a gold file sets the gold clusters whatever the map holds
+        gold = build_gold(doc, gold_label_file=Path(args.gold).read_bytes())
     graph_raw = build_all(doc)
     norm_map = build_normalization_map(
         doc,
         make_provider(config.embedder),
         load_lexicon_config(config.lexicon_path),
         config.threshold,
-        gold_labels=gold_labels,
+        gold_labels=set(gold.action_clusters) if gold is not None else None,
     )
     graph_norm = apply_normalization(graph_raw, norm_map)
-    gold = build_gold(doc, normalization_map=norm_map, gold_label_file=gold_bytes)
+    if gold is None:
+        gold = build_gold(doc, normalization_map=norm_map)
     report = run_eval(
         doc,
         graph_raw,

@@ -194,6 +194,10 @@ def remote_embed(
         )
     if not vectors:
         return []
+    if not isinstance(vectors[0], list):  # the first vector sets the dimension
+        raise DimensionMismatch(
+            f"vector for {labels[0]!r}: expected a list, got {type(vectors[0]).__name__}"
+        )
     dim = len(vectors[0])
     return [_normalized(v, dim, f"vector for {label!r}") for label, v in zip(labels, vectors)]
 

@@ -18,6 +18,7 @@ given kind and seed.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from .annotations import (
     ActionAnn,
@@ -287,25 +288,13 @@ def _permute_storytime(doc: AnnotationDoc, rng: random.Random, variance: float) 
         i, j = rng.randrange(n), rng.randrange(n)
         storytime[i], storytime[j] = storytime[j], storytime[i]
     macros = tuple(
-        MacroEventAnn(
-            m.id,
-            m.label,
-            tuple(
-                EventAnn(
-                    e.id,
-                    e.label,
-                    tuple(
-                        PanelAnn(
-                            p.id,
-                            p.reading_order,
-                            storytime[p.reading_order],
-                            p.characters,
-                            p.objects,
-                            p.actions,
-                            p.dialogues,
-                            p.captions,
-                        )
-                        for p in e.panels
+        replace(
+            m,
+            events=tuple(
+                replace(
+                    e,
+                    panels=tuple(
+                        replace(p, storytime_order=storytime[p.reading_order]) for p in e.panels
                     ),
                 )
                 for e in m.events
@@ -313,4 +302,4 @@ def _permute_storytime(doc: AnnotationDoc, rng: random.Random, variance: float) 
         )
         for m in doc.macro_events
     )
-    return AnnotationDoc(doc.story_id, macros, doc.schema_version)
+    return replace(doc, macro_events=macros)

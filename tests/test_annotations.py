@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import MISSING, fields
 
 import pytest
 
@@ -453,3 +454,58 @@ def test_iter_panels_and_count():
     assert doc.panel_count() == 4 == len(triples)
     assert [p.id for _, _, p in triples] == ["0_0_0", "0_0_1", "0_1_0", "1_0_0"]
     assert triples[0][0].id == "m0" and triples[0][1].id == "e0"
+
+
+PANEL = ("macro_events", 0, "events", 0, "panels", 0)
+# where make_doc() holds an instance of each annotation class
+WIRE_STEPS = {
+    AnnotationDoc: (),
+    MacroEventAnn: ("macro_events", 0),
+    EventAnn: ("macro_events", 0, "events", 0),
+    PanelAnn: PANEL,
+    CharacterAnn: PANEL + ("characters", 0),
+    ObjectAnn: PANEL + ("objects", 0),
+    ActionAnn: PANEL + ("actions", 0),
+    DialogueAnn: PANEL + ("dialogues", 0),
+}
+WIRE_FIELDS = [(cls, f) for cls in WIRE_STEPS for f in fields(cls)]
+WIRE_IDS = [f"{cls.__name__}.{f.name}" for cls, f in WIRE_FIELDS]
+
+
+def at(node, steps):
+    """The node `steps` leads to, in a JSON object or in an AnnotationDoc."""
+    for step in steps:
+        node = node[step] if isinstance(node, dict) or isinstance(step, int) else getattr(node, step)
+    return node
+
+
+def json_path(steps, key):
+    return "$" + "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in steps) + f".{key}"
+
+
+@pytest.mark.parametrize("value", [{}, True], ids=repr)
+@pytest.mark.parametrize("cls, field", WIRE_FIELDS, ids=WIRE_IDS)
+def test_mistyped_field_of_every_tier_names_its_path(cls, field, value):
+    obj = json.loads(make_doc().to_json_bytes())
+    at(obj, WIRE_STEPS[cls])[field.name] = value
+    with pytest.raises(SchemaViolation) as exc:
+        parse_annotations(json.dumps(obj).encode())
+    assert exc.value.path == json_path(WIRE_STEPS[cls], field.name)
+
+
+@pytest.mark.parametrize("cls, field", WIRE_FIELDS, ids=WIRE_IDS)
+def test_missing_field_of_every_tier_reads_as_its_default(cls, field):
+    obj = json.loads(make_doc().to_json_bytes())
+    # no references into the panel, so any one content list may go
+    for action in at(obj, PANEL)["actions"]:
+        action["agent"] = action["target"] = None
+    for dialogue in at(obj, PANEL)["dialogues"]:
+        dialogue["speaker"] = None
+    del at(obj, WIRE_STEPS[cls])[field.name]
+    raw = json.dumps(obj).encode()
+    if field.default is MISSING or field.name == "schema_version":
+        with pytest.raises(SchemaViolation, match="missing required field") as exc:
+            parse_annotations(raw)
+        assert exc.value.path == json_path(WIRE_STEPS[cls], field.name)
+    else:
+        assert getattr(at(parse_annotations(raw), WIRE_STEPS[cls]), field.name) == field.default

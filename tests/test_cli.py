@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from nkg import resources
+from nkg import cli, evaluation, resources
 from nkg.annotations import parse_annotations
 from nkg.builder import build_all
 from nkg.cli import main, map_side_path, resolve_config
@@ -430,6 +430,24 @@ def test_eval_markdown_rows(tmp_path, capsys):
     for label in ("Message from family", "Shock by message", "Think of family"):
         assert label in out
     assert out.splitlines()[0].startswith("| macro-event |")
+
+
+def test_eval_reads_the_gold_file_once(tmp_path, monkeypatch, capsys):
+    reads = []
+    load_gold_labels = evaluation.load_gold_labels
+
+    def counting(raw):
+        reads.append(raw)
+        return load_gold_labels(raw)
+
+    monkeypatch.setattr(evaluation, "load_gold_labels", counting)
+    monkeypatch.setattr(cli, "load_gold_labels", counting)
+    doc = tmp_path / "romance.json"
+    assert main(["fixture", "romance", "--output", str(doc)]) == 0
+    gold = resources.data_path("romance_gold.json")
+    assert main(["eval", "--input", str(doc), "--gold", str(gold), "--format", "json"]) == 0
+    assert len(reads) == 1
+    assert read_stdout(capsys)["metadata"]["action_cluster_count"] > 0
 
 
 def test_eval_threshold_monotone_cluster_counts(tmp_path, capsys):

@@ -99,6 +99,7 @@ def test_vector_file_rejects_values_that_are_not_finite_numbers(values):
 class _EmbedHandler(BaseHTTPRequestHandler):
     behavior = "ok"
     dim = 4
+    scalar = None  # what "scalar" sends in place of each vector
     posts = 0  # POST requests served since the fixture started
 
     def do_POST(self):
@@ -117,6 +118,8 @@ class _EmbedHandler(BaseHTTPRequestHandler):
             vectors = [[1.0, float("nan")] + [1.0] * (self.dim - 2) for _ in texts]
         elif self.behavior == "ragged":
             vectors = [[1.0] * (self.dim + i) for i, _ in enumerate(texts)]
+        elif self.behavior == "scalar":
+            vectors = [self.scalar for _ in texts]
         else:
             rng = random.Random(0)
             vectors = [
@@ -176,6 +179,14 @@ def test_remote_ragged_vectors(embed_server):
 def test_remote_vector_with_nan_rejected(embed_server):
     _EmbedHandler.behavior = "nan"
     with pytest.raises(DimensionMismatch, match="finite"):
+        remote_embed(embed_server, ["a", "b"])
+
+
+@pytest.mark.parametrize("scalar", [5, None, True], ids=repr)
+def test_remote_scalar_vector_rejected(embed_server, monkeypatch, scalar):
+    monkeypatch.setattr(_EmbedHandler, "behavior", "scalar")
+    monkeypatch.setattr(_EmbedHandler, "scalar", scalar)
+    with pytest.raises(DimensionMismatch, match="expected a list"):
         remote_embed(embed_server, ["a", "b"])
 
 
