@@ -194,9 +194,9 @@ def remote_embed(
         )
     if not vectors:
         return []
-    if not isinstance(vectors[0], list):  # the first vector sets the dimension
+    if not isinstance(vectors[0], list) or not vectors[0]:  # the first sets the dimension
         raise DimensionMismatch(
-            f"vector for {labels[0]!r}: expected a list, got {type(vectors[0]).__name__}"
+            f"vector for {labels[0]!r}: expected a nonempty list, got {vectors[0]!r:.40}"
         )
     dim = len(vectors[0])
     return [_normalized(v, dim, f"vector for {label!r}") for label, v in zip(labels, vectors)]

@@ -2,7 +2,8 @@
 
 Each node kind belongs to one of three layers (panel content, temporal
 sequence, event hierarchy); nodes carry string attributes and edges are
-(src, dst, kind) triples.
+(src, dst, kind) triples, each stored once, in the adjacency tables _out and
+_in; edges(), edge_count(), equality and the writer derive from them.
 The four order-bearing edge kinds must stay acyclic, and subevent_of must
 stay a forest; both are enforced on every add_edge. finalize() checks each
 panel order attribute against its chain and every attribute the reasoning
@@ -145,8 +146,7 @@ class NarrativeGraph:
         self.story_id = story_id
         self.normalized = normalized
         self._nodes: dict[str, Node] = {}
-        self._edges: dict[tuple[str, str, str], Edge] = {}
-        # kind -> src -> dst set, for O(1) duplicate probes and cycle walks
+        # kind -> src -> dst set, and its mirror; the graph's only record of its edges
         self._out: dict[EdgeKind, dict[str, set[str]]] = {kind: {} for kind in EdgeKind}
         self._in: dict[EdgeKind, dict[str, set[str]]] = {kind: {} for kind in EdgeKind}
         self._frozen = False
@@ -173,15 +173,13 @@ class NarrativeGraph:
         src, dst, kind = edge.src, edge.dst, edge.kind
         if src not in self._nodes or dst not in self._nodes:
             raise UnknownEndpoint(src if src not in self._nodes else dst)
-        key = edge.key()
-        if key in self._edges:
-            raise DuplicateEdge(str(key))
         out = self._out[kind]
+        if dst in out.get(src, ()):
+            raise DuplicateEdge(str(edge.key()))
         if kind is EdgeKind.SUBEVENT_OF and out.get(src):
             raise ForestViolation(src)
         if kind in ACYCLIC_KINDS and self._reaches(kind, dst, src):
             raise CycleIntroduced(kind.value, f"{src} -> {dst}")
-        self._edges[key] = edge
         out.setdefault(src, set()).add(dst)
         self._in[kind].setdefault(dst, set()).add(src)
 
@@ -282,7 +280,7 @@ class NarrativeGraph:
             if out._nodes.pop(node.id, None) is None:
                 raise UnknownNode(node.id)
             out.add_node(node)
-        out._edges, out._out, out._in = self._edges, self._out, self._in
+        out._out, out._in = self._out, self._in
         return out.finalize()
 
     # --- inspection ------------------------------------------------------
@@ -319,34 +317,31 @@ class NarrativeGraph:
 
     def edges(self, kind: EdgeKind | None = None) -> tuple[Edge, ...]:
         """Edges of one kind, or all, in (src, dst, kind) order."""
-        edges = self._edges
         return self.memo(
             ("edges", kind),
-            lambda: tuple(
-                edges[k] for k in sorted(edges) if kind is None or edges[k].kind is kind
-            ),
+            lambda: tuple(Edge(s, d, _EDGE_KINDS[k]) for s, d, k in self._edge_keys(kind)),
         )
+
+    def _edge_keys(self, kind: EdgeKind | None = None) -> list[tuple[str, str, str]]:
+        """(src, dst, kind value) of the edges of one kind, or all, sorted."""
+        out = self._out
+        kinds = out if kind is None else (kind,)
+        return sorted((s, d, k._value_) for k in kinds for s, ds in out[k].items() for d in ds)
 
     def node_count(self) -> int:
         return len(self._nodes)
 
     def edge_count(self) -> int:
-        return len(self._edges)
+        return sum(len(dsts) for table in self._out.values() for dsts in table.values())
 
-    def neighbors(
-        self, node_id: str, kind: EdgeKind | None = None, direction: str = "out"
-    ) -> list[str]:
-        """Adjacent node ids under the filter, ascending."""
+    def neighbors(self, node_id: str, kind: EdgeKind, direction: str = "out") -> list[str]:
+        """Ids joined to the node by edges of one kind, ascending."""
         if node_id not in self._nodes:
             raise UnknownNode(node_id)
         if direction not in ("out", "in"):
             raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
         table = self._out if direction == "out" else self._in
-        kinds = [kind] if kind is not None else list(table)
-        found: set[str] = set()
-        for k in kinds:
-            found.update(table.get(k, {}).get(node_id, ()))
-        return sorted(found)
+        return sorted(table[kind].get(node_id, ()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NarrativeGraph):
@@ -355,14 +350,14 @@ class NarrativeGraph:
             self.story_id == other.story_id
             and self.normalized == other.normalized
             and self._nodes == other._nodes
-            and self._edges == other._edges
+            and self._out == other._out
         )
 
     def __repr__(self) -> str:
         state = "frozen" if self._frozen else "building"
         return (
             f"<NarrativeGraph {self.story_id!r} nodes={len(self._nodes)} "
-            f"edges={len(self._edges)} normalized={self.normalized} {state}>"
+            f"edges={self.edge_count()} normalized={self.normalized} {state}>"
         )
 
     # --- serialization ---------------------------------------------------
@@ -376,9 +371,9 @@ class NarrativeGraph:
             for n in self.nodes()
         ]
         edges = [
-            f'    {{\n      "dst": {q(e.dst)},\n      "kind": {q(e.kind._value_)},\n'
-            f'      "src": {q(e.src)}\n    }}'
-            for e in self.edges()
+            f'    {{\n      "dst": {q(dst)},\n      "kind": {q(kind)},\n'
+            f'      "src": {q(src)}\n    }}'
+            for src, dst, kind in self._edge_keys()
         ]
         return (
             f'{{\n  "edges": {_json_list(edges)},\n  "nodes": {_json_list(nodes)},\n'

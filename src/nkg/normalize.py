@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .annotations import AnnotationDoc
-from .errors import AlreadyNormalized, EmptyLabel, ProviderError, SchemaViolation
+from .errors import AlreadyNormalized, EmptyLabel, MissingLabel, ProviderError, SchemaViolation
 from .graph import NarrativeGraph, Node, NodeKind
 from .jsonio import dump_canonical, load_object, require
 from .lexicon import SynonymLexicon, fold_label, lexical_key
@@ -294,11 +294,13 @@ def _is_label(value) -> bool:
 
 def _embed_members(provider, members: list[str]):
     """(matrix, unit rows, embedded mask) for map members, or None when the
-    provider embeds none of them."""
+    provider embeds none of them or fails as a whole."""
     try:
         vectors = list(embed_matrix(provider, members))
-    except ProviderError:  # one at a time, so the members it can embed still link
+    except MissingLabel:  # one at a time, so the members it has vectors for still link
         vectors = [_embed_or_none(provider, member) for member in members]
+    except ProviderError:  # a failed provider, say a dead endpoint: lexical links only
+        return None
     embedded = np.array([vec is not None for vec in vectors], dtype=bool)
     if not embedded.any():
         return None

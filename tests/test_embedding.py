@@ -182,11 +182,11 @@ def test_remote_vector_with_nan_rejected(embed_server):
         remote_embed(embed_server, ["a", "b"])
 
 
-@pytest.mark.parametrize("scalar", [5, None, True], ids=repr)
+@pytest.mark.parametrize("scalar", [5, None, True, []], ids=repr)
 def test_remote_scalar_vector_rejected(embed_server, monkeypatch, scalar):
     monkeypatch.setattr(_EmbedHandler, "behavior", "scalar")
     monkeypatch.setattr(_EmbedHandler, "scalar", scalar)
-    with pytest.raises(DimensionMismatch, match="expected a list"):
+    with pytest.raises(DimensionMismatch, match="expected a nonempty list"):
         remote_embed(embed_server, ["a", "b"])
 
 
@@ -213,3 +213,18 @@ def test_normalization_map_sends_one_request_per_pool(embed_server):
     sent = _EmbedHandler.posts
     norm_map.nearest_canonical("somersault", lexicon, provider)
     assert _EmbedHandler.posts == sent + 1
+
+
+def test_failed_endpoint_costs_one_request(embed_server):
+    lexicon = default_lexicon()
+    norm_map = build_normalization_map(
+        generate_fixture("battle"), HashedNgramProvider(), lexicon, 0.75
+    )
+    _EmbedHandler.behavior = "error"
+    provider = RemoteProvider(embed_server)
+    # one failed batch for the pool's members, not a retry per member
+    assert norm_map.nearest_canonical("somersault", lexicon, provider) is None
+    assert _EmbedHandler.posts == 1
+    # lexical links still resolve, with no further request
+    assert norm_map.nearest_canonical("strikes", lexicon, provider) == "hit"
+    assert _EmbedHandler.posts == 1

@@ -140,16 +140,17 @@ def test_subevent_parent_is_unique():
 def test_neighbors_filtering_and_order():
     g = small_graph()
     g.add_edge(Edge("p0", "p2", EdgeKind.PRECEDES_STORYTIME))
-    assert g.neighbors("p0") == ["p1", "p2"]
     assert g.neighbors("p0", EdgeKind.PRECEDES_READING) == ["p1"]
+    assert g.neighbors("p0", EdgeKind.PRECEDES_STORYTIME) == ["p1", "p2"]
     assert g.neighbors("p1", EdgeKind.PRECEDES_READING, "in") == ["p0"]
-    assert g.neighbors("p2", direction="in") == ["p0", "p1"]
-    assert g.neighbors("act") == ["inst"]
-    assert g.neighbors("act", direction="in") == []
+    assert g.neighbors("p2", EdgeKind.PRECEDES_READING, "in") == ["p1"]
+    assert g.neighbors("p2", EdgeKind.PRECEDES_STORYTIME, "in") == ["p0", "p1"]
+    assert g.neighbors("act", EdgeKind.HAS_AGENT) == ["inst"]
+    assert all(g.neighbors("act", kind, "in") == [] for kind in EdgeKind)
     with pytest.raises(UnknownNode):
-        g.neighbors("ghost")
+        g.neighbors("ghost", EdgeKind.PRECEDES_READING)
     with pytest.raises(ValueError):
-        g.neighbors("p0", direction="sideways")
+        g.neighbors("p0", EdgeKind.PRECEDES_READING, direction="sideways")
 
 
 def test_neighbors_matches_edge_scan():
@@ -166,15 +167,17 @@ def test_neighbors_matches_edge_scan():
             edges.add((src, dst, kind))
             g.add_edge(Edge(src, dst, kind))
     for nid in ids:
-        for kind in (None, EdgeKind.CO_OCCURS_WITH):
-            scan = sorted(
-                {d for s, d, k in edges if s == nid and kind in (None, k)}
-            )
+        for kind in EdgeKind:
+            scan = sorted(d for s, d, k in edges if s == nid and k is kind)
             assert g.neighbors(nid, kind) == scan
-            scan_in = sorted(
-                {s for s, d, k in edges if d == nid and kind in (None, k)}
-            )
+            scan_in = sorted(s for s, d, k in edges if d == nid and k is kind)
             assert g.neighbors(nid, kind, "in") == scan_in
+    keys = sorted((s, d, k.value) for s, d, k in edges)
+    assert [e.key() for e in g.edges()] == keys
+    for kind in EdgeKind:
+        assert [e.key() for e in g.edges(kind)] == [key for key in keys if key[2] == kind.value]
+        assert all(e.kind is kind for e in g.edges(kind))
+    assert g.edge_count() == len(edges)
 
 
 def test_finalize_freezes():
@@ -326,6 +329,8 @@ def test_serialization_ignores_construction_order():
         b.add_edge(edge)
     assert a.to_json_bytes() == b.to_json_bytes()
     assert a == b
+    b.add_edge(Edge("p0", "p2", EdgeKind.CO_OCCURS_WITH))
+    assert a != b
 
 
 def test_deserialize_rejects_bad_input():
