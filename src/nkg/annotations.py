@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Iterator, get_args, get_origin, get_type_hints
 
-from .errors import DanglingReference, DuplicateId, EmptyLabel, NkgError, SchemaViolation
+from .errors import DanglingReference, DuplicateId, NkgError, SchemaViolation
 from .jsonio import dump_canonical, load_object, require
-from .lexicon import fold_label
+from .lexicon import is_label
 
 SCHEMA_VERSION = 1
 
@@ -258,10 +258,7 @@ def _dangling(ref: str, path: str) -> Violation:
 
 
 def _check_label(label: str, path: str, out: list[Violation]) -> None:
-    # blank means what fold_label rejects: nothing left but separators
-    try:
-        fold_label(label)
-    except EmptyLabel:
+    if not is_label(label):
         out.append(Violation(path, "label must not be blank"))
 
 

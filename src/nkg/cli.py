@@ -2,16 +2,8 @@
 
 Subcommands: build, normalize, query, eval, fixture. Every command is a
 thin shell over the library; payload goes to standard output, diagnostics
-to standard error.
-
-Exit codes:
-    0  success
-    1  unexpected internal error
-    2  unreadable input, malformed JSON, or schema/config violation
-    3  graph is already normalized
-    4  embedding provider failure
-    5  unknown id (event, entity, scope, or node)
-    6  query mode does not match the graph
+to standard error. A failed command exits with its error's `exit_code`;
+nkg.errors lists the codes.
 """
 
 from __future__ import annotations
@@ -28,23 +20,7 @@ from . import resources
 from .annotations import parse_annotations
 from .builder import build_all
 from .embedding import HashedNgramProvider, RemoteProvider, load_vector_file
-from .errors import (
-    AlreadyNormalized,
-    DanglingReference,
-    DuplicateId,
-    EmptyLabel,
-    GraphError,
-    MalformedJson,
-    NkgError,
-    NotAnEventNode,
-    NotNormalized,
-    ProviderError,
-    SchemaViolation,
-    UnknownEntity,
-    UnknownEvent,
-    UnknownNode,
-    UnknownScope,
-)
+from .errors import AlreadyNormalized, NkgError
 from .evaluation import build_gold, load_gold_labels, render_report, run_eval
 from .fixtures import FIXTURE_KINDS, generate_fixture
 from .graph import deserialize
@@ -337,28 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_EXIT_MAP = (
-    (NotNormalized, 6),
-    ((UnknownEvent, UnknownEntity, UnknownScope, UnknownNode, NotAnEventNode), 5),
-    (ProviderError, 4),
-    (AlreadyNormalized, 3),
-    (
-        (
-            MalformedJson,
-            SchemaViolation,
-            DuplicateId,
-            DanglingReference,
-            EmptyLabel,
-            GraphError,
-            ValueError,
-            OSError,
-        ),
-        2,
-    ),
-    (NkgError, 1),
-)
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -373,11 +327,10 @@ def main(argv=None) -> int:
     root.setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
         return args.func(args)
-    except Exception as exc:  # noqa: BLE001 - single translation point to exit codes
-        for types, code in _EXIT_MAP:
-            if isinstance(exc, types):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
+    except (NkgError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return getattr(exc, "exit_code", 2)
+    except Exception as exc:  # noqa: BLE001 - a bug, not bad input
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 1
     finally:

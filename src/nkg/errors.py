@@ -1,8 +1,18 @@
 """Exception hierarchy for the nkg toolkit.
 
 Every error raised by the library derives from NkgError so callers can
-catch at whatever granularity they need. The CLI maps these classes onto
-stable exit codes (see nkg.cli).
+catch at whatever granularity they need. Each class carries the exit code
+of the `nkg` command as `exit_code`; a subclass inherits its parent's code
+unless it sets its own. The codes:
+
+    0  success
+    1  unexpected error: an NkgError with no more specific code, or a bug
+    2  unreadable input, malformed JSON, or schema/config violation
+       (also any ValueError or OSError, such as a bad flag or a missing file)
+    3  graph is already normalized
+    4  embedding provider failure
+    5  unknown id (event, entity, scope, or node)
+    6  query mode does not match the graph
 """
 
 from __future__ import annotations
@@ -11,6 +21,8 @@ from __future__ import annotations
 class NkgError(Exception):
     """Base class for all nkg errors."""
 
+    exit_code = 1
+
 
 # --- annotation parsing / validation ---------------------------------------
 
@@ -18,9 +30,13 @@ class NkgError(Exception):
 class MalformedJson(NkgError):
     """Input bytes are not well-formed JSON."""
 
+    exit_code = 2
+
 
 class SchemaViolation(NkgError):
     """A document violates the annotation or graph schema."""
+
+    exit_code = 2
 
     def __init__(self, path: str, reason: str):
         super().__init__(f"{path}: {reason}")
@@ -31,6 +47,8 @@ class SchemaViolation(NkgError):
 class DuplicateId(NkgError):
     """An identifier that must be unique appears more than once."""
 
+    exit_code = 2
+
     def __init__(self, id_: str):
         super().__init__(f"duplicate id: {id_}")
         self.id = id_
@@ -38,6 +56,8 @@ class DuplicateId(NkgError):
 
 class DanglingReference(NkgError):
     """A reference names an id not declared in the expected scope."""
+
+    exit_code = 2
 
     def __init__(self, id_: str, context: str = ""):
         msg = f"dangling reference: {id_}"
@@ -50,12 +70,16 @@ class DanglingReference(NkgError):
 class EmptyLabel(NkgError):
     """A label that must be nonempty is empty or whitespace."""
 
+    exit_code = 2
+
 
 # --- graph core -------------------------------------------------------------
 
 
 class GraphError(NkgError):
     """Base class for graph construction and query errors."""
+
+    exit_code = 2
 
 
 class DuplicateNode(GraphError):
@@ -71,7 +95,7 @@ class UnknownEndpoint(GraphError):
 
 
 class UnknownNode(GraphError):
-    pass
+    exit_code = 5  # an unknown query target, not bad input
 
 
 class CycleIntroduced(GraphError):
@@ -99,9 +123,13 @@ class GraphFrozen(GraphError):
 class AlreadyNormalized(NkgError):
     """Normalization applied to a graph whose labels are already canonical."""
 
+    exit_code = 3
+
 
 class ProviderError(NkgError):
     """Base class for embedding provider failures."""
+
+    exit_code = 4
 
 
 class MissingLabel(ProviderError):
@@ -137,21 +165,25 @@ class DimensionMismatch(ProviderError):
 class NotNormalized(NkgError):
     """Normalized-mode query issued against a raw graph."""
 
+    exit_code = 6
+
 
 class UnknownEvent(NkgError):
-    pass
+    exit_code = 5
 
 
 class UnknownEntity(NkgError):
-    pass
+    exit_code = 5
 
 
 class UnknownScope(NkgError):
-    pass
+    exit_code = 5
 
 
 class NotAnEventNode(NkgError):
     """Summary requested for a node that is neither event nor macro-event."""
+
+    exit_code = 5
 
 
 # --- evaluation -------------------------------------------------------------

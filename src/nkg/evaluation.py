@@ -19,6 +19,7 @@ from .annotations import AnnotationDoc
 from .errors import DuplicateElements, EmptyGold, SchemaViolation
 from .graph import NarrativeGraph
 from .jsonio import load_object, require
+from .lexicon import is_label
 from .normalize import ACTION_POOL, EVENT_POOL, NormalizationMap
 from .reasoner import (
     character_trajectory,
@@ -130,14 +131,21 @@ class GoldReference:
 
 
 def load_gold_labels(raw: bytes | str) -> dict[str, frozenset[str]]:
-    """Parse a gold label file: {"action_clusters": {canonical: [members]}}."""
+    """Parse a gold label file: {"action_clusters": {canonical: [members]}}.
+
+    No label may sit in two clusters; a canonical counts as a member of its
+    own cluster."""
     data = load_object(raw, "gold label file")
     clusters: dict[str, frozenset[str]] = {}
+    cluster_of: dict[str, str] = {}
     for canonical, members in require(data, "action_clusters", dict, "$").items():
-        if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
-            raise SchemaViolation(
-                f"$.action_clusters[{canonical!r}]", "members must be a list of strings"
-            )
+        path = f"$.action_clusters[{canonical!r}]"
+        if not isinstance(members, list) or not all(map(is_label, [canonical, *members])):
+            raise SchemaViolation(path, "canonical and members must be nonblank strings")
+        for label in (canonical, *members):
+            other = cluster_of.setdefault(label, canonical)
+            if other != canonical:
+                raise SchemaViolation(path, f"label {label!r} is also in cluster {other!r}")
         clusters[canonical] = frozenset(members)
     return clusters
 

@@ -35,6 +35,11 @@ def fold_label(label: str) -> str:
     return folded
 
 
+def is_label(value) -> bool:
+    """A string that fold_label accepts: not empty, not only separators."""
+    return isinstance(value, str) and value != "" and _SPLIT.fullmatch(value) is None
+
+
 @dataclass(frozen=True)
 class SynonymLexicon:
     groups: tuple[frozenset[str], ...] = ()
@@ -86,8 +91,11 @@ def load_lexicon(raw: bytes | str) -> SynonymLexicon:
     obj = load_object(raw, "lexicon")
     groups = require(obj, "groups", list, "$", default=[])
     exceptions = require(obj, "lemma_exceptions", dict, "$", default={})
-    if not all(isinstance(g, list) and all(isinstance(x, str) and x for x in g) for g in groups):
-        raise SchemaViolation("$.groups", "expected list of lists of nonempty strings")
+    for i, group in enumerate(groups):
+        if not isinstance(group, list) or not all(map(is_label, group)):
+            raise SchemaViolation(
+                f"$.groups[{i}]", "expected a list of labels with a non-separator character"
+            )
     if not all(isinstance(v, str) and k and v for k, v in exceptions.items()):
         raise SchemaViolation("$.lemma_exceptions", "expected map of string to string")
     return SynonymLexicon.build(groups, exceptions)

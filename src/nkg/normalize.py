@@ -27,10 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .annotations import AnnotationDoc
-from .errors import AlreadyNormalized, EmptyLabel, MissingLabel, ProviderError, SchemaViolation
+from .errors import AlreadyNormalized, MissingLabel, ProviderError, SchemaViolation
 from .graph import NarrativeGraph, Node, NodeKind
 from .jsonio import dump_canonical, load_object, require
-from .lexicon import SynonymLexicon, fold_label, lexical_key
+from .lexicon import SynonymLexicon, fold_label, is_label, lexical_key
 from .embedding import HashedNgramProvider, cosine, embed_matrix, unit_rows
 
 ACTION_POOL = "action"
@@ -269,27 +269,16 @@ class NormalizationMap:
             members = c.get("members")
             canonical = c.get("canonical")
             pool = c.get("pool")
-            if not isinstance(members, list) or not members or not all(map(_is_label, members)):
+            if not isinstance(members, list) or not members or not all(map(is_label, members)):
                 raise SchemaViolation(
                     f"{path}.members", "nonempty list of labels with a non-separator character"
                 )
-            if not _is_label(canonical):
+            if not is_label(canonical):
                 raise SchemaViolation(f"{path}.canonical", "label with a non-separator character")
             if pool not in (ACTION_POOL, EVENT_POOL):
                 raise SchemaViolation(f"{path}.pool", "must be 'action' or 'event'")
             clusters.append(LabelCluster(tuple(sorted(members)), canonical, pool))
         return cls(clusters, float(threshold), provider_id)
-
-
-def _is_label(value) -> bool:
-    """A string that fold_label accepts: not empty, not only separators."""
-    if not isinstance(value, str):
-        return False
-    try:
-        fold_label(value)
-    except EmptyLabel:
-        return False
-    return True
 
 
 def _embed_members(provider, members: list[str]):

@@ -3,19 +3,33 @@ from collections import Counter
 
 import pytest
 
-from nkg import cli, evaluation, resources
+from nkg import cli, errors, evaluation, resources
 from nkg.annotations import parse_annotations
 from nkg.builder import build_all
 from nkg.cli import main, map_side_path, resolve_config
 from nkg.embedding import HashedNgramProvider
 from nkg.errors import (
+    AlreadyNormalized,
     CycleIntroduced,
+    DanglingReference,
     DuplicateEdge,
+    DuplicateId,
     DuplicateNode,
+    EmptyGold,
+    EmptyLabel,
     ForestViolation,
+    GraphError,
     MalformedJson,
+    NkgError,
+    NotAnEventNode,
+    NotNormalized,
+    ProviderError,
     SchemaViolation,
     UnknownEndpoint,
+    UnknownEntity,
+    UnknownEvent,
+    UnknownNode,
+    UnknownScope,
 )
 from nkg.fixtures import generate_fixture
 from nkg.graph import deserialize
@@ -404,6 +418,97 @@ def test_query_unknown_ids_exit_5(battle_files):
 def test_query_mode_mismatch_exits_6(battle_files):
     _, raw, _ = battle_files
     assert main(["query", "action", "fight", "--input", str(raw), "--mode", "normalized"]) == 6
+
+
+# --- exit codes --------------------------------------------------------------
+
+# The ordered table main() matched errors against before each error class
+# carried its own exit_code; the first row that fits wins.
+OLD_EXIT_MAP = (
+    (NotNormalized, 6),
+    ((UnknownEvent, UnknownEntity, UnknownScope, UnknownNode, NotAnEventNode), 5),
+    (ProviderError, 4),
+    (AlreadyNormalized, 3),
+    (
+        (
+            MalformedJson,
+            SchemaViolation,
+            DuplicateId,
+            DanglingReference,
+            EmptyLabel,
+            GraphError,
+            ValueError,
+            OSError,
+        ),
+        2,
+    ),
+    (NkgError, 1),
+)
+ERROR_CLASSES = [
+    cls
+    for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, NkgError)
+]
+
+
+def old_exit_code(exc: Exception) -> int:
+    return next((code for types, code in OLD_EXIT_MAP if isinstance(exc, types)), 1)
+
+
+def fail_with(monkeypatch, exc: Exception) -> None:
+    """Make `nkg fixture` raise exc."""
+
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_fixture", fail)
+
+
+@pytest.mark.parametrize(
+    "cls", [*ERROR_CLASSES, ValueError, OSError], ids=lambda cls: cls.__name__
+)
+def test_every_error_exits_with_the_code_of_the_old_table(cls, monkeypatch, capsys):
+    exc = cls.__new__(cls)  # no constructor arguments: only the class matters here
+    if issubclass(cls, NkgError):
+        assert cls.exit_code == old_exit_code(exc)
+    fail_with(monkeypatch, exc)
+    assert main(["fixture", "battle"]) == old_exit_code(exc)
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_error_without_a_more_specific_code_exits_1(monkeypatch, capsys):
+    fail_with(monkeypatch, EmptyGold("no gold instances"))
+    assert main(["fixture", "battle"]) == 1
+    assert capsys.readouterr().err == "error: no gold instances\n"
+
+
+def test_bug_exits_1_as_internal_error(monkeypatch, capsys):
+    fail_with(monkeypatch, RuntimeError("boom"))
+    assert main(["fixture", "battle"]) == 1
+    assert capsys.readouterr().err == "internal error: RuntimeError('boom')\n"
+
+
+@pytest.mark.parametrize(
+    "flag, content, path",
+    [
+        ("--gold", {"action_clusters": {"attack": ["", "fight"]}}, "$.action_clusters['attack']"),
+        (
+            "--gold",
+            {"action_clusters": {"attack": ["fight", "strike"], "hit": ["strike", "hit"]}},
+            "$.action_clusters['hit']",
+        ),
+        ("--lexicon", {"groups": [["attack", "strike"], ["_", "hit"]]}, "$.groups[1]"),
+    ],
+)
+def test_eval_blank_or_overlapping_labels_exit_2_with_their_path(
+    tmp_path, battle_files, capsys, flag, content, path
+):
+    doc, _, _ = battle_files
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content))
+    capsys.readouterr()
+    assert main(["eval", "--input", str(doc), flag, str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 # --- eval command ------------------------------------------------------------

@@ -279,6 +279,47 @@ def test_gold_label_file_rejects():
         load_gold_labels(json.dumps({"action_clusters": {"a": "b"}}))
 
 
+@pytest.mark.parametrize(
+    "clusters, path",
+    [
+        ({"attack": ["", "fight"]}, "$.action_clusters['attack']"),
+        ({"attack": ["fight"], "hit": ["hit", "_"]}, "$.action_clusters['hit']"),
+        ({"attack": ["fight"], " _": ["hit"]}, "$.action_clusters[' _']"),
+        ({"attack": ["fight", 3]}, "$.action_clusters['attack']"),
+    ],
+)
+def test_gold_label_file_rejects_blank_labels(clusters, path):
+    with pytest.raises(SchemaViolation) as info:
+        load_gold_labels(json.dumps({"action_clusters": clusters}))
+    assert info.value.path == path
+
+
+@pytest.mark.parametrize(
+    "clusters, path, label",
+    [
+        # one member in two clusters
+        (
+            {"attack": ["fight", "strike"], "hit": ["strike", "hit"]},
+            "$.action_clusters['hit']",
+            "strike",
+        ),
+        # a canonical is a member of its own cluster, so it may not join another
+        ({"attack": ["fight"], "fight": ["brawl"]}, "$.action_clusters['fight']", "fight"),
+        ({"fight": ["brawl"], "attack": ["fight"]}, "$.action_clusters['attack']", "fight"),
+    ],
+)
+def test_gold_label_file_rejects_overlapping_clusters(clusters, path, label):
+    with pytest.raises(SchemaViolation) as info:
+        load_gold_labels(json.dumps({"action_clusters": clusters}))
+    assert info.value.path == path
+    assert repr(label) in info.value.reason
+
+
+def test_gold_label_file_keeps_a_canonical_listed_in_its_own_members():
+    clusters = load_gold_labels(json.dumps({"action_clusters": {"attack": ["attack", "hit"]}}))
+    assert clusters == {"attack": frozenset({"attack", "hit"})}
+
+
 # --- run_eval -----------------------------------------------------------------
 
 

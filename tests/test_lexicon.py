@@ -8,6 +8,7 @@ from nkg.errors import EmptyLabel, MalformedJson, SchemaViolation
 from nkg.lexicon import (
     SynonymLexicon,
     fold_label,
+    is_label,
     lemmatize_token,
     lexical_key,
     load_lexicon,
@@ -33,6 +34,21 @@ def test_separator_only_labels_are_empty(label):
     with pytest.raises(EmptyLabel):
         lexical_key(label, EMPTY)
     assert fold_label("_" + label + "a") == "a"
+
+
+def test_is_label_is_what_fold_label_accepts():
+    rng = random.Random(11)
+    alphabet = " _\t\n\u00a0\u2003aZ"
+    for _ in range(2000):
+        value = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 4)))
+        try:
+            fold_label(value)
+            accepted = True
+        except EmptyLabel:
+            accepted = False
+        assert is_label(value) is accepted, repr(value)
+    for not_a_string in (None, 3, ["a"], b"a"):
+        assert not is_label(not_a_string)
 
 
 def test_lemmatize_suffix_rules():
@@ -135,3 +151,11 @@ def test_load_lexicon_rejects_bad_shapes():
         load_lexicon(json.dumps({"groups": [["ok", ""]]}).encode())
     with pytest.raises(SchemaViolation):
         load_lexicon(json.dumps({"lemma_exceptions": {"a": 3}}).encode())
+
+
+@pytest.mark.parametrize("bad", ["", "_", " _\t", 7, None])
+def test_load_lexicon_names_the_group_with_a_blank_label(bad):
+    raw = json.dumps({"groups": [["attack", "strike"], ["hit", bad]]})
+    with pytest.raises(SchemaViolation) as info:
+        load_lexicon(raw)
+    assert info.value.path == "$.groups[1]"

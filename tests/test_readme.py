@@ -4,6 +4,7 @@ import re
 import shlex
 from pathlib import Path
 
+from nkg import errors
 from nkg.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -41,3 +42,15 @@ def test_quick_start_and_library_use_run(tmp_path, monkeypatch, capsys):
     assert namespace["raw"].frozen and namespace["norm"].normalized
     assert {hit.surface_label for hit in namespace["hits"]} == {"fight", "strike", "hit"}
     assert namespace["report"]
+
+
+def test_exit_code_table_lists_the_codes_errors_carry():
+    section = README.read_text(encoding="utf-8").split("\n## Exit codes\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    listed = [int(code) for code in re.findall(r"^\| (\d+) \|", section, re.MULTILINE)]
+    carried = {
+        cls.exit_code
+        for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.NkgError)
+    }
+    assert sorted(listed) == sorted({0} | carried)
