@@ -18,7 +18,8 @@ Every tier goes into the same graph, so an id shared across tiers (say, an
 event named like a panel or an action) raises DuplicateNode from add_node;
 validate_annotations rejects such documents before they get here.
 Panel content goes in first, so its edges can reach only panel-tier nodes.
-The graph is finalized once, at the end.
+The graph is finalized once, at the end. The cyclic collector is paused for
+the whole pass (graph.collector_paused), since the pass frees nothing.
 
 Entity nodes get an "entity:" id prefix (annotations.entity_node_id), so
 story-level ids do not collide with annotation instance ids.
@@ -31,7 +32,15 @@ import json
 from operator import attrgetter
 
 from .annotations import AnnotationDoc, PanelAnn, entity_node_id
-from .graph import PANEL_ORDERS, Edge, EdgeKind, NarrativeGraph, Node, NodeKind
+from .graph import (
+    PANEL_ORDERS,
+    Edge,
+    EdgeKind,
+    NarrativeGraph,
+    Node,
+    NodeKind,
+    collector_paused,
+)
 
 
 def _add_panel_content(g: NarrativeGraph, panel: PanelAnn, entities_seen: set[str]) -> None:
@@ -86,6 +95,7 @@ def _add_event_hierarchy(g: NarrativeGraph, doc: AnnotationDoc) -> None:
         g.add_edge(Edge(a.id, b.id, EdgeKind.PRECEDES))
 
 
+@collector_paused()
 def build_all(doc: AnnotationDoc) -> NarrativeGraph:
     g = NarrativeGraph(doc.story_id)
     panels = [panel for _, _, panel in doc.iter_panels()]

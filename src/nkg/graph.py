@@ -10,6 +10,12 @@ panel order attribute against its chain and every attribute the reasoning
 tasks read; after it the graph is immutable and safe to share. A frozen
 graph keeps its read-only views (nodes and edges in order, the reasoner's
 indexes) once built, each on its first read; memo() holds that rule.
+relabeled() swaps node labels on a frozen graph and checks only what a
+relabel can break, since the topology it shares was checked by finalize().
+
+The reader, like build_all, runs with Python's cyclic collector paused
+(collector_paused): what it allocates stays alive to the end of the call, so
+the passes its allocations trigger would free nothing.
 
 Serialization is canonical: nodes sorted by id, edges by (src, dst, kind),
 keys sorted. Equal graphs produce identical bytes regardless of how they
@@ -19,12 +25,14 @@ bytes are those of json.dumps(indent=2, sort_keys=True, ensure_ascii=False).
 
 from __future__ import annotations
 
+import gc
 import json
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import (
     CycleIntroduced,
@@ -41,7 +49,30 @@ from .jsonio import load_object, require
 T = TypeVar("T")
 
 
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for the block, then restore the
+    caller's setting, also when the block raises. Usable as a decorator.
+
+    The setting is process-wide: if the collector was on at entry, it is on
+    at exit, even if another thread switched it off in between."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+# The three kind enums hash by identity: Enum.__hash__ is a Python-level call,
+# made on every kind-keyed lookup. Iteration order over a set of members then
+# follows memory addresses, so no code may iterate such a set; ACYCLIC_KINDS
+# and LABELED_KINDS serve membership tests only, and kind-keyed dicts keep
+# insertion order.
 class NodeKind(Enum):
+    __hash__ = object.__hash__
+
     PANEL = "panel"
     CHARACTER = "character"  # story-level entity
     CHARACTER_INSTANCE = "character_instance"
@@ -53,6 +84,8 @@ class NodeKind(Enum):
 
 
 class EdgeKind(Enum):
+    __hash__ = object.__hash__
+
     CO_OCCURS_WITH = "co_occurs_with"
     HAS_AGENT = "has_agent"
     ACTS_ON = "acts_on"
@@ -66,6 +99,8 @@ class EdgeKind(Enum):
 
 
 class Layer(Enum):
+    __hash__ = object.__hash__
+
     PANEL = "panel"
     TEMPORAL = "temporal"
     EVENT = "event"
@@ -102,6 +137,9 @@ ACYCLIC_KINDS = frozenset(
 LABELED_KINDS = frozenset(
     {NodeKind.ACTION, NodeKind.EVENT, NodeKind.MACRO_EVENT, NodeKind.OBJECT}
 )
+
+# the attributes relabeled() may change; a node keeps every other one
+RELABEL_ATTRS = ("label", "surface_label")
 
 # each panel order: the attribute with a panel's position, the chain's edge kind
 PANEL_ORDERS = {
@@ -169,13 +207,16 @@ class NarrativeGraph:
         self._nodes[node.id] = node
 
     def add_edge(self, edge: Edge) -> None:
+        self._link(edge.src, edge.dst, edge.kind)
+
+    def _link(self, src: str, dst: str, kind: EdgeKind) -> None:
+        """add_edge without the Edge; the reader calls it per edge read."""
         self._check_mutable()
-        src, dst, kind = edge.src, edge.dst, edge.kind
         if src not in self._nodes or dst not in self._nodes:
             raise UnknownEndpoint(src if src not in self._nodes else dst)
         out = self._out[kind]
         if dst in out.get(src, ()):
-            raise DuplicateEdge(str(edge.key()))
+            raise DuplicateEdge(str((src, dst, kind._value_)))
         if kind is EdgeKind.SUBEVENT_OF and out.get(src):
             raise ForestViolation(src)
         if kind in ACYCLIC_KINDS and self._reaches(kind, dst, src):
@@ -270,18 +311,30 @@ class NarrativeGraph:
         return self._frozen
 
     def relabeled(self, nodes: Iterable[Node]) -> "NarrativeGraph":
-        """A finalized, normalized copy of this frozen graph with `nodes` in place of
-        those of their ids; it shares the edge tables, since neither graph can change."""
+        """A frozen, normalized copy of this frozen graph with `nodes` in place of
+        those of their ids; it shares the edge tables, since neither graph can change.
+
+        A replacement may change only the RELABEL_ATTRS of its node, so every
+        other invariant finalize() checked still holds and is not checked again.
+        """
         if not self._frozen:
             raise ValueError(f"graph {self.story_id!r} must be finalized before relabeling")
         out = NarrativeGraph(self.story_id, normalized=True)
         out._nodes = dict(self._nodes)
         for node in nodes:
-            if out._nodes.pop(node.id, None) is None:
+            old = out._nodes.pop(node.id, None)
+            if old is None:
                 raise UnknownNode(node.id)
             out.add_node(node)
+            if node.kind is not old.kind or _kept_attrs(node) != _kept_attrs(old):
+                raise SchemaViolation(
+                    f"node {node.id}", f"a relabel may change only {' and '.join(RELABEL_ATTRS)}"
+                )
+            if node.kind in LABELED_KINDS and not node.attrs.get("label"):
+                raise SchemaViolation(f"node {node.id}", f"{node.kind.value} requires a label")
         out._out, out._in = self._out, self._in
-        return out.finalize()
+        out._frozen = True
+        return out
 
     # --- inspection ------------------------------------------------------
 
@@ -381,41 +434,43 @@ class NarrativeGraph:
         ).encode("utf-8")
 
     @classmethod
+    @collector_paused()
     def from_json_bytes(cls, raw: bytes | str) -> "NarrativeGraph":
         obj = load_object(raw, "graph")
         graph = cls(require(obj, "story_id", str, "$"), require(obj, "normalized", bool, "$"))
         nodes, edges = require(obj, "nodes", list, "$"), require(obj, "edges", list, "$")
+        # an item's JSON path is spelled out only on the way to raising
         for i, n in enumerate(nodes):
-            path = f"$.nodes[{i}]"
             if not isinstance(n, dict):
-                raise SchemaViolation(path, "node must be an object")
+                raise SchemaViolation(f"$.nodes[{i}]", "node must be an object")
             try:
                 kind, layer = _NODE_KINDS[n["kind"]], _LAYERS[n["layer"]]
             except (KeyError, TypeError) as exc:  # TypeError: an unhashable kind or layer
-                raise SchemaViolation(path, f"bad node kind/layer: {exc}") from exc
+                raise SchemaViolation(f"$.nodes[{i}]", f"bad node kind/layer: {exc}") from exc
             if layer is not KIND_LAYER[kind]:
                 raise SchemaViolation(
-                    path,
+                    f"$.nodes[{i}]",
                     f"{kind.value} node must be on layer {KIND_LAYER[kind].value}, "
                     f"not {layer.value}",
                 )
             attrs = n.get("attrs", {})
             if not isinstance(attrs, dict):
-                raise SchemaViolation(path, "attrs must be an object")
-            if not isinstance(n.get("id"), str):
-                raise SchemaViolation(path, "id must be a string")
-            graph.add_node(Node(n["id"], kind, attrs))
+                raise SchemaViolation(f"$.nodes[{i}]", "attrs must be an object")
+            node_id = n.get("id")
+            if not isinstance(node_id, str):
+                raise SchemaViolation(f"$.nodes[{i}]", "id must be a string")
+            graph.add_node(Node(node_id, kind, attrs))
         for i, e in enumerate(edges):
-            path = f"$.edges[{i}]"
             if not isinstance(e, dict):
-                raise SchemaViolation(path, "edge must be an object")
+                raise SchemaViolation(f"$.edges[{i}]", "edge must be an object")
             try:
                 kind = _EDGE_KINDS[e["kind"]]
             except (KeyError, TypeError) as exc:
-                raise SchemaViolation(path, f"bad edge kind: {exc}") from exc
-            if not isinstance(e.get("src"), str) or not isinstance(e.get("dst"), str):
-                raise SchemaViolation(path, "src and dst must be strings")
-            graph.add_edge(Edge(e["src"], e["dst"], kind))
+                raise SchemaViolation(f"$.edges[{i}]", f"bad edge kind: {exc}") from exc
+            src, dst = e.get("src"), e.get("dst")
+            if not isinstance(src, str) or not isinstance(dst, str):
+                raise SchemaViolation(f"$.edges[{i}]", "src and dst must be strings")
+            graph._link(src, dst, kind)
         return graph.finalize()
 
 
@@ -430,6 +485,11 @@ def _json_object(attrs: dict[str, str]) -> str:
 
 def _json_list(items: list[str]) -> str:
     return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
+def _kept_attrs(node: Node) -> dict[str, str]:
+    """The attributes a relabel must leave as they are."""
+    return {k: v for k, v in node.attrs.items() if k not in RELABEL_ATTRS}
 
 
 def _int_attr(node: Node, name: str) -> int:

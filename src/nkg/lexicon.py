@@ -40,6 +40,11 @@ def is_label(value) -> bool:
     return isinstance(value, str) and value != "" and _SPLIT.fullmatch(value) is None
 
 
+def _is_token(value) -> bool:
+    """One token as fold_label splits a label: not empty, no '_' or whitespace."""
+    return isinstance(value, str) and value != "" and _SPLIT.search(value) is None
+
+
 @dataclass(frozen=True)
 class SynonymLexicon:
     groups: tuple[frozenset[str], ...] = ()
@@ -96,8 +101,12 @@ def load_lexicon(raw: bytes | str) -> SynonymLexicon:
             raise SchemaViolation(
                 f"$.groups[{i}]", "expected a list of labels with a non-separator character"
             )
-    if not all(isinstance(v, str) and k and v for k, v in exceptions.items()):
-        raise SchemaViolation("$.lemma_exceptions", "expected map of string to string")
+    # lemmatize_token maps one token to one token; a separator in either would
+    # make lexical_key answer a key that keys differently, or not at all
+    if not all(_is_token(k) and _is_token(v) for k, v in exceptions.items()):
+        raise SchemaViolation(
+            "$.lemma_exceptions", "expected map of token to token, with no '_' or whitespace"
+        )
     return SynonymLexicon.build(groups, exceptions)
 
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 
@@ -232,6 +233,20 @@ def test_cross_tier_id_collision_raises_duplicate_node(case):
     # the builder still refuses the unvalidated document
     with pytest.raises(DuplicateNode):
         build_all(doc)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_build_all_restores_the_callers_collector_setting(enabled):
+    try:
+        if not enabled:
+            gc.disable()
+        assert build_all(generate_fixture("battle")).frozen
+        assert gc.isenabled() is enabled
+        with pytest.raises(DuplicateNode):
+            build_all(CROSS_TIER_COLLISIONS["event_is_action"][1])
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
 
 
 def test_build_cli_exits_2_on_cross_tier_collision(tmp_path):

@@ -498,6 +498,7 @@ def test_bug_exits_1_as_internal_error(monkeypatch, capsys):
             "$.action_clusters['hit']",
         ),
         ("--lexicon", {"groups": [["attack", "strike"], ["_", "hit"]]}, "$.groups[1]"),
+        ("--lexicon", {"lemma_exceptions": {"ran": "run fast"}}, "$.lemma_exceptions"),
     ],
 )
 def test_eval_blank_or_overlapping_labels_exit_2_with_their_path(

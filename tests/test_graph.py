@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import random
 
@@ -223,6 +224,24 @@ def test_relabeled_replaces_nodes_and_keeps_the_topology():
         g.relabeled([Node("act", NodeKind.ACTION, {"label": "", "panel": "p0"})])
     with pytest.raises(ValueError, match="must be finalized"):
         small_graph().relabeled([])
+
+
+@pytest.mark.parametrize(
+    "kind, attrs",
+    [
+        (NodeKind.OBJECT, {"label": "greet", "panel": "p0"}),
+        (NodeKind.ACTION, {"label": "greet"}),
+        (NodeKind.ACTION, {"label": "greet", "panel": "p0", "agent": "inst"}),
+        (NodeKind.ACTION, {"label": "greet", "panel": "p1"}),
+    ],
+    ids=["kind-changed", "panel-dropped", "attr-added", "panel-changed"],
+)
+def test_relabeled_changes_nothing_but_the_labels(kind, attrs):
+    g = small_graph().finalize()
+    with pytest.raises(SchemaViolation, match="may change only label and surface_label"):
+        g.relabeled([Node("act", kind, attrs)])
+    kept = {"label": "greet", "surface_label": "wave", "panel": "p0"}
+    assert g.relabeled([Node("act", NodeKind.ACTION, kept)]).node("act").attrs == kept
 
 
 def test_memo_builds_once_only_when_frozen():
@@ -467,6 +486,28 @@ def test_reader_rejects_corrupt_file_with_its_class(battle_bytes, case):
     with pytest.raises(error) as raised:  # an emptied document stands for a list
         deserialize(json.dumps(obj if obj else []).encode())
     assert type(raised.value) is error
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_reader_restores_the_callers_collector_setting(battle_bytes, enabled):
+    edit, error = CORRUPT_GRAPH_FILES["cycle-precedes"]
+    obj = json.loads(battle_bytes)
+    edit(obj)
+    try:
+        if not enabled:
+            gc.disable()
+        assert deserialize(battle_bytes).frozen
+        assert gc.isenabled() is enabled
+        with pytest.raises(error):
+            deserialize(json.dumps(obj).encode())
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("enum", [NodeKind, EdgeKind, Layer])
+def test_kind_enums_hash_by_identity(enum):
+    assert all(hash(member) == object.__hash__(member) for member in enum)
 
 
 @pytest.mark.parametrize("raw", [b"{nope", b'{"story_id": "\xff"}', b"\xff\xfe"])

@@ -153,6 +153,16 @@ def test_load_lexicon_rejects_bad_shapes():
         load_lexicon(json.dumps({"lemma_exceptions": {"a": 3}}).encode())
 
 
+@pytest.mark.parametrize(
+    "exceptions",
+    [{"ran": "run fast"}, {"ran": "_"}, {"ran": ""}, {"ran away": "run"}, {"_": "run"}],
+)
+def test_load_lexicon_rejects_lemma_exceptions_that_are_not_one_token(exceptions):
+    with pytest.raises(SchemaViolation) as info:
+        load_lexicon(json.dumps({"lemma_exceptions": exceptions}))
+    assert info.value.path == "$.lemma_exceptions"
+
+
 @pytest.mark.parametrize("bad", ["", "_", " _\t", 7, None])
 def test_load_lexicon_names_the_group_with_a_blank_label(bad):
     raw = json.dumps({"groups": [["attack", "strike"], ["hit", bad]]})

@@ -8,6 +8,7 @@ beyond the packaged fixtures.
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +26,7 @@ from nkg.annotations import (
 )
 from nkg.builder import build_all
 from nkg.embedding import HashedNgramProvider
-from nkg.errors import ProviderError
+from nkg.errors import ProviderError, UnknownNode
 from nkg.fixtures import generate_fixture
 from nkg.graph import PANEL_ORDERS, NarrativeGraph, Node, NodeKind, deserialize
 from nkg.lexicon import SynonymLexicon, fold_label, lexical_key
@@ -164,12 +165,17 @@ def rebuild_normalized(graph, norm_map):
     return out.finalize()
 
 
-def assert_relabel_equals_rebuild(doc):
-    raw = build_all(doc)
-    for norm_map in (
+def norm_maps(doc):
+    """An embedding map at the default threshold and a lexical-only one."""
+    return (
         build_normalization_map(doc, HASHED, LEXICON, 0.75),
         build_normalization_map(doc, None, SynonymLexicon.empty(), 1.0),
-    ):
+    )
+
+
+def assert_relabel_equals_rebuild(doc):
+    raw = build_all(doc)
+    for norm_map in norm_maps(doc):
         want = rebuild_normalized(raw, norm_map)
         got = apply_normalization(raw, norm_map)
         assert got == want
@@ -187,6 +193,59 @@ def test_relabel_equals_rebuild_on_fixtures():
     for kind in ("battle", "romance"):
         assert_relabel_equals_rebuild(generate_fixture(kind))
     assert_relabel_equals_rebuild(generate_fixture("noise", seed=3, variance=0.9))
+
+
+class Replacements:
+    """Stands in for a raw graph to catch the nodes that apply_normalization
+    hands to relabeled()."""
+
+    normalized = False
+
+    def __init__(self, graph):
+        self.nodes = graph.nodes
+
+    def relabeled(self, nodes):
+        return list(nodes)
+
+
+def finalize_relabeled(graph, nodes):
+    """Reference relabel, as it was before it skipped finalize(): copy the
+    frozen graph, add each replacement through add_node, share the edge tables
+    and run the whole finalize() again."""
+    out = NarrativeGraph(graph.story_id, normalized=True)
+    out._nodes = dict(graph._nodes)
+    for node in nodes:
+        if out._nodes.pop(node.id, None) is None:
+            raise UnknownNode(node.id)
+        out.add_node(node)
+    out._out, out._in = graph._out, graph._in
+    return out.finalize()
+
+
+def assert_relabeled_equals_finalize_oracle(doc):
+    raw = build_all(doc)
+    for norm_map in norm_maps(doc):
+        nodes = apply_normalization(Replacements(raw), norm_map)
+        want = finalize_relabeled(raw, nodes)
+        got = raw.relabeled(nodes)
+        assert got == want == apply_normalization(raw, norm_map)
+        assert got.to_json_bytes() == want.to_json_bytes()
+        assert got.frozen and got.normalized
+
+
+@PROPERTY_SETTINGS
+@given(documents())
+def test_relabeled_equals_finalize_oracle(doc):
+    assert_relabeled_equals_finalize_oracle(doc)
+
+
+@pytest.mark.parametrize(
+    "kind, seed, variance",
+    [("battle", 0, 0.0), ("romance", 0, 0.0)]
+    + [("noise", seed, variance) for seed in range(4) for variance in (0.0, 0.6)],
+)
+def test_relabeled_equals_finalize_oracle_on_fixtures(kind, seed, variance):
+    assert_relabeled_equals_finalize_oracle(generate_fixture(kind, seed=seed, variance=variance))
 
 
 def chain_walk(graph, edge_kind, scope):
