@@ -32,15 +32,7 @@ import json
 from operator import attrgetter
 
 from .annotations import AnnotationDoc, PanelAnn, entity_node_id
-from .graph import (
-    PANEL_ORDERS,
-    Edge,
-    EdgeKind,
-    NarrativeGraph,
-    Node,
-    NodeKind,
-    collector_paused,
-)
+from .graph import PANEL_ORDERS, EdgeKind, NarrativeGraph, Node, NodeKind, collector_paused
 
 
 def _add_panel_content(g: NarrativeGraph, panel: PanelAnn, entities_seen: set[str]) -> None:
@@ -60,9 +52,9 @@ def _add_panel_content(g: NarrativeGraph, panel: PanelAnn, entities_seen: set[st
         if char.name:
             attrs["name"] = char.name
         g.add_node(Node(char.instance_id, NodeKind.CHARACTER_INSTANCE, attrs))
-        g.add_edge(Edge(char.instance_id, entity_node_id(char.entity_id), EdgeKind.REFERS_TO))
+        g.add_edge(char.instance_id, entity_node_id(char.entity_id), EdgeKind.REFERS_TO)
     for a, b in itertools.combinations(sorted(c.instance_id for c in panel.characters), 2):
-        g.add_edge(Edge(a, b, EdgeKind.CO_OCCURS_WITH))
+        g.add_edge(a, b, EdgeKind.CO_OCCURS_WITH)
     for obj in panel.objects:
         g.add_node(Node(obj.instance_id, NodeKind.OBJECT, {"label": obj.label, "panel": panel.id}))
     for action in panel.actions:
@@ -70,15 +62,15 @@ def _add_panel_content(g: NarrativeGraph, panel: PanelAnn, entities_seen: set[st
             Node(action.instance_id, NodeKind.ACTION, {"label": action.label, "panel": panel.id})
         )
         if action.agent is not None:
-            g.add_edge(Edge(action.instance_id, action.agent, EdgeKind.HAS_AGENT))
+            g.add_edge(action.instance_id, action.agent, EdgeKind.HAS_AGENT)
         if action.target is not None:
-            g.add_edge(Edge(action.instance_id, action.target, EdgeKind.ACTS_ON))
+            g.add_edge(action.instance_id, action.target, EdgeKind.ACTS_ON)
     for k, dlg in enumerate(panel.dialogues):
         attrs = {"text": dlg.text, "panel": panel.id, "order": str(k)}
         if dlg.speaker is not None:
             attrs["speaker"] = dlg.speaker
         g.add_node(Node(dlg.instance_id, NodeKind.DIALOGUE, attrs))
-        g.add_edge(Edge(dlg.instance_id, panel.id, EdgeKind.GROUNDED_IN))
+        g.add_edge(dlg.instance_id, panel.id, EdgeKind.GROUNDED_IN)
 
 
 def _add_event_hierarchy(g: NarrativeGraph, doc: AnnotationDoc) -> None:
@@ -86,13 +78,13 @@ def _add_event_hierarchy(g: NarrativeGraph, doc: AnnotationDoc) -> None:
         g.add_node(Node(macro.id, NodeKind.MACRO_EVENT, {"label": macro.label}))
         for event in macro.events:
             g.add_node(Node(event.id, NodeKind.EVENT, {"label": event.label}))
-            g.add_edge(Edge(event.id, macro.id, EdgeKind.SUBEVENT_OF))
+            g.add_edge(event.id, macro.id, EdgeKind.SUBEVENT_OF)
             for panel in event.panels:
-                g.add_edge(Edge(panel.id, event.id, EdgeKind.INSTANTIATES))
+                g.add_edge(panel.id, event.id, EdgeKind.INSTANTIATES)
         for a, b in zip(macro.events, macro.events[1:]):
-            g.add_edge(Edge(a.id, b.id, EdgeKind.PRECEDES))
+            g.add_edge(a.id, b.id, EdgeKind.PRECEDES)
     for a, b in zip(doc.macro_events, doc.macro_events[1:]):
-        g.add_edge(Edge(a.id, b.id, EdgeKind.PRECEDES))
+        g.add_edge(a.id, b.id, EdgeKind.PRECEDES)
 
 
 @collector_paused()
@@ -105,6 +97,6 @@ def build_all(doc: AnnotationDoc) -> NarrativeGraph:
     for attr, kind in PANEL_ORDERS.values():
         chain = sorted(panels, key=attrgetter(attr))
         for a, b in zip(chain, chain[1:]):
-            g.add_edge(Edge(a.id, b.id, kind))
+            g.add_edge(a.id, b.id, kind)
     _add_event_hierarchy(g, doc)
     return g.finalize()

@@ -10,8 +10,9 @@ panel order attribute against its chain and every attribute the reasoning
 tasks read; after it the graph is immutable and safe to share. A frozen
 graph keeps its read-only views (nodes and edges in order, the reasoner's
 indexes) once built, each on its first read; memo() holds that rule.
-relabeled() swaps node labels on a frozen graph and checks only what a
-relabel can break, since the topology it shares was checked by finalize().
+relabeled() takes new labels by node id and swaps them in on a copy of a
+frozen graph; it can change no attribute but label and surface_label, and
+no kind or edge, so of what finalize() checked only the labels are checked.
 
 The reader, like build_all, runs with Python's cyclic collector paused
 (collector_paused): what it allocates stays alive to the end of the call, so
@@ -32,7 +33,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterator, Mapping, TypeVar
 
 from .errors import (
     CycleIntroduced,
@@ -138,9 +139,6 @@ LABELED_KINDS = frozenset(
     {NodeKind.ACTION, NodeKind.EVENT, NodeKind.MACRO_EVENT, NodeKind.OBJECT}
 )
 
-# the attributes relabeled() may change; a node keeps every other one
-RELABEL_ATTRS = ("label", "surface_label")
-
 # each panel order: the attribute with a panel's position, the chain's edge kind
 PANEL_ORDERS = {
     "reading": ("reading_order", EdgeKind.PRECEDES_READING),
@@ -206,11 +204,7 @@ class NarrativeGraph:
                 raise SchemaViolation(f"node {node.id} attrs", "attributes must be string→string")
         self._nodes[node.id] = node
 
-    def add_edge(self, edge: Edge) -> None:
-        self._link(edge.src, edge.dst, edge.kind)
-
-    def _link(self, src: str, dst: str, kind: EdgeKind) -> None:
-        """add_edge without the Edge; the reader calls it per edge read."""
+    def add_edge(self, src: str, dst: str, kind: EdgeKind) -> None:
         self._check_mutable()
         if src not in self._nodes or dst not in self._nodes:
             raise UnknownEndpoint(src if src not in self._nodes else dst)
@@ -310,28 +304,30 @@ class NarrativeGraph:
     def frozen(self) -> bool:
         return self._frozen
 
-    def relabeled(self, nodes: Iterable[Node]) -> "NarrativeGraph":
-        """A frozen, normalized copy of this frozen graph with `nodes` in place of
-        those of their ids; it shares the edge tables, since neither graph can change.
+    def relabeled(self, labels: Mapping[str, str]) -> "NarrativeGraph":
+        """A frozen, normalized copy of this frozen graph with the new labels
+        given by node id; it shares the edge tables, since neither graph can change.
 
-        A replacement may change only the RELABEL_ATTRS of its node, so every
-        other invariant finalize() checked still holds and is not checked again.
+        A relabeled node keeps its id, kind and other attributes, and its old
+        label as surface_label unless it has one. Only labels change, so of
+        what finalize() checked, only the labels are checked again.
         """
         if not self._frozen:
             raise ValueError(f"graph {self.story_id!r} must be finalized before relabeling")
-        out = NarrativeGraph(self.story_id, normalized=True)
-        out._nodes = dict(self._nodes)
-        for node in nodes:
-            old = out._nodes.pop(node.id, None)
+        nodes = dict(self._nodes)
+        for node_id, label in labels.items():
+            old = nodes.get(node_id)
             if old is None:
-                raise UnknownNode(node.id)
-            out.add_node(node)
-            if node.kind is not old.kind or _kept_attrs(node) != _kept_attrs(old):
-                raise SchemaViolation(
-                    f"node {node.id}", f"a relabel may change only {' and '.join(RELABEL_ATTRS)}"
-                )
-            if node.kind in LABELED_KINDS and not node.attrs.get("label"):
-                raise SchemaViolation(f"node {node.id}", f"{node.kind.value} requires a label")
+                raise UnknownNode(node_id)
+            if not isinstance(label, str):
+                raise SchemaViolation(f"node {node_id} attrs", "attributes must be string→string")
+            if not label and old.kind in LABELED_KINDS:
+                raise SchemaViolation(f"node {node_id}", f"{old.kind.value} requires a label")
+            attrs = {**old.attrs, "label": label}
+            attrs.setdefault("surface_label", old.label())
+            nodes[node_id] = Node(node_id, old.kind, attrs)
+        out = NarrativeGraph(self.story_id, normalized=True)
+        out._nodes = nodes
         out._out, out._in = self._out, self._in
         out._frozen = True
         return out
@@ -470,7 +466,7 @@ class NarrativeGraph:
             src, dst = e.get("src"), e.get("dst")
             if not isinstance(src, str) or not isinstance(dst, str):
                 raise SchemaViolation(f"$.edges[{i}]", "src and dst must be strings")
-            graph._link(src, dst, kind)
+            graph.add_edge(src, dst, kind)
         return graph.finalize()
 
 
@@ -485,11 +481,6 @@ def _json_object(attrs: dict[str, str]) -> str:
 
 def _json_list(items: list[str]) -> str:
     return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
-
-
-def _kept_attrs(node: Node) -> dict[str, str]:
-    """The attributes a relabel must leave as they are."""
-    return {k: v for k, v in node.attrs.items() if k not in RELABEL_ATTRS}
 
 
 def _int_attr(node: Node, name: str) -> int:

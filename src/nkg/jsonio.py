@@ -26,7 +26,9 @@ def load_object(raw: bytes | str, what: str) -> dict:
             raise MalformedJson(f"{what} is not valid UTF-8: {exc}") from exc
     try:
         obj = json.loads(raw)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+    # ValueError: not JSON (JSONDecodeError), or an integer with more digits
+    # than sys.get_int_max_str_digits(); RecursionError: nested too deep
+    except (ValueError, RecursionError) as exc:
         raise MalformedJson(f"invalid {what} JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise SchemaViolation("$", f"{what} must be an object")

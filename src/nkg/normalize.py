@@ -28,7 +28,7 @@ import numpy as np
 
 from .annotations import AnnotationDoc
 from .errors import AlreadyNormalized, MissingLabel, ProviderError, SchemaViolation
-from .graph import NarrativeGraph, Node, NodeKind
+from .graph import NarrativeGraph, NodeKind
 from .jsonio import dump_canonical, load_object, require
 from .lexicon import SynonymLexicon, fold_label, is_label, lexical_key
 from .embedding import HashedNgramProvider, cosine, embed_matrix, unit_rows
@@ -140,19 +140,21 @@ def assign_canonical(
 
 class NormalizationMap:
     def __init__(self, clusters, threshold: float, provider_id: str):
-        self.clusters = tuple(
-            sorted(clusters, key=lambda c: (c.pool, c.members))
-        )
+        """A label may appear once per pool; a repeat is named by the JSON path
+        of its cluster's members, counting clusters in the order given, which
+        for a map file is the file's order."""
+        clusters = tuple(clusters)
+        self.clusters = tuple(sorted(clusters, key=lambda c: (c.pool, c.members)))
         self.threshold = threshold
         self.provider_id = provider_id
         self._by_pool: dict[str, dict[str, str]] = {ACTION_POOL: {}, EVENT_POOL: {}}
-        for cluster in self.clusters:
+        for i, cluster in enumerate(clusters):
             table = self._by_pool.setdefault(cluster.pool, {})
             for member in cluster.members:
                 if member in table:
                     raise SchemaViolation(
-                        f"cluster {cluster.canonical!r}",
-                        f"label {member!r} appears in two {cluster.pool} clusters",
+                        f"$.clusters[{i}].members",
+                        f"label {member!r} appears twice in the {cluster.pool} pool",
                     )
                 table[member] = cluster.canonical
         # query-time tables, each built on its first use
@@ -368,12 +370,11 @@ def apply_normalization(graph: NarrativeGraph, norm_map: NormalizationMap) -> Na
     """Relabel action/event/macro-event nodes of a finalized graph to canonicals."""
     if graph.normalized:
         raise AlreadyNormalized(graph.story_id)
-    relabeled = []
-    for pool, kinds in _POOL_KINDS.items():
-        for kind in kinds:
-            for node in graph.nodes(kind):
-                old = node.attrs.get("label", "")
-                attrs = {**node.attrs, "label": norm_map.lookup(old, pool)}
-                attrs.setdefault("surface_label", old)
-                relabeled.append(Node(node.id, kind, attrs))
-    return graph.relabeled(relabeled)
+    return graph.relabeled(
+        {
+            node.id: norm_map.lookup(node.label(), pool)
+            for pool, kinds in _POOL_KINDS.items()
+            for kind in kinds
+            for node in graph.nodes(kind)
+        }
+    )

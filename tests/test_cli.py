@@ -214,6 +214,28 @@ def test_query_rejects_map_with_separator_only_member(tmp_path, battle_files, ca
     assert "members" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "member_lists, reason",
+    [
+        ([["walk", "stroll"], ["run", "stroll"]], "'stroll' appears twice"),
+        ([["walk"], ["run", "jog", "run"]], "'run' appears twice"),
+    ],
+    ids=["two-clusters", "one-cluster"],
+)
+def test_query_names_the_json_path_of_a_repeated_map_label(
+    tmp_path, battle_files, capsys, member_lists, reason
+):
+    _, _, norm = battle_files
+    clusters = [{"pool": "action", "canonical": m[0], "members": m} for m in member_lists]
+    side = {"schema_version": 1, "threshold": 0.75, "provider_id": "x", "clusters": clusters}
+    bad = tmp_path / "bad.map.json"
+    bad.write_text(json.dumps(side))
+    args = ["query", "action", "attack", "--input", str(norm), "--mode", "normalized"]
+    assert main(args + ["--map", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"$.clusters[1].members: label {reason}" in err
+
+
 def set_node_attr(obj, node_id, key, value):
     attrs = next(n for n in obj["nodes"] if n["id"] == node_id)["attrs"]
     if value is None:

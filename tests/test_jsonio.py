@@ -1,9 +1,17 @@
 import json
+import sys
 
 import pytest
 
+from nkg.annotations import parse_annotations
+from nkg.builder import build_all
+from nkg.cli import main
 from nkg.errors import MalformedJson, SchemaViolation
+from nkg.fixtures import generate_fixture
+from nkg.graph import deserialize
 from nkg.jsonio import dump_canonical, load_object, require
+from nkg.lexicon import SynonymLexicon
+from nkg.normalize import NormalizationMap, build_normalization_map
 
 
 NOT_UTF8_JSON = {
@@ -20,6 +28,51 @@ NOT_UTF8_JSON = {
 def test_load_object_rejects_what_is_not_utf8_json(raw):
     with pytest.raises(MalformedJson, match="map"):
         load_object(raw, "map")
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Python's limit on the digits of an integer string, set to 1000 for the
+    test whatever PYTHONINTMAXSTRDIGITS says, then put back."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no limit on integer string digits")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(1000)
+    yield 1000
+    sys.set_int_max_str_digits(before)
+
+
+def with_long_integer(raw: bytes, digits: int) -> bytes:
+    """The JSON object with one more top-level field: an integer of `digits` digits."""
+    return b'{"long": ' + b"7" * digits + b", " + raw.lstrip()[1:]
+
+
+def valid_files():
+    doc = generate_fixture("battle")
+    return {
+        "annotation document": (doc.to_json_bytes(), parse_annotations),
+        "graph": (build_all(doc).to_json_bytes(), deserialize),
+        "normalization map": (
+            build_normalization_map(doc, None, SynonymLexicon.empty()).to_json_bytes(),
+            NormalizationMap.from_json_bytes,
+        ),
+    }
+
+
+@pytest.mark.parametrize("what", ["annotation document", "graph", "normalization map"])
+def test_over_long_integers_are_malformed_json(int_digit_limit, what):
+    raw, read = valid_files()[what]
+    read(with_long_integer(raw, int_digit_limit))  # at the limit: reads
+    with pytest.raises(MalformedJson, match=f"^invalid {what} JSON: ") as info:
+        read(with_long_integer(raw, int_digit_limit + 1))
+    assert info.value.exit_code == 2
+
+
+def test_build_exits_2_on_an_over_long_integer(int_digit_limit, tmp_path, capsys):
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(with_long_integer(generate_fixture("battle").to_json_bytes(), 5000))
+    assert main(["build", "--input", str(doc), "--output", str(tmp_path / "raw.json")]) == 2
+    assert "invalid annotation document JSON" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("raw", ["[]", "null", "5", '"x"'])

@@ -15,7 +15,7 @@ from nkg.embedding import HashedNgramProvider, VectorFileProvider, cosine
 from nkg.errors import AlreadyNormalized, GraphFrozen, MissingLabel, SchemaViolation
 from nkg.evaluation import load_gold_labels
 from nkg.fixtures import generate_fixture
-from nkg.graph import Edge, EdgeKind, NarrativeGraph, Node, NodeKind, deserialize
+from nkg.graph import EdgeKind, NarrativeGraph, Node, NodeKind, deserialize
 from nkg.lexicon import SynonymLexicon
 from nkg.normalize import (
     ACTION_POOL,
@@ -422,6 +422,34 @@ def test_map_round_trip_and_rejects():
         )
 
 
+@pytest.mark.parametrize(
+    "member_lists, reason",
+    [
+        ([["walk", "stroll"], ["run", "stroll"]], "'stroll' appears twice in the action pool"),
+        ([["walk"], ["run", "jog", "run"]], "'run' appears twice in the action pool"),
+    ],
+    ids=["two-clusters", "one-cluster"],
+)
+def test_map_names_the_json_path_of_a_repeated_label(member_lists, reason):
+    with pytest.raises(SchemaViolation, match=reason) as info:
+        NormalizationMap.from_json_bytes(map_with_members(member_lists))
+    assert info.value.path == "$.clusters[1].members"
+
+
+def map_with_members(member_lists):
+    clusters = [{"pool": "action", "canonical": m[0], "members": m} for m in member_lists]
+    return json.dumps(
+        {"schema_version": 1, "threshold": 0.75, "provider_id": "x", "clusters": clusters}
+    )
+
+
+def test_map_allows_one_label_in_each_pool():
+    raw = json.loads(map_with_members([["fight"], ["fight"]]))
+    raw["clusters"][1]["pool"] = "event"
+    norm_map = NormalizationMap.from_json_bytes(json.dumps(raw))
+    assert norm_map.has_label("fight", ACTION_POOL) and norm_map.has_label("fight", EVENT_POOL)
+
+
 @pytest.mark.parametrize("threshold", ["2.5", "-1", "NaN", "Infinity", "true", "\"0.5\""])
 def test_map_threshold_outside_unit_interval_rejected(threshold):
     raw = f'{{"schema_version": 1, "threshold": {threshold}, "provider_id": "x", "clusters": []}}'
@@ -485,7 +513,7 @@ def test_apply_normalization_leaves_the_raw_graph_as_it_was():
     assert normalized.edges() == graph.edges()
     for g in (graph, normalized):
         with pytest.raises(GraphFrozen):
-            g.add_edge(Edge("0_0_0", "1_0_0", EdgeKind.CO_OCCURS_WITH))
+            g.add_edge("0_0_0", "1_0_0", EdgeKind.CO_OCCURS_WITH)
         with pytest.raises(GraphFrozen):
             g.add_node(Node("p:new", NodeKind.PANEL, {}))
     assert graph.to_json_bytes() == before
@@ -500,7 +528,7 @@ def test_apply_normalization_needs_a_finalized_graph():
     with pytest.raises(ValueError, match="must be finalized"):
         apply_normalization(graph, norm_map)
     assert not graph.frozen and graph.to_json_bytes() == before
-    graph.add_edge(Edge("a", "p0", EdgeKind.GROUNDED_IN))  # still open to changes
+    graph.add_edge("a", "p0", EdgeKind.GROUNDED_IN)  # still open to changes
     assert apply_normalization(graph.finalize(), norm_map).node("a").label() == "strike"
 
 

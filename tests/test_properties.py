@@ -35,6 +35,7 @@ from nkg.normalize import (
     NormalizationMap,
     apply_normalization,
     build_normalization_map,
+    collect_label_pools,
     link_similarity,
     provider_from_id,
 )
@@ -161,15 +162,16 @@ def rebuild_normalized(graph, norm_map):
             node = Node(node.id, node.kind, attrs)
         out.add_node(node)
     for edge in graph.edges():
-        out.add_edge(edge)
+        out.add_edge(edge.src, edge.dst, edge.kind)
     return out.finalize()
 
 
-def norm_maps(doc):
-    """An embedding map at the default threshold and a lexical-only one."""
+def norm_maps(source):
+    """An embedding map at the default threshold and a lexical-only one, from
+    a document or a graph."""
     return (
-        build_normalization_map(doc, HASHED, LEXICON, 0.75),
-        build_normalization_map(doc, None, SynonymLexicon.empty(), 1.0),
+        build_normalization_map(source, HASHED, LEXICON, 0.75),
+        build_normalization_map(source, None, SynonymLexicon.empty(), 1.0),
     )
 
 
@@ -195,8 +197,8 @@ def test_relabel_equals_rebuild_on_fixtures():
     assert_relabel_equals_rebuild(generate_fixture("noise", seed=3, variance=0.9))
 
 
-class Replacements:
-    """Stands in for a raw graph to catch the nodes that apply_normalization
+class CaughtLabels:
+    """Stands in for a raw graph to catch the labels that apply_normalization
     hands to relabeled()."""
 
     normalized = False
@@ -204,20 +206,22 @@ class Replacements:
     def __init__(self, graph):
         self.nodes = graph.nodes
 
-    def relabeled(self, nodes):
-        return list(nodes)
+    def relabeled(self, labels):
+        return dict(labels)
 
 
-def finalize_relabeled(graph, nodes):
+def finalize_relabeled(graph, labels):
     """Reference relabel, as it was before it skipped finalize(): copy the
-    frozen graph, add each replacement through add_node, share the edge tables
-    and run the whole finalize() again."""
+    frozen graph, add each relabeled node through add_node, share the edge
+    tables and run the whole finalize() again."""
     out = NarrativeGraph(graph.story_id, normalized=True)
     out._nodes = dict(graph._nodes)
-    for node in nodes:
-        if out._nodes.pop(node.id, None) is None:
-            raise UnknownNode(node.id)
-        out.add_node(node)
+    for node_id, label in labels.items():
+        old = out._nodes.pop(node_id, None)
+        if old is None:
+            raise UnknownNode(node_id)
+        attrs = {"surface_label": old.label(), **old.attrs, "label": label}
+        out.add_node(Node(node_id, old.kind, attrs))
     out._out, out._in = graph._out, graph._in
     return out.finalize()
 
@@ -225,9 +229,9 @@ def finalize_relabeled(graph, nodes):
 def assert_relabeled_equals_finalize_oracle(doc):
     raw = build_all(doc)
     for norm_map in norm_maps(doc):
-        nodes = apply_normalization(Replacements(raw), norm_map)
-        want = finalize_relabeled(raw, nodes)
-        got = raw.relabeled(nodes)
+        labels = apply_normalization(CaughtLabels(raw), norm_map)
+        want = finalize_relabeled(raw, labels)
+        got = raw.relabeled(labels)
         assert got == want == apply_normalization(raw, norm_map)
         assert got.to_json_bytes() == want.to_json_bytes()
         assert got.frozen and got.normalized
@@ -239,13 +243,35 @@ def test_relabeled_equals_finalize_oracle(doc):
     assert_relabeled_equals_finalize_oracle(doc)
 
 
-@pytest.mark.parametrize(
-    "kind, seed, variance",
-    [("battle", 0, 0.0), ("romance", 0, 0.0)]
-    + [("noise", seed, variance) for seed in range(4) for variance in (0.0, 0.6)],
-)
+# the packaged stories and noise documents with and without label variance
+FIXTURE_CASES = [("battle", 0, 0.0), ("romance", 0, 0.0)] + [
+    ("noise", seed, variance) for seed in range(4) for variance in (0.0, 0.6)
+]
+
+
+@pytest.mark.parametrize("kind, seed, variance", FIXTURE_CASES)
 def test_relabeled_equals_finalize_oracle_on_fixtures(kind, seed, variance):
     assert_relabeled_equals_finalize_oracle(generate_fixture(kind, seed=seed, variance=variance))
+
+
+def assert_pool_sources_agree(doc):
+    """collect_label_pools reads a document or its graph: both must give the
+    same pools, and so the same map bytes."""
+    graph = build_all(doc)
+    assert collect_label_pools(doc) == collect_label_pools(graph)
+    for from_doc, from_graph in zip(norm_maps(doc), norm_maps(graph)):
+        assert from_doc.to_json_bytes() == from_graph.to_json_bytes()
+
+
+@PROPERTY_SETTINGS
+@given(documents())
+def test_pool_sources_agree(doc):
+    assert_pool_sources_agree(doc)
+
+
+@pytest.mark.parametrize("kind, seed, variance", FIXTURE_CASES)
+def test_pool_sources_agree_on_fixtures(kind, seed, variance):
+    assert_pool_sources_agree(generate_fixture(kind, seed=seed, variance=variance))
 
 
 def chain_walk(graph, edge_kind, scope):

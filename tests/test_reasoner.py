@@ -551,7 +551,7 @@ def test_queries_on_an_unfrozen_graph_cache_nothing(memo_builds):
     for node in frozen.nodes():
         graph.add_node(node)
     for edge in frozen.edges():
-        graph.add_edge(edge)
+        graph.add_edge(edge.src, edge.dst, edge.kind)
     want = retrieve_actions(frozen, "fight", "raw")
     memo_builds.clear()
     assert retrieve_actions(graph, "fight", "raw") == want
