@@ -8,6 +8,13 @@ dataclasses below are the wire format: a document's keys are their field
 names, a field with a default may be missing or null, and every other field
 is required.
 
+The records are slotted frozen dataclasses: a parse makes one per object
+of the document, and a slotted one costs less to build and to keep.
+parse_annotations reads each field with one lookup and one type test, spells
+out a JSON path only on the way to raising, and runs with the cyclic
+collector paused (graph.collector_paused), since what it allocates stays
+alive to the end of the call.
+
 Panel ids are position-derived ("m_e_p" for the p-th panel of the e-th event
 of the m-th macro-event). reading_order and storytime_order are explicit
 integers so that flashback structures (storytime != reading) stay
@@ -16,10 +23,11 @@ representable.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Any, Iterator, get_args, get_origin, get_type_hints
 
 from .errors import DanglingReference, DuplicateId, NkgError, SchemaViolation
+from .graph import collector_paused
 from .jsonio import dump_canonical, load_object, require
 from .lexicon import is_label
 
@@ -31,20 +39,20 @@ def entity_node_id(entity_id: str) -> str:
     return f"entity:{entity_id}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CharacterAnn:
     instance_id: str
     entity_id: str  # story-level identity shared across panels
     name: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectAnn:
     instance_id: str
     label: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActionAnn:
     instance_id: str
     label: str  # free-text surface form, normalized later
@@ -52,14 +60,14 @@ class ActionAnn:
     target: str | None = None  # character or object instance_id in the same panel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DialogueAnn:
     instance_id: str
     text: str
     speaker: str | None = None  # character instance_id in the same panel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PanelAnn:
     id: str
     reading_order: int
@@ -71,21 +79,21 @@ class PanelAnn:
     captions: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventAnn:
     id: str
     label: str
     panels: tuple[PanelAnn, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MacroEventAnn:
     id: str
     label: str
     events: tuple[EventAnn, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnotationDoc:
     story_id: str
     macro_events: tuple[MacroEventAnn, ...]
@@ -106,7 +114,7 @@ class AnnotationDoc:
         return dump_canonical(asdict(self))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     """One invariant violation found by validate_annotations."""
 
@@ -148,24 +156,44 @@ _WIRE = {
 }
 
 
-def _read(cls: type, obj: Any, path: str) -> Any:
-    """The `cls` that the JSON object `obj` at `path` holds, nested tiers
-    included; a missing or null field with a default reads as the default."""
+def _path(where: tuple | None) -> str:
+    """The JSON path of a location: None is the document, and
+    (parent, key, i) is item i of the list `key` of the object at parent."""
+    steps = []
+    while where is not None:
+        where, key, i = where
+        steps.append(f".{key}[{i}]")
+    return "$" + "".join(reversed(steps))
+
+
+def _read(cls: type, obj: Any, where: tuple | None) -> Any:
+    """The `cls` that the JSON object `obj` at `where` holds, nested tiers
+    included; a missing or null field with a default reads as the default.
+
+    A valid field costs one lookup and one type test. require() runs only
+    for a wrong type or a missing required field, and a path is spelled out
+    only on the way to raising."""
     if not isinstance(obj, dict):
-        raise SchemaViolation(path, "expected object")
+        raise SchemaViolation(_path(where), "expected object")
     values = []
     for key, kind, item, default in _WIRE[cls]:
-        value = require(obj, key, kind, path, default)
+        value = obj.get(key)
+        if type(value) is not kind:
+            if value is None and default is not MISSING:
+                value = default
+            else:
+                value = require(obj, key, kind, _path(where), default)
         if item is str:
             if not all(isinstance(v, str) for v in value):
-                raise SchemaViolation(f"{path}.{key}", "expected list of strings")
+                raise SchemaViolation(f"{_path(where)}.{key}", "expected list of strings")
             value = tuple(value)
         elif item is not None:
-            value = tuple(_read(item, v, f"{path}.{key}[{i}]") for i, v in enumerate(value))
+            value = tuple([_read(item, v, (where, key, i)) for i, v in enumerate(value)])
         values.append(value)
     return cls(*values)
 
 
+@collector_paused()
 def parse_annotations(raw_bytes: bytes | str) -> AnnotationDoc:
     """Parse and validate an annotation document from UTF-8 JSON.
 
@@ -179,7 +207,7 @@ def parse_annotations(raw_bytes: bytes | str) -> AnnotationDoc:
         raise SchemaViolation(
             "$.schema_version", f"unsupported version {version}, expected {SCHEMA_VERSION}"
         )
-    doc = _read(AnnotationDoc, obj, "$")
+    doc = _read(AnnotationDoc, obj, None)
     violations = validate_annotations(doc)
     if violations:
         raise violations[0].error or SchemaViolation(violations[0].path, violations[0].message)
@@ -208,89 +236,96 @@ def validate_annotations(doc: AnnotationDoc) -> list[Violation]:
     # panel id by order value, for each of the two panel orders
     orders_seen: dict[str, dict[int, str]] = {"reading_order": {}, "storytime_order": {}}
 
+    # each item's location is a (parent, key, index) tuple, spelled out by
+    # _path only for a violation
     for mi, macro in enumerate(doc.macro_events):
-        mpath = f"$.macro_events[{mi}]"
-        _claim(ids, macro.id, mpath, out)
-        _check_label(macro.label, mpath, out)
+        mwhere = (None, "macro_events", mi)
+        _claim(ids, macro.id, mwhere, out)
+        _check_label(macro.label, mwhere, out)
         if not macro.events:
-            out.append(Violation(mpath, "macro-event must contain at least one event"))
+            out.append(Violation(_path(mwhere), "macro-event must contain at least one event"))
         for ei, event in enumerate(macro.events):
-            epath = f"{mpath}.events[{ei}]"
-            _claim(ids, event.id, epath, out)
-            _check_label(event.label, epath, out)
+            ewhere = (mwhere, "events", ei)
+            _claim(ids, event.id, ewhere, out)
+            _check_label(event.label, ewhere, out)
             if not event.panels:
-                out.append(Violation(epath, "event must contain at least one panel"))
+                out.append(Violation(_path(ewhere), "event must contain at least one panel"))
             for pi, panel in enumerate(event.panels):
-                ppath = f"{epath}.panels[{pi}]"
+                pwhere = (ewhere, "panels", pi)
                 expected = f"{mi}_{ei}_{pi}"
                 if panel.id != expected:
                     out.append(
                         Violation(
-                            ppath,
+                            _path(pwhere),
                             f"panel id {panel.id!r} does not match position-derived id {expected!r}",
                         )
                     )
-                _claim(ids, panel.id, ppath, out)
+                _claim(ids, panel.id, pwhere, out)
                 duplicates = []  # reported after the sign of both orders
                 for key, seen in orders_seen.items():
                     order = getattr(panel, key)
                     if order < 0:
-                        out.append(Violation(ppath, f"{key} must be non-negative"))
+                        out.append(Violation(_path(pwhere), f"{key} must be non-negative"))
                     if order in seen:
                         message = f"duplicate {key} {order} on panels {seen[order]} and {panel.id}"
-                        duplicates.append(Violation(ppath, message))
+                        duplicates.append(Violation(_path(pwhere), message))
                     else:
                         seen[order] = panel.id
                 out.extend(duplicates)
-                out.extend(_validate_panel_content(panel, ppath, ids))
+                out.extend(_validate_panel_content(panel, pwhere, ids))
 
     return out
 
 
-def _claim(ids: set[str], node_id: str, path: str, out: list[Violation]) -> None:
+def _claim(ids: set[str], node_id: str, where: tuple, out: list[Violation]) -> None:
     if node_id in ids:
-        out.append(Violation(path, f"duplicate id: {node_id}", DuplicateId(node_id)))
+        out.append(Violation(_path(where), f"duplicate id: {node_id}", DuplicateId(node_id)))
     ids.add(node_id)
 
 
-def _dangling(ref: str, path: str) -> Violation:
+def _dangling(ref: str, where: tuple) -> Violation:
+    path = _path(where)
     return Violation(path, f"dangling reference: {ref}", DanglingReference(ref, path))
 
 
-def _check_label(label: str, path: str, out: list[Violation]) -> None:
+def _check_label(label: str, where: tuple, out: list[Violation]) -> None:
     if not is_label(label):
-        out.append(Violation(path, "label must not be blank"))
+        out.append(Violation(_path(where), "label must not be blank"))
 
 
-def _validate_panel_content(panel: PanelAnn, ppath: str, ids: set[str]) -> list[Violation]:
+def _validate_panel_content(panel: PanelAnn, pwhere: tuple, ids: set[str]) -> list[Violation]:
     out: list[Violation] = []
     local_characters: set[str] = set()
     local_objects: set[str] = set()
 
     for i, c in enumerate(panel.characters):
-        cpath = f"{ppath}.characters[{i}]"
-        _claim(ids, c.instance_id, cpath, out)
+        where = (pwhere, "characters", i)
+        _claim(ids, c.instance_id, where, out)
         local_characters.add(c.instance_id)
         if not c.entity_id:
-            out.append(Violation(cpath, "entity_id must be nonempty"))
+            out.append(Violation(_path(where), "entity_id must be nonempty"))
     for i, o in enumerate(panel.objects):
-        opath = f"{ppath}.objects[{i}]"
-        _claim(ids, o.instance_id, opath, out)
+        where = (pwhere, "objects", i)
+        _claim(ids, o.instance_id, where, out)
         local_objects.add(o.instance_id)
-        _check_label(o.label, opath, out)
+        _check_label(o.label, where, out)
     for i, a in enumerate(panel.actions):
-        apath = f"{ppath}.actions[{i}]"
-        _claim(ids, a.instance_id, apath, out)
-        _check_label(a.label, apath, out)
+        where = (pwhere, "actions", i)
+        _claim(ids, a.instance_id, where, out)
+        _check_label(a.label, where, out)
         if a.agent is not None and a.agent not in local_characters:
-            out.append(_dangling(a.agent, apath))
-        if a.target is not None and a.target not in (local_characters | local_objects):
-            out.append(_dangling(a.target, apath))
+            out.append(_dangling(a.agent, where))
+        if (
+            a.target is not None
+            and a.target not in local_characters
+            and a.target not in local_objects
+        ):
+            out.append(_dangling(a.target, where))
     for i, d in enumerate(panel.dialogues):
-        dpath = f"{ppath}.dialogues[{i}]"
-        _claim(ids, d.instance_id, dpath, out)
+        where = (pwhere, "dialogues", i)
+        _claim(ids, d.instance_id, where, out)
         if not d.text:
-            out.append(Violation(dpath, "text must be nonempty"))
+            out.append(Violation(_path(where), "text must be nonempty"))
         if d.speaker is not None and d.speaker not in local_characters:
-            out.append(_dangling(d.speaker, dpath))
+            out.append(_dangling(d.speaker, where))
     return out

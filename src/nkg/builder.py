@@ -34,57 +34,76 @@ from operator import attrgetter
 from .annotations import AnnotationDoc, PanelAnn, entity_node_id
 from .graph import PANEL_ORDERS, EdgeKind, NarrativeGraph, Node, NodeKind, collector_paused
 
+# The kinds as module globals: the loops below read one or two per item, and
+# on Python 3.10 and 3.11 a NodeKind.X read costs about 15 times a global read.
+_PANEL = NodeKind.PANEL
+_CHARACTER = NodeKind.CHARACTER
+_CHARACTER_INSTANCE = NodeKind.CHARACTER_INSTANCE
+_OBJECT = NodeKind.OBJECT
+_ACTION = NodeKind.ACTION
+_DIALOGUE = NodeKind.DIALOGUE
+_EVENT = NodeKind.EVENT
+_MACRO_EVENT = NodeKind.MACRO_EVENT
+_REFERS_TO = EdgeKind.REFERS_TO
+_CO_OCCURS_WITH = EdgeKind.CO_OCCURS_WITH
+_HAS_AGENT = EdgeKind.HAS_AGENT
+_ACTS_ON = EdgeKind.ACTS_ON
+_GROUNDED_IN = EdgeKind.GROUNDED_IN
+_SUBEVENT_OF = EdgeKind.SUBEVENT_OF
+_INSTANTIATES = EdgeKind.INSTANTIATES
+_PRECEDES = EdgeKind.PRECEDES
+
 
 def _add_panel_content(g: NarrativeGraph, panel: PanelAnn, entities_seen: set[str]) -> None:
     # PanelAnn fields carry the names of the graph's order attributes
     attrs = {attr: str(getattr(panel, attr)) for attr, _ in PANEL_ORDERS.values()}
     if panel.captions:
         attrs["captions"] = json.dumps(list(panel.captions), ensure_ascii=False)
-    g.add_node(Node(panel.id, NodeKind.PANEL, attrs))
+    g.add_node(Node(panel.id, _PANEL, attrs))
     for char in panel.characters:
         if char.entity_id not in entities_seen:
             entities_seen.add(char.entity_id)
             attrs = {"entity_id": char.entity_id}
             if char.name:
                 attrs["name"] = char.name
-            g.add_node(Node(entity_node_id(char.entity_id), NodeKind.CHARACTER, attrs))
+            g.add_node(Node(entity_node_id(char.entity_id), _CHARACTER, attrs))
         attrs = {"panel": panel.id}
         if char.name:
             attrs["name"] = char.name
-        g.add_node(Node(char.instance_id, NodeKind.CHARACTER_INSTANCE, attrs))
-        g.add_edge(char.instance_id, entity_node_id(char.entity_id), EdgeKind.REFERS_TO)
+        g.add_node(Node(char.instance_id, _CHARACTER_INSTANCE, attrs))
+        g.add_edge(char.instance_id, entity_node_id(char.entity_id), _REFERS_TO)
     for a, b in itertools.combinations(sorted(c.instance_id for c in panel.characters), 2):
-        g.add_edge(a, b, EdgeKind.CO_OCCURS_WITH)
+        g.add_edge(a, b, _CO_OCCURS_WITH)
     for obj in panel.objects:
-        g.add_node(Node(obj.instance_id, NodeKind.OBJECT, {"label": obj.label, "panel": panel.id}))
+        g.add_node(Node(obj.instance_id, _OBJECT, {"label": obj.label, "panel": panel.id}))
     for action in panel.actions:
         g.add_node(
-            Node(action.instance_id, NodeKind.ACTION, {"label": action.label, "panel": panel.id})
+            Node(action.instance_id, _ACTION, {"label": action.label, "panel": panel.id})
         )
         if action.agent is not None:
-            g.add_edge(action.instance_id, action.agent, EdgeKind.HAS_AGENT)
+            g.add_edge(action.instance_id, action.agent, _HAS_AGENT)
         if action.target is not None:
-            g.add_edge(action.instance_id, action.target, EdgeKind.ACTS_ON)
+            g.add_edge(action.instance_id, action.target, _ACTS_ON)
     for k, dlg in enumerate(panel.dialogues):
         attrs = {"text": dlg.text, "panel": panel.id, "order": str(k)}
         if dlg.speaker is not None:
             attrs["speaker"] = dlg.speaker
-        g.add_node(Node(dlg.instance_id, NodeKind.DIALOGUE, attrs))
-        g.add_edge(dlg.instance_id, panel.id, EdgeKind.GROUNDED_IN)
+        g.add_node(Node(dlg.instance_id, _DIALOGUE, attrs))
+        g.add_edge(dlg.instance_id, panel.id, _GROUNDED_IN)
 
 
 def _add_event_hierarchy(g: NarrativeGraph, doc: AnnotationDoc) -> None:
     for macro in doc.macro_events:
-        g.add_node(Node(macro.id, NodeKind.MACRO_EVENT, {"label": macro.label}))
+        g.add_node(Node(macro.id, _MACRO_EVENT, {"label": macro.label}))
         for event in macro.events:
-            g.add_node(Node(event.id, NodeKind.EVENT, {"label": event.label}))
-            g.add_edge(event.id, macro.id, EdgeKind.SUBEVENT_OF)
+            g.add_node(Node(event.id, _EVENT, {"label": event.label}))
+            g.add_edge(event.id, macro.id, _SUBEVENT_OF)
             for panel in event.panels:
-                g.add_edge(panel.id, event.id, EdgeKind.INSTANTIATES)
+                g.add_edge(panel.id, event.id, _INSTANTIATES)
         for a, b in zip(macro.events, macro.events[1:]):
-            g.add_edge(a.id, b.id, EdgeKind.PRECEDES)
+            g.add_edge(a.id, b.id, _PRECEDES)
     for a, b in zip(doc.macro_events, doc.macro_events[1:]):
-        g.add_edge(a.id, b.id, EdgeKind.PRECEDES)
+        g.add_edge(a.id, b.id, _PRECEDES)
 
 
 @collector_paused()

@@ -102,9 +102,17 @@ def _normalized(values, dim: int, context: str) -> np.ndarray:
         raise DimensionMismatch(f"{context}: {exc}") from exc
     if vec.shape != (dim,):
         raise DimensionMismatch(f"{context}: expected {dim} values, got shape {vec.shape}")
+    if any(type(v) is bool for v in values):  # a boolean is no number, as in require()
+        raise DimensionMismatch(f"{context}: values must be numbers, got a boolean")
     if not np.isfinite(vec).all():  # a null reads as nan, which would never link
         raise DimensionMismatch(f"{context}: values must be finite numbers")
-    norm = np.linalg.norm(vec)
+    with np.errstate(over="ignore"):  # an overflowing norm reads as inf
+        norm = np.linalg.norm(vec)
+    if (norm == 0 or norm == np.inf) and vec.any():
+        # the norm of finite entries overflowed or underflowed: scaling by the
+        # largest entry first keeps the direction; every other vector keeps its bits
+        vec = vec / np.abs(vec).max()
+        norm = np.linalg.norm(vec)
     return vec / norm if norm > 0 else vec
 
 

@@ -3,9 +3,14 @@
 Each node kind belongs to one of three layers (panel content, temporal
 sequence, event hierarchy); nodes carry string attributes and edges are
 (src, dst, kind) triples, each stored once, in the adjacency tables _out and
-_in; edges(), edge_count(), equality and the writer derive from them.
+_in; edges(), edge_count(), equality and the writer derive from them. Node
+and Edge are slotted frozen dataclasses: a graph holds a Node per node, and
+edges() makes an Edge per edge.
 The four order-bearing edge kinds must stay acyclic, and subevent_of must
-stay a forest; both are enforced on every add_edge. finalize() checks each
+stay a forest; both are enforced on every add_edge. An edge closes a cycle
+exactly when dst reaches src, and a dst with no out-edge of its kind, or a
+src with no in-edge, leaves src == dst as the only way; so add_edge searches
+only when both ends already have edges of the kind. finalize() checks each
 panel order attribute against its chain and every attribute the reasoning
 tasks read; after it the graph is immutable and safe to share. A frozen
 graph keeps its read-only views (nodes and edges in order, the reasoner's
@@ -14,9 +19,9 @@ relabeled() takes new labels by node id and swaps them in on a copy of a
 frozen graph; it can change no attribute but label and surface_label, and
 no kind or edge, so of what finalize() checked only the labels are checked.
 
-The reader, like build_all, runs with Python's cyclic collector paused
-(collector_paused): what it allocates stays alive to the end of the call, so
-the passes its allocations trigger would free nothing.
+The reader, like build_all and parse_annotations, runs with Python's cyclic
+collector paused (collector_paused): what it allocates stays alive to the
+end of the call, so the passes its allocations trigger would free nothing.
 
 Serialization is canonical: nodes sorted by id, edges by (src, dst, kind),
 keys sorted. Equal graphs produce identical bytes regardless of how they
@@ -107,6 +112,16 @@ class Layer(Enum):
     EVENT = "event"
 
 
+# The members that the per-node and per-edge loops test against, as module
+# globals: on Python 3.10 and 3.11 every NodeKind.X read runs through
+# EnumType's attribute hook and costs about 15 times a global read.
+_PANEL = NodeKind.PANEL
+_CHARACTER = NodeKind.CHARACTER
+_CHARACTER_INSTANCE = NodeKind.CHARACTER_INSTANCE
+_ACTION = NodeKind.ACTION
+_DIALOGUE = NodeKind.DIALOGUE
+_SUBEVENT_OF = EdgeKind.SUBEVENT_OF
+
 # value -> member, for the reader: a dict lookup costs less than an Enum call
 _NODE_KINDS = {kind.value: kind for kind in NodeKind}
 _EDGE_KINDS = {kind.value: kind for kind in EdgeKind}
@@ -153,7 +168,7 @@ EDGE_ENDPOINTS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     id: str
     kind: NodeKind
@@ -167,7 +182,7 @@ class Node:
         return self.attrs.get("label", "")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     src: str
     dst: str
@@ -191,12 +206,9 @@ class NarrativeGraph:
 
     # --- mutation ------------------------------------------------------
 
-    def _check_mutable(self) -> None:
+    def add_node(self, node: Node) -> None:
         if self._frozen:
             raise GraphFrozen()
-
-    def add_node(self, node: Node) -> None:
-        self._check_mutable()
         if node.id in self._nodes:
             raise DuplicateNode(node.id)
         for k, v in node.attrs.items():
@@ -205,22 +217,28 @@ class NarrativeGraph:
         self._nodes[node.id] = node
 
     def add_edge(self, src: str, dst: str, kind: EdgeKind) -> None:
-        self._check_mutable()
+        if self._frozen:
+            raise GraphFrozen()
         if src not in self._nodes or dst not in self._nodes:
             raise UnknownEndpoint(src if src not in self._nodes else dst)
         out = self._out[kind]
         if dst in out.get(src, ()):
             raise DuplicateEdge(str((src, dst, kind._value_)))
-        if kind is EdgeKind.SUBEVENT_OF and out.get(src):
+        if kind is _SUBEVENT_OF and out.get(src):
             raise ForestViolation(src)
-        if kind in ACYCLIC_KINDS and self._reaches(kind, dst, src):
+        into = self._in[kind]
+        # the edge closes a cycle iff dst reaches src; a dst with no out-edge
+        # of this kind reaches only itself, and only src reaches a src with no
+        # in-edge, so without both the answer is src == dst and no search runs
+        if kind in ACYCLIC_KINDS and (
+            src == dst or (dst in out and src in into and self._reaches(kind, dst, src))
+        ):
             raise CycleIntroduced(kind.value, f"{src} -> {dst}")
         out.setdefault(src, set()).add(dst)
-        self._in[kind].setdefault(dst, set()).add(src)
+        into.setdefault(dst, set()).add(src)
 
     def _reaches(self, kind: EdgeKind, start: str, goal: str) -> bool:
-        if start == goal:
-            return True
+        """Whether a path of one or more `kind` edges leads from start to goal."""
         adjacency = self._out[kind]
         queue, seen = deque([start]), {start}
         while queue:
@@ -246,30 +264,30 @@ class NarrativeGraph:
         for node in nodes.values():
             kind, attrs = node.kind, node.attrs
             problem = None
-            if kind is NodeKind.PANEL:
+            if kind is _PANEL:
                 panels.append(node)
-            elif kind is NodeKind.CHARACTER_INSTANCE:
+            elif kind is _CHARACTER_INSTANCE:
                 refs = refers_to.get(node.id, ())
                 if len(refs) != 1:
                     problem = (
                         "character instance must have exactly one refers_to edge, "
                         f"has {len(refs)}"
                     )
-            elif kind is NodeKind.DIALOGUE:
+            elif kind is _DIALOGUE:
                 _int_attr(node, "order")
                 speaker = attrs.get("speaker")
                 if "text" not in attrs:
                     problem = "dialogue requires a text"
-                elif speaker and not names(speaker, NodeKind.CHARACTER_INSTANCE):
+                elif speaker and not names(speaker, _CHARACTER_INSTANCE):
                     problem = f"speaker {speaker!r} names no character instance"
-            elif kind is NodeKind.CHARACTER:
+            elif kind is _CHARACTER:
                 if not attrs.get("entity_id"):
                     problem = "character requires an entity_id"
             elif kind in LABELED_KINDS and not attrs.get("label"):
                 problem = f"{kind.value} requires a label"
             if problem is None and (
-                kind is NodeKind.ACTION or kind is NodeKind.CHARACTER_INSTANCE
-            ) and not names(attrs.get("panel"), NodeKind.PANEL):
+                kind is _ACTION or kind is _CHARACTER_INSTANCE
+            ) and not names(attrs.get("panel"), _PANEL):
                 problem = f"panel {attrs.get('panel')!r} names no panel"
             if problem is not None:
                 raise SchemaViolation(f"node {node.id}", problem)

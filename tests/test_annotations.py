@@ -1,9 +1,13 @@
+import gc
 import json
 import random
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, asdict, fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nkg import annotations
 from nkg.annotations import (
     ActionAnn,
     AnnotationDoc,
@@ -14,10 +18,14 @@ from nkg.annotations import (
     ObjectAnn,
     PanelAnn,
     Violation,
+    _read,
+    _WIRE,
     parse_annotations,
     validate_annotations,
 )
 from nkg.errors import DanglingReference, DuplicateId, MalformedJson, SchemaViolation
+from nkg.fixtures import generate_fixture
+from nkg.jsonio import require
 
 
 def make_panel(m, e, p, order, **overrides):
@@ -509,3 +517,203 @@ def test_missing_field_of_every_tier_reads_as_its_default(cls, field):
         assert exc.value.path == json_path(WIRE_STEPS[cls], field.name)
     else:
         assert getattr(at(parse_annotations(raw), WIRE_STEPS[cls]), field.name) == field.default
+
+
+def eager_read(cls, obj, path):
+    """The annotation reader as it was before lazy paths: require() on every
+    field, and each nested item's path spelled out before it is read. The
+    oracle for annotations._read."""
+    if not isinstance(obj, dict):
+        raise SchemaViolation(path, "expected object")
+    values = []
+    for key, kind, item, default in _WIRE[cls]:
+        value = require(obj, key, kind, path, default)
+        if item is str:
+            if not all(isinstance(v, str) for v in value):
+                raise SchemaViolation(f"{path}.{key}", "expected list of strings")
+            value = tuple(value)
+        elif item is not None:
+            value = tuple(eager_read(item, v, f"{path}.{key}[{i}]") for i, v in enumerate(value))
+        values.append(value)
+    return cls(*values)
+
+
+def read_outcome(read, obj, where):
+    """What a reader returns for the document `obj`, or the class, path and
+    message of what it raises."""
+    try:
+        return read(AnnotationDoc, obj, where)
+    except SchemaViolation as exc:
+        return type(exc), exc.path, str(exc)
+
+
+def assert_readers_agree(obj):
+    assert read_outcome(_read, obj, None) == read_outcome(eager_read, obj, "$")
+
+
+def wire_objects(node, cls=AnnotationDoc):
+    """(object, class) of every annotation object in a JSON document, nested
+    tiers included; a part that is no list of objects is not entered."""
+    yield node, cls
+    for key, _, item, _ in _WIRE[cls]:
+        children = node.get(key)
+        if item is not None and item is not str and isinstance(children, list):
+            for child in children:
+                if isinstance(child, dict):
+                    yield from wire_objects(child, item)
+
+
+# a value of each JSON type, and lists that hold a wrong item
+WRONG_VALUES = [{}, [], "x", "", 0, 7, -1, 1.5, True, False, [None], [7], ["x"], [{}], [[]]]
+FAULT_DOCS = {"mini": make_doc, "battle": lambda: generate_fixture("battle")}
+
+
+@pytest.mark.parametrize("name", sorted(FAULT_DOCS))
+def test_reader_matches_the_eager_oracle_on_single_field_faults(name):
+    obj = json.loads(FAULT_DOCS[name]().to_json_bytes())
+    by_class = {}
+    for node, cls in wire_objects(obj):
+        by_class.setdefault(cls, []).append(node)
+    assert set(by_class) == set(_WIRE)
+    faults = 0
+    # the first and the last object of each class: every tier, first and later items
+    for cls, nodes in by_class.items():
+        for node in nodes[:1] + nodes[1:][-1:]:
+            for key in [f.name for f in fields(cls)]:
+                original = node.pop(key)
+                assert_readers_agree(obj)  # the field deleted
+                for value in [None] + WRONG_VALUES:
+                    node[key] = value
+                    assert_readers_agree(obj)
+                    faults += 1
+                node[key] = original
+    assert faults > 400 and read_outcome(_read, obj, None) == FAULT_DOCS[name]()
+
+
+def test_reader_matches_the_eager_oracle_on_a_non_object_item():
+    obj = json.loads(make_doc().to_json_bytes())
+    for node, cls in list(wire_objects(obj)):
+        for key, _, item, _ in _WIRE[cls]:
+            if item is not None and item is not str:
+                for i, child in enumerate(node[key]):
+                    for value in [None, 5, "x", [], [child]]:
+                        node[key][i] = value
+                        assert_readers_agree(obj)
+                    node[key][i] = child
+    assert_readers_agree([])
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_reader_matches_the_eager_oracle_on_random_faults(data):
+    obj = json.loads(make_doc().to_json_bytes())
+    for _ in range(data.draw(st.integers(1, 3))):
+        node, cls = data.draw(st.sampled_from(list(wire_objects(obj))))
+        key = data.draw(st.sampled_from([f.name for f in fields(cls)]))
+        if data.draw(st.booleans()):
+            node.pop(key, None)
+        else:
+            node[key] = data.draw(json_values)
+        assert_readers_agree(obj)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_parse_annotations_pauses_and_restores_the_collector(enabled, monkeypatch):
+    during = []
+
+    def validate(doc):
+        during.append(gc.isenabled())
+        return validate_annotations(doc)
+
+    monkeypatch.setattr(annotations, "validate_annotations", validate)
+    raw = make_doc().to_json_bytes()
+    try:
+        if not enabled:
+            gc.disable()
+        assert parse_annotations(raw) == make_doc()
+        assert gc.isenabled() is enabled
+        with pytest.raises(SchemaViolation):
+            parse_annotations(raw.replace(b'"Departure"', b"7"))
+        assert gc.isenabled() is enabled
+        with pytest.raises(DuplicateId):  # raised after the reader, by validation
+            parse_annotations(raw.replace(b'"e1"', b'"e0"'))
+        assert gc.isenabled() is enabled
+        assert during == [False, False]
+    finally:
+        gc.enable()
+
+
+def test_records_are_slotted_and_keep_their_dataclass_behaviour():
+    doc = generate_fixture("battle")
+    _, event, panel = next(doc.iter_panels())
+    records = [doc, doc.macro_events[0], event, panel, *panel.characters, *panel.actions,
+               *panel.dialogues, ObjectAnn("o", "rock"), Violation("$", "bad")]
+    assert {type(r) for r in records} >= set(_WIRE) - {ObjectAnn} | {Violation}
+    for record in records:
+        assert not hasattr(record, "__dict__")
+        assert replace(record) == record and hash(replace(record)) == hash(record)
+        assert asdict(record) == asdict(replace(record))
+    assert parse_annotations(doc.to_json_bytes()) == doc
+
+
+def json_locations(node, cls=AnnotationDoc, path="$"):
+    """(JSON path, object, class) of every annotation object below the
+    document, spelled out eagerly, in document order."""
+    for key, _, item, _ in _WIRE[cls]:
+        if item is not None and item is not str:
+            for i, child in enumerate(node[key]):
+                yield f"{path}.{key}[{i}]", child, item
+                yield from json_locations(child, item, f"{path}.{key}[{i}]")
+
+
+CONTENT = (CharacterAnn, ObjectAnn, ActionAnn, DialogueAnn)
+
+
+def no_references(obj):
+    for _, node, _ in json_locations(obj):
+        for key in ("agent", "target", "speaker"):
+            if key in node:
+                node[key] = None
+
+
+def blank_every_label(obj):
+    for _, node, _ in json_locations(obj):
+        if "label" in node:
+            node["label"] = "_"
+    return [(path, "label must not be blank") for path, node, _ in json_locations(obj)
+            if "label" in node]
+
+
+def one_instance_id(obj):
+    no_references(obj)
+    content = [(path, node) for path, node, cls in json_locations(obj) if cls in CONTENT]
+    for _, node in content:
+        node["instance_id"] = "dup"
+    return [(path, "duplicate id: dup") for path, _ in content[1:]]
+
+
+def dangling_references(obj):
+    expected = []
+    for path, node, _ in json_locations(obj):
+        for key in ("agent", "target", "speaker"):
+            if key in node:
+                node[key] = "ghost"
+                expected.append((path, "dangling reference: ghost"))
+    return expected
+
+
+@pytest.mark.parametrize("fault", [blank_every_label, one_instance_id, dangling_references])
+def test_every_violation_names_the_path_of_its_object(fault):
+    obj = json.loads(generate_fixture("battle").to_json_bytes())
+    expected = fault(obj)
+    doc = _read(AnnotationDoc, obj, None)
+    found = [(v.path, v.message) for v in validate_annotations(doc)]
+    assert len(expected) > 10 and sorted(found) == sorted(expected)

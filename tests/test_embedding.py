@@ -96,6 +96,29 @@ def test_vector_file_rejects_values_that_are_not_finite_numbers(values):
         parse_vector_file(f'{{"dim": 2, "vectors": {{"a": {values}}}}}'.encode())
 
 
+@pytest.mark.parametrize("values", ["[true, false]", "[1.5, true]", "[false, 0]"])
+def test_vector_file_rejects_booleans(values):
+    with pytest.raises(DimensionMismatch, match="vector for 'a': .*boolean") as exc:
+        parse_vector_file(f'{{"dim": 2, "vectors": {{"a": {values}}}}}'.encode())
+    assert exc.value.exit_code == 4
+
+
+# finite vectors whose norm overflows to inf or underflows to 0
+@pytest.mark.parametrize("values", [[1e200, 1e200], [1e-200, 1e-200], [-1.7e308, 1.7e308]])
+def test_vector_file_keeps_the_direction_of_extreme_vectors(values):
+    provider = parse_vector_file(json.dumps({"dim": 2, "vectors": {"a": values}}).encode())
+    assert np.allclose(provider.embed("a"), np.sign(values) * 0.5**0.5)
+
+
+def test_vector_file_normalizes_ordinary_vectors_with_the_same_bits():
+    values = {"a": [3.0, 4.0], "b": [1e-150, 2e-150], "c": [0.0, 0.0], "d": [1e150, -1e150]}
+    provider = parse_vector_file(json.dumps({"dim": 2, "vectors": values}).encode())
+    for label, v in values.items():
+        vec = np.array(v)
+        norm = np.linalg.norm(vec)
+        assert provider.embed(label).tobytes() == (vec / norm if norm > 0 else vec).tobytes()
+
+
 class _EmbedHandler(BaseHTTPRequestHandler):
     behavior = "ok"
     dim = 4
@@ -228,3 +251,18 @@ def test_failed_endpoint_costs_one_request(embed_server):
     # lexical links still resolve, with no further request
     assert norm_map.nearest_canonical("strikes", lexicon, provider) == "hit"
     assert _EmbedHandler.posts == 1
+
+
+def test_remote_vector_with_a_boolean_rejected(embed_server, monkeypatch):
+    monkeypatch.setattr(_EmbedHandler, "behavior", "scalar")
+    monkeypatch.setattr(_EmbedHandler, "scalar", [1.0, True, 0.0, 0.0])
+    with pytest.raises(DimensionMismatch, match="boolean"):
+        remote_embed(embed_server, ["a", "b"])
+
+
+def test_remote_extreme_vectors_keep_their_direction(embed_server, monkeypatch):
+    monkeypatch.setattr(_EmbedHandler, "behavior", "scalar")
+    for scale in (1e200, 1e-200):
+        monkeypatch.setattr(_EmbedHandler, "scalar", [scale, scale, 0.0, 0.0])
+        for vec in remote_embed(embed_server, ["a", "b"]):
+            assert np.allclose(vec, [0.5**0.5, 0.5**0.5, 0.0, 0.0])

@@ -647,3 +647,103 @@ def test_finalize_checks_attributes_the_queries_read(change, message):
 def test_finalize_accepts_dialogue_with_and_without_speaker():
     assert small_graph(lambda n, e: add_dialogue(n, e, speaker="inst")).finalize().frozen
     assert small_graph(add_dialogue).finalize().frozen
+
+
+class AlwaysSearchGraph(NarrativeGraph):
+    """add_edge as it was before the cycle-check shortcut: a reachability
+    search for every edge of an acyclic kind. The oracle for add_edge."""
+
+    def add_edge(self, src, dst, kind):
+        if self._frozen:
+            raise GraphFrozen()
+        if src not in self._nodes or dst not in self._nodes:
+            raise UnknownEndpoint(src if src not in self._nodes else dst)
+        out = self._out[kind]
+        if dst in out.get(src, ()):
+            raise DuplicateEdge(str((src, dst, kind._value_)))
+        if kind is EdgeKind.SUBEVENT_OF and out.get(src):
+            raise ForestViolation(src)
+        if kind in ACYCLIC_KINDS and self.always_search(kind, dst, src):
+            raise CycleIntroduced(kind.value, f"{src} -> {dst}")
+        out.setdefault(src, set()).add(dst)
+        self._in[kind].setdefault(dst, set()).add(src)
+
+    def always_search(self, kind, start, goal):
+        if start == goal:
+            return True
+        adjacency = self._out[kind]
+        queue, seen = [start], {start}
+        while queue:
+            for nxt in adjacency.get(queue.pop(), ()):
+                if nxt == goal:
+                    return True
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+        return False
+
+
+# sorted, since a set of identity-hashed members iterates in no fixed order
+ORDER_KINDS = sorted(ACYCLIC_KINDS, key=lambda kind: kind.value)
+
+
+def add_edge_outcomes(graph, edges):
+    """Each add_edge's result, None or the class and message it raised, and
+    the graph's edge tables after the last."""
+    for pid in "abcdef":
+        graph.add_node(panel(pid))
+    outcomes = []
+    for src, dst, kind in edges:
+        try:
+            graph.add_edge(src, dst, kind)
+            outcomes.append(None)
+        except (CycleIntroduced, DuplicateEdge, ForestViolation) as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes, graph._out, graph._in
+
+
+def assert_add_edge_matches_the_oracle(edges):
+    assert add_edge_outcomes(NarrativeGraph("s"), edges) == add_edge_outcomes(
+        AlwaysSearchGraph("s"), edges
+    )
+
+
+@pytest.mark.parametrize("kind", ORDER_KINDS, ids=lambda kind: kind.value)
+def test_cycle_shortcut_matches_the_oracle_on_chains(kind):
+    chain = list("abcdef")
+    forward = [(a, b, kind) for a, b in zip(chain, chain[1:])]
+    closing = [("f", "a", kind), ("d", "b", kind), ("c", "c", kind), ("a", "f", kind)]
+    for edges in (forward, forward[::-1], forward[::2] + forward[1::2]):
+        assert_add_edge_matches_the_oracle(edges + closing)
+    outcomes, _, _ = add_edge_outcomes(NarrativeGraph("s"), forward[::-1] + closing)
+    assert outcomes[len(forward)] == (
+        CycleIntroduced, f"cycle introduced in {kind.value} subgraph: f -> a"
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from("abcdef"), st.sampled_from("abcdef"), st.sampled_from(ORDER_KINDS)
+        ),
+        max_size=30,
+    )
+)
+def test_cycle_shortcut_matches_the_oracle_on_random_edges(edges):
+    assert_add_edge_matches_the_oracle(edges)
+
+
+def test_building_and_reading_skip_searches_that_cannot_find_a_cycle(monkeypatch):
+    searches = []
+    reaches = NarrativeGraph._reaches
+    monkeypatch.setattr(
+        NarrativeGraph,
+        "_reaches",
+        lambda self, kind, start, goal: searches.append(kind) or reaches(self, kind, start, goal),
+    )
+    # the builder adds each chain in order, so no edge's dst has an out-edge yet
+    graph = build_all(generate_fixture("noise", seed=3))
+    assert searches == []
+    deserialize(graph.to_json_bytes())
+    assert len(searches) < sum(1 for edge in graph.edges() if edge.kind in ACYCLIC_KINDS)
