@@ -4,7 +4,10 @@ Three implementations:
 
 - HashedNgramProvider: deterministic character-trigram feature hashing,
   needs no data files or network. Captures surface similarity only;
-  semantic synonymy is the lexicon's job.
+  semantic synonymy is the lexicon's job. A batch of labels is embedded in
+  one pass that hashes each distinct trigram once (the hashing trick of
+  Weinberger et al. 2009); each vector has the bits it has when its label
+  is embedded alone.
 - VectorFileProvider: precomputed vectors from a JSON file, exact labels only.
 - RemoteProvider: HTTP client for an external embedding service
   (POST <endpoint>/embed with {"texts": [...]}).
@@ -35,38 +38,65 @@ from .lexicon import fold_label
 DEFAULT_DIM = 256
 DEFAULT_TIMEOUT = 10.0
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK64 = (1 << 64) - 1
+_FNV_OFFSET = np.uint64(0xCBF29CE484222325)
+_FNV_PRIME = np.uint64(0x100000001B3)
 
 
-def _fnv1a(data: bytes) -> int:
-    h = _FNV_OFFSET
-    for byte in data:
-        h ^= byte
-        h = (h * _FNV_PRIME) & _MASK64
+def _fnv1a(texts: list[str]) -> np.ndarray:
+    """The 64-bit FNV-1a hash of each text's UTF-8 bytes."""
+    data = [text.encode("utf-8") for text in texts]
+    lengths = np.array([len(d) for d in data])
+    width = max(lengths, default=0)
+    table = np.frombuffer(b"".join(d.ljust(width, b"\0") for d in data), dtype=np.uint8)
+    table = table.reshape(len(data), width)
+    h = np.full(len(data), _FNV_OFFSET)
+    for j in range(width):  # uint64 products wrap, as the hash's mod 2**64 wants
+        h = np.where(lengths > j, (h ^ table[:, j]) * _FNV_PRIME, h)
     return h
+
+
+def _hashed_rows(labels: list[str], dim: int) -> np.ndarray:
+    """embed_hashed's vector for each label, one row each, from one pass that
+    handles each distinct token and trigram once.
+
+    Token rows hold integer counts, so their sums and norms are exact in any
+    order. Label rows add their token rows in token order from zeros and are
+    scaled by sqrt(row.dot(row)), the ddot np.linalg.norm takes of a vector,
+    so each row has the bits of the same steps taken for its label alone."""
+    token_ids: dict[str, int] = {}
+    label_tokens = [  # fold_label raises EmptyLabel on blank input
+        [token_ids.setdefault(t, len(token_ids)) for t in fold_label(label).split("_")]
+        for label in labels
+    ]
+    trigram_ids: dict[str, int] = {}
+    cell_token, cell_trigram = [], []  # one entry per trigram occurrence in a token
+    for t, token in enumerate(token_ids):
+        padded = f"^{token}$"
+        for i in range(len(padded) - 2):
+            cell_token.append(t)
+            cell_trigram.append(trigram_ids.setdefault(padded[i : i + 3], len(trigram_ids)))
+    h = _fnv1a(list(trigram_ids))[cell_trigram]
+    cells = np.array(cell_token, dtype=np.intp) * dim + (h % np.uint64(dim)).astype(np.intp)
+    tokens = np.bincount(
+        cells, weights=np.where(h & np.uint64(1), -1.0, 1.0), minlength=len(token_ids) * dim
+    ).reshape(len(token_ids), dim)
+    norms = np.sqrt(np.einsum("ij,ij->i", tokens, tokens))[:, None]
+    np.divide(tokens, norms, out=tokens, where=norms > 0)
+
+    rows = np.zeros((len(labels), dim))
+    for row, ids in zip(rows, label_tokens):
+        for t in ids:
+            row += tokens[t]
+    rows /= np.array([len(ids) for ids in label_tokens])[:, None]
+    norms = np.sqrt([row.dot(row) for row in rows]).reshape(-1, 1)
+    return np.divide(rows, norms, out=rows, where=norms > 0)
 
 
 def embed_hashed(label: str, dim: int = DEFAULT_DIM) -> np.ndarray:
     """Trigram feature hashing: each token of the folded label is hashed into
     `dim` signed buckets, token vectors are unit-normalized and averaged, and
-    the result is normalized again."""
-    tokens = fold_label(label).split("_")  # raises EmptyLabel on blank input
-    total = np.zeros(dim, dtype=np.float64)
-    for token in tokens:
-        vec = np.zeros(dim, dtype=np.float64)
-        padded = f"^{token}$"
-        for i in range(len(padded) - 2):
-            h = _fnv1a(padded[i : i + 3].encode("utf-8"))
-            vec[h % dim] += 1.0 if h % 2 == 0 else -1.0
-        norm = np.linalg.norm(vec)
-        if norm > 0:
-            vec /= norm
-        total += vec
-    total /= len(tokens)
-    norm = np.linalg.norm(total)
-    return total / norm if norm > 0 else total
+    the result is normalized again. HashedNgramProvider(dim)'s vector, uncached."""
+    return HashedNgramProvider(dim).embed(label)
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -80,7 +110,8 @@ def embed_matrix(provider, labels: list[str]) -> np.ndarray:
     """The provider's vectors for a list of labels, one row each.
 
     A provider with `embed_batch` gets one call for the whole list, which
-    for RemoteProvider is one request; any other provider gets one `embed`
+    for HashedNgramProvider is one pass over the labels' distinct trigrams
+    and for RemoteProvider one request; any other provider gets one `embed`
     call per label."""
     batch = getattr(provider, "embed_batch", None)
     vectors = batch(labels) if batch is not None else [provider.embed(l) for l in labels]
@@ -118,14 +149,22 @@ def _normalized(values, dim: int, context: str) -> np.ndarray:
 
 class HashedNgramProvider:
     def __init__(self, dim: int = DEFAULT_DIM):
+        if dim < 1:
+            raise ValueError(f"dim must be a positive integer, got {dim}")
         self.dim = dim
         self.provider_id = f"hashed:fnv1a-trigram:{dim}"
         self._cache: dict[str, np.ndarray] = {}
 
     def embed(self, label: str) -> np.ndarray:
         if label not in self._cache:
-            self._cache[label] = embed_hashed(label, self.dim)
+            self.embed_batch([label])
         return self._cache[label]
+
+    def embed_batch(self, labels: list[str]) -> list[np.ndarray]:
+        missing = [l for l in dict.fromkeys(labels) if l not in self._cache]
+        if missing:
+            self._cache.update(zip(missing, _hashed_rows(missing, self.dim)))
+        return [self._cache[label] for label in labels]
 
 
 class VectorFileProvider:

@@ -1,12 +1,17 @@
 import json
 import random
+import runpy
 import string
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nkg import embedding
 from nkg.embedding import (
     DEFAULT_DIM,
     HashedNgramProvider,
@@ -25,7 +30,8 @@ from nkg.errors import (
     SchemaViolation,
 )
 from nkg.fixtures import generate_fixture
-from nkg.normalize import build_normalization_map
+from nkg.lexicon import fold_label
+from nkg.normalize import build_normalization_map, collect_label_pools, provider_from_id
 from nkg.resources import default_lexicon
 
 
@@ -64,6 +70,137 @@ def test_hashed_provider_caches():
     assert provider.embed("walk") is a
     assert provider.provider_id.startswith("hashed:")
     assert np.array_equal(a, embed_hashed("walk"))
+
+
+def oracle_fnv1a(data: bytes) -> int:
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h ^= byte
+        h = (h * 0x100000001B3) & ((1 << 64) - 1)
+    return h
+
+
+def oracle_hashed(label: str, dim: int) -> np.ndarray:
+    """The per-label construction the batched kernel must match bit for bit."""
+    tokens = fold_label(label).split("_")
+    total = np.zeros(dim, dtype=np.float64)
+    for token in tokens:
+        vec = np.zeros(dim, dtype=np.float64)
+        padded = f"^{token}$"
+        for i in range(len(padded) - 2):
+            h = oracle_fnv1a(padded[i : i + 3].encode("utf-8"))
+            vec[h % dim] += 1.0 if h % 2 == 0 else -1.0
+        norm = np.linalg.norm(vec)
+        if norm > 0:
+            vec /= norm
+        total += vec
+    total /= len(tokens)
+    norm = np.linalg.norm(total)
+    return total / norm if norm > 0 else total
+
+
+def storygen_compounds() -> list[str]:
+    """Every verb_noun compound of the benchmark's story generator."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "storygen.py"
+    storygen = runpy.run_path(str(path))
+    return [f"{verb}_{noun}" for verb in storygen["VERBS"] for noun in storygen["NOUNS"]]
+
+
+def fixture_labels() -> list[str]:
+    labels = set()
+    docs = [generate_fixture("battle"), generate_fixture("romance")]
+    for seed in range(4):
+        docs += [generate_fixture("noise", seed, variance) for variance in (0.0, 0.6)]
+    for doc in docs:
+        actions, events = collect_label_pools(doc)
+        labels |= set(actions) | set(events)
+    return sorted(labels)
+
+
+# odd dimensions put a trigram's bucket and sign apart, so a token can cancel
+# to a zero row; dimension 1 puts every trigram in one bucket
+@pytest.mark.parametrize("dim", [1, 2, 7, DEFAULT_DIM])
+def test_hashed_batch_bytes_match_oracle(dim):
+    labels = fixture_labels() + storygen_compounds()
+    assert len(labels) > 1800
+    rows = HashedNgramProvider(dim).embed_batch(labels)
+    for label, row in zip(labels, rows):
+        assert row.tobytes() == oracle_hashed(label, dim).tobytes(), label
+    if dim == 1:  # a token cancelled to zero, and so did whole labels
+        assert any(not row.any() for row in rows)
+
+
+TOKENS = st.text(alphabet="aAbBzZ\u00e9\u00df\u0130\u6f22\U0001f600", min_size=1, max_size=5)
+SEPARATORS = st.sampled_from(["_", " ", "\t", "__", " _ ", "\n"])
+
+
+@st.composite
+def label_batches(draw):
+    """Batches of labels built from a few shared tokens, so tokens repeat within
+    a label (a_a_b) and across labels, and labels repeat within a batch."""
+    tokens = draw(st.lists(TOKENS, min_size=1, max_size=4))
+    labels = []
+    for _ in range(draw(st.integers(1, 6))):
+        parts = draw(st.lists(st.sampled_from(tokens), min_size=1, max_size=5))
+        label = parts[0]
+        for part in parts[1:]:
+            label += draw(SEPARATORS) + part
+        labels.append(draw(SEPARATORS) + label if draw(st.booleans()) else label)
+    return labels + draw(st.lists(st.sampled_from(labels), max_size=3))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(label_batches(), st.sampled_from([1, 2, 7, DEFAULT_DIM]))
+def test_hashed_batch_bytes_match_oracle_on_any_labels(labels, dim):
+    for label, row in zip(labels, HashedNgramProvider(dim).embed_batch(labels)):
+        assert row.tobytes() == oracle_hashed(label, dim).tobytes()
+
+
+def test_hashed_batch_shares_the_cache_with_embed():
+    provider = HashedNgramProvider()
+    walk = provider.embed("walk")
+    batch = provider.embed_batch(["run_away", "walk", "run_away", "Walk", "walk"])
+    assert batch[1] is walk and batch[4] is walk
+    assert batch[0] is batch[2] is provider.embed("run_away")
+    assert provider.embed("Walk") is batch[3]
+    assert provider.embed("walk") is provider.embed("walk")
+    for label, row in zip(["run_away", "walk", "Walk"], [batch[0], walk, batch[3]]):
+        assert row.tobytes() == oracle_hashed(label, DEFAULT_DIM).tobytes()
+    assert provider.embed_batch([]) == []
+
+
+@pytest.mark.parametrize("blank", ["", " ", "_", "_ _", "\t\n"])
+def test_hashed_blank_label_raises_from_either_path(blank):
+    provider = HashedNgramProvider()
+    with pytest.raises(EmptyLabel):
+        provider.embed(blank)
+    with pytest.raises(EmptyLabel):
+        provider.embed_batch(["walk", blank])
+    with pytest.raises(EmptyLabel):
+        embed_hashed(blank)
+    assert provider.embed_batch(["walk"])[0].tobytes() == embed_hashed("walk").tobytes()
+
+
+def test_hashed_batch_hashes_each_distinct_trigram_once(monkeypatch):
+    hashed = []
+    fnv1a = embedding._fnv1a
+
+    def counting_fnv1a(texts):
+        hashed.extend(texts)
+        return fnv1a(texts)
+
+    monkeypatch.setattr(embedding, "_fnv1a", counting_fnv1a)
+    HashedNgramProvider().embed_batch(["kick_door", "kick_cart", "door_kick", "kicks"])
+    # ^ki kic ick ck$ ^do doo oor or$ ^ca car art rt$ cks ks$
+    assert sorted(hashed) == sorted(set(hashed)) and len(hashed) == 14
+
+
+@pytest.mark.parametrize("dim", [0, -3])
+def test_hashed_provider_needs_a_positive_dimension(dim):
+    with pytest.raises(ValueError, match="positive"):
+        HashedNgramProvider(dim)
+    # a map naming such a provider links lexically, as for any id not rebuilt
+    assert provider_from_id(f"hashed:fnv1a-trigram:{dim}") is None
 
 
 def test_vector_file_provider(tmp_path):

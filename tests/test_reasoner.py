@@ -7,7 +7,7 @@ import pytest
 from nkg import embedding, normalize
 from nkg.annotations import parse_annotations
 from nkg.builder import build_all
-from nkg.embedding import HashedNgramProvider, VectorFileProvider, embed_hashed
+from nkg.embedding import HashedNgramProvider, VectorFileProvider
 from nkg.errors import (
     EmptyLabel,
     NotAnEventNode,
@@ -162,6 +162,17 @@ FALLBACK_CASES = {
     # no provider can be rebuilt: lexical links only
     "other_provider_id": (
         NormalizationMap(BATTLE_MAP.clusters, BATTLE_MAP.threshold, "file:elsewhere"),
+        None,
+        set(),
+    ),
+    # a hashed id naming no positive dimension rebuilds no provider either
+    "zero_dim_provider_id": (
+        NormalizationMap(BATTLE_MAP.clusters, BATTLE_MAP.threshold, "hashed:fnv1a-trigram:0"),
+        None,
+        set(),
+    ),
+    "negative_dim_provider_id": (
+        NormalizationMap(BATTLE_MAP.clusters, BATTLE_MAP.threshold, "hashed:fnv1a-trigram:-3"),
         None,
         set(),
     ),
@@ -588,12 +599,13 @@ def test_fallback_buckets_map_members_once_per_lexicon(monkeypatch):
 
 def test_fallback_without_provider_embeds_each_member_once(monkeypatch):
     embedded = Counter()
+    hashed_rows = embedding._hashed_rows
 
-    def counting_embed(label, dim=embedding.DEFAULT_DIM):
-        embedded[label] += 1
-        return embed_hashed(label, dim)
+    def counting_rows(labels, dim):
+        embedded.update(labels)
+        return hashed_rows(labels, dim)
 
-    monkeypatch.setattr(embedding, "embed_hashed", counting_embed)
+    monkeypatch.setattr(embedding, "_hashed_rows", counting_rows)
     norm_map = NormalizationMap.from_json_bytes(BATTLE_MAP.to_json_bytes())
     for query in ("shout_out", "somersault"):  # no member, no fold-equal member
         retrieve_actions(BATTLE_NORM, query, "normalized", norm_map=norm_map)
