@@ -14,14 +14,17 @@ only when both ends already have edges of the kind. finalize() checks each
 panel order attribute against its chain and every attribute the reasoning
 tasks read; after it the graph is immutable and safe to share. A frozen
 graph keeps its read-only views (nodes and edges in order, the reasoner's
-indexes) once built, each on its first read; memo() holds that rule.
+indexes) once built, each on its first read; memo() holds that rule. The
+nodes of one kind filter the id-sorted nodes(), so a frozen graph sorts
+its ids once.
 relabeled() takes new labels by node id and swaps them in on a copy of a
 frozen graph; it can change no attribute but label and surface_label, and
 no kind or edge, so of what finalize() checked only the labels are checked.
 
-The reader, like build_all and parse_annotations, runs with Python's cyclic
-collector paused (collector_paused): what it allocates stays alive to the
-end of the call, so the passes its allocations trigger would free nothing.
+The reader and the writer, like build_all and parse_annotations, run with
+Python's cyclic collector paused (collector_paused): what they allocate
+stays alive to the end of the call, so the passes their allocations trigger
+would free nothing.
 
 Serialization is canonical: nodes sorted by id, edges by (src, dst, kind),
 keys sorted. Equal graphs produce identical bytes regardless of how they
@@ -373,14 +376,13 @@ class NarrativeGraph:
             return value
 
     def nodes(self, kind: NodeKind | None = None) -> tuple[Node, ...]:
-        """Nodes of one kind, or all, in id order."""
+        """Nodes of one kind, or all, in id order; a kind filters all of them."""
+        if kind is not None:
+            return self.memo(
+                ("nodes", kind), lambda: tuple(n for n in self.nodes() if n.kind is kind)
+            )
         nodes = self._nodes
-        return self.memo(
-            ("nodes", kind),
-            lambda: tuple(
-                nodes[i] for i in sorted(nodes) if kind is None or nodes[i].kind is kind
-            ),
-        )
+        return self.memo(("nodes", None), lambda: tuple(nodes[i] for i in sorted(nodes)))
 
     def edges(self, kind: EdgeKind | None = None) -> tuple[Edge, ...]:
         """Edges of one kind, or all, in (src, dst, kind) order."""
@@ -429,6 +431,7 @@ class NarrativeGraph:
 
     # --- serialization ---------------------------------------------------
 
+    @collector_paused()
     def to_json_bytes(self) -> bytes:
         q = encode_basestring  # the quoting json.dumps uses under ensure_ascii=False
         nodes = [

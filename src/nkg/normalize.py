@@ -31,11 +31,14 @@ from .errors import AlreadyNormalized, MissingLabel, ProviderError, SchemaViolat
 from .graph import NarrativeGraph, NodeKind
 from .jsonio import dump_canonical, load_object, require
 from .lexicon import SynonymLexicon, fold_label, is_label, lexical_key
-from .embedding import HashedNgramProvider, cosine, embed_matrix, unit_rows
+from .embedding import DEFAULT_DIM, HashedNgramProvider, cosine, embed_matrix, unit_rows
 
 ACTION_POOL = "action"
 EVENT_POOL = "event"
 DEFAULT_THRESHOLD = 0.75
+# the largest hashed dimension a map file may name: a fallback query embeds
+# at the map's dimension, so the file would otherwise set its memory
+MAX_HASHED_DIM = 16 * DEFAULT_DIM
 # a product this close to the threshold may fall on the other side of it
 # than cosine() does, so cosine() decides those pairs
 TIE_BAND = 1e-9
@@ -263,6 +266,8 @@ class NormalizationMap:
         if type(threshold) not in (int, float) or not 0.0 <= threshold <= 1.0:
             raise SchemaViolation("$.threshold", "must be a number in [0, 1]")
         provider_id = require(obj, "provider_id", str, "$")
+        if getattr(provider_from_id(provider_id), "dim", 0) > MAX_HASHED_DIM:
+            raise SchemaViolation("$.provider_id", f"hashed dimension above {MAX_HASHED_DIM}")
         clusters = []
         for i, c in enumerate(require(obj, "clusters", list, "$", default=[])):
             path = f"$.clusters[{i}]"

@@ -4,6 +4,8 @@ Five read-only queries: action retrieval, dialogue tracing, character
 trajectories, timeline reconstruction, and event summarization. All of
 them work on raw and normalized graphs alike; only action retrieval
 changes behaviour with the normalization mode.
+On a frozen graph they read indexes built on first use through memo(): the
+actions by label, each order's panel positions, each character's trajectory.
 """
 
 from __future__ import annotations
@@ -103,9 +105,14 @@ class EventSummary:
         }
 
 
-def _position(graph: NarrativeGraph, panel_id: str, order_kind: str = "reading") -> int:
-    """A panel's position in one order; finalize() checked it against that chain."""
-    return int(graph.node(panel_id).attrs[PANEL_ORDERS[order_kind][0]])
+def _positions(graph: NarrativeGraph, order_kind: str = "reading") -> dict[str, int]:
+    """Panel id -> position in one order, each checked against that order's
+    chain by finalize(). Built on the first query."""
+    attr = PANEL_ORDERS[order_kind][0]
+    return graph.memo(
+        ("positions", order_kind),
+        lambda: {panel.id: int(panel.attrs[attr]) for panel in graph.nodes(NodeKind.PANEL)},
+    )
 
 
 def _surface(node: Node) -> str:
@@ -117,10 +124,10 @@ def _actions_by(graph: NarrativeGraph, name: str, key) -> dict[str, tuple[Action
     each group in (reading position, id) order. Built on the first query."""
 
     def build():
+        position = _positions(graph)
         groups: dict[str, list[ActionHit]] = {}
         for node in sorted(
-            graph.nodes(NodeKind.ACTION),
-            key=lambda n: (_position(graph, n.attrs["panel"]), n.id),
+            graph.nodes(NodeKind.ACTION), key=lambda n: (position[n.attrs["panel"]], n.id)
         ):
             hit = ActionHit(node.attrs["panel"], node.id, _surface(node), node.label())
             groups.setdefault(key(hit), []).append(hit)
@@ -208,6 +215,7 @@ def trace_dialogue(graph: NarrativeGraph, event_id: str) -> DialogueTrace:
     """Dialogue spans grounded in an event's panels, with resolved speakers."""
     if not graph.has_node(event_id) or graph.node(event_id).kind is not NodeKind.EVENT:
         raise UnknownEvent(f"unknown event: {event_id}")
+    position = _positions(graph)
     keyed = []
     for panel_id in graph.neighbors(event_id, EdgeKind.INSTANTIATES, "in"):
         for dialogue_id in graph.neighbors(panel_id, EdgeKind.GROUNDED_IN, "in"):
@@ -221,7 +229,7 @@ def trace_dialogue(graph: NarrativeGraph, event_id: str) -> DialogueTrace:
                 speaker = graph.node(entity).attrs["entity_id"]
             keyed.append(
                 (
-                    _position(graph, panel_id),
+                    position[panel_id],
                     int(node.attrs["order"]),
                     (panel_id, dialogue_id, speaker, node.attrs["text"]),
                 )
@@ -231,27 +239,32 @@ def trace_dialogue(graph: NarrativeGraph, event_id: str) -> DialogueTrace:
 
 
 def character_trajectory(graph: NarrativeGraph, entity_id: str) -> Trajectory:
-    """Panels, events, and macro-events where a character entity appears."""
+    """Panels, events, and macro-events where a character entity appears;
+    built on the entity's first query."""
     node_id = entity_node_id(entity_id)
     if not graph.has_node(node_id) or graph.node(node_id).kind is not NodeKind.CHARACTER:
         raise UnknownEntity(f"unknown entity: {entity_id}")
-    panel_ids = {
-        graph.node(instance).attrs["panel"]
-        for instance in graph.neighbors(node_id, EdgeKind.REFERS_TO, "in")
-    }
-    ordered_panels = sorted(panel_ids, key=lambda p: _position(graph, p))
-    # dict.fromkeys drops repeats and keeps the first-seen order
-    event_ids = dict.fromkeys(
-        event_id
-        for panel_id in ordered_panels
-        for event_id in graph.neighbors(panel_id, EdgeKind.INSTANTIATES, "out")
-    )
-    macro_ids = dict.fromkeys(
-        macro_id
-        for event_id in event_ids
-        for macro_id in graph.neighbors(event_id, EdgeKind.SUBEVENT_OF, "out")
-    )
-    return Trajectory(entity_id, tuple(ordered_panels), tuple(event_ids), tuple(macro_ids))
+
+    def build():
+        panel_ids = {
+            graph.node(instance).attrs["panel"]
+            for instance in graph.neighbors(node_id, EdgeKind.REFERS_TO, "in")
+        }
+        ordered_panels = sorted(panel_ids, key=_positions(graph).__getitem__)
+        # dict.fromkeys drops repeats and keeps the first-seen order
+        event_ids = dict.fromkeys(
+            event_id
+            for panel_id in ordered_panels
+            for event_id in graph.neighbors(panel_id, EdgeKind.INSTANTIATES, "out")
+        )
+        macro_ids = dict.fromkeys(
+            macro_id
+            for event_id in event_ids
+            for macro_id in graph.neighbors(event_id, EdgeKind.SUBEVENT_OF, "out")
+        )
+        return Trajectory(entity_id, tuple(ordered_panels), tuple(event_ids), tuple(macro_ids))
+
+    return graph.memo(("trajectory", node_id), build)
 
 
 def _scope_panels(graph: NarrativeGraph, scope_id: str) -> list[str]:
@@ -277,7 +290,7 @@ def reconstruct_timeline(
     if order_kind not in ORDER_KINDS:
         raise ValueError(f"order_kind must be one of {ORDER_KINDS}, got {order_kind!r}")
     scope = set(_scope_panels(graph, scope_id))
-    ordered = sorted(scope, key=lambda panel_id: _position(graph, panel_id, order_kind))
+    ordered = sorted(scope, key=_positions(graph, order_kind).__getitem__)
     return Timeline(scope_id, order_kind, tuple(ordered))
 
 
@@ -308,7 +321,7 @@ def summarize_event(graph: NarrativeGraph, node_id: str) -> EventSummary:
     elif node.kind is NodeKind.EVENT:
         children = sorted(
             graph.neighbors(node_id, EdgeKind.INSTANTIATES, "in"),
-            key=lambda p: _position(graph, p),
+            key=_positions(graph).__getitem__,
         )
     else:
         raise NotAnEventNode(f"not an event node: {node_id} ({node.kind.value})")

@@ -33,7 +33,7 @@ from nkg.errors import (
 )
 from nkg.fixtures import generate_fixture
 from nkg.graph import deserialize
-from nkg.normalize import build_normalization_map
+from nkg.normalize import MAX_HASHED_DIM, build_normalization_map
 from nkg.reasoner import character_trajectory
 
 
@@ -201,6 +201,22 @@ def test_query_rejects_map_threshold_outside_unit_interval(tmp_path, battle_file
     bad.write_text('{"schema_version": 1, "threshold": 2.5, "provider_id": "x", "clusters": []}')
     args = ["query", "action", "attack", "--input", str(norm), "--mode", "normalized"]
     assert main(args + ["--map", str(bad)]) == 2
+
+
+@pytest.mark.parametrize(
+    "dim, code", [(256, 0), (MAX_HASHED_DIM, 0), (MAX_HASHED_DIM + 1, 2), (1000000000, 2)]
+)
+def test_query_bounds_the_hashed_dimension_a_map_names(tmp_path, battle_files, capsys, dim, code):
+    _, _, norm = battle_files
+    side = json.loads((tmp_path / "norm.map.json").read_text())
+    side["provider_id"] = f"hashed:fnv1a-trigram:{dim}"
+    path = tmp_path / "dim.map.json"
+    path.write_text(json.dumps(side))
+    # shout_out is no map member: the query falls back to embedding at the map's dimension
+    args = ["query", "action", "shout_out", "--input", str(norm), "--mode", "normalized"]
+    assert main(args + ["--map", str(path)]) == code
+    err = capsys.readouterr().err
+    assert ("$.provider_id" in err) is (code == 2)
 
 
 def test_query_rejects_map_with_separator_only_member(tmp_path, battle_files, capsys):

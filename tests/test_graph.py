@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nkg import graph as graph_module
 from nkg.builder import build_all
 from nkg.errors import (
     CycleIntroduced,
@@ -238,6 +239,22 @@ def test_memo_builds_once_only_when_frozen():
     g.finalize()
     assert (g.memo("k", build), g.memo("k", build)) == (3, 3)
     assert g.memo("other", build) == 4
+
+
+@pytest.mark.parametrize("frozen", [True, False])
+def test_nodes_of_a_kind_are_the_sorted_filter(battle_bytes, frozen):
+    graph = deserialize(battle_bytes)
+    if not frozen:
+        unfrozen = NarrativeGraph(graph.story_id)
+        for node in reversed(graph.nodes()):  # insertion order unlike id order
+            unfrozen.add_node(node)
+        graph = unfrozen
+    nodes = graph._nodes
+    for kind in NodeKind:
+        want = tuple(nodes[i] for i in sorted(nodes) if nodes[i].kind is kind)
+        assert graph.nodes(kind) == want
+        assert graph.nodes(kind) == want  # the same from the memo, when frozen
+    assert graph.nodes() == tuple(nodes[i] for i in sorted(nodes))
 
 
 def test_finalize_requires_labels():
@@ -487,6 +504,31 @@ def test_reader_restores_the_callers_collector_setting(battle_bytes, enabled):
         with pytest.raises(error):
             deserialize(json.dumps(obj).encode())
         assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_writer_pauses_and_restores_the_callers_collector_setting(
+    battle_bytes, enabled, monkeypatch
+):
+    during = []
+    json_list = graph_module._json_list
+
+    def spy(items):
+        during.append(gc.isenabled())
+        return json_list(items)
+
+    graph = deserialize(battle_bytes)
+    monkeypatch.setattr(graph_module, "_json_list", spy)
+    try:
+        if not enabled:
+            gc.disable()
+        assert graph.to_json_bytes() == battle_bytes
+        assert gc.isenabled() is enabled
+        assert small_graph().to_json_bytes() == small_graph().finalize().to_json_bytes()
+        assert gc.isenabled() is enabled
+        assert during == [False] * 6  # edges, then nodes, of each write
     finally:
         gc.enable()
 

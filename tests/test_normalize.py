@@ -20,6 +20,7 @@ from nkg.lexicon import SynonymLexicon
 from nkg.normalize import (
     ACTION_POOL,
     EVENT_POOL,
+    MAX_HASHED_DIM,
     TIE_BAND,
     LabelCluster,
     NormalizationMap,
@@ -461,6 +462,22 @@ def test_map_threshold_bounds_are_readable():
     for threshold in (0, 0.0, 0.75, 1, 1.0):
         raw = json.dumps({"schema_version": 1, "threshold": threshold, "provider_id": "x"})
         assert NormalizationMap.from_json_bytes(raw).threshold == threshold
+
+
+@pytest.mark.parametrize("dim", [256, MAX_HASHED_DIM])
+def test_map_naming_a_hashed_dimension_up_to_the_bound_loads(dim):
+    provider_id = f"hashed:fnv1a-trigram:{dim}"
+    raw = json.dumps({"schema_version": 1, "threshold": 0.75, "provider_id": provider_id})
+    assert NormalizationMap.from_json_bytes(raw).provider_id == provider_id
+
+
+@pytest.mark.parametrize("dim", [MAX_HASHED_DIM + 1, 1000000000])
+def test_map_naming_a_hashed_dimension_above_the_bound_rejected(dim):
+    provider_id = f"hashed:fnv1a-trigram:{dim}"
+    raw = json.dumps({"schema_version": 1, "threshold": 0.75, "provider_id": provider_id})
+    with pytest.raises(SchemaViolation) as raised:
+        NormalizationMap.from_json_bytes(raw)
+    assert raised.value.path == "$.provider_id"
 
 
 def test_insert_variants_merge_at_default_threshold():

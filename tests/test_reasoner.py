@@ -1,12 +1,14 @@
+import itertools
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from nkg import embedding, normalize
 from nkg.annotations import parse_annotations
-from nkg.builder import build_all
+from nkg.builder import build_all, entity_node_id
 from nkg.embedding import HashedNgramProvider, VectorFileProvider
 from nkg.errors import (
     EmptyLabel,
@@ -19,7 +21,7 @@ from nkg.errors import (
     UnknownScope,
 )
 from nkg.fixtures import generate_fixture
-from nkg.graph import EdgeKind, NarrativeGraph, NodeKind, deserialize
+from nkg.graph import PANEL_ORDERS, EdgeKind, NarrativeGraph, NodeKind, deserialize
 from nkg.lexicon import SynonymLexicon, fold_label, lexical_key
 from nkg.normalize import (
     EVENT_POOL,
@@ -29,6 +31,14 @@ from nkg.normalize import (
     build_normalization_map,
 )
 from nkg.reasoner import (
+    ORDER_KINDS,
+    STORY_SCOPE,
+    DialogueTrace,
+    EventSummary,
+    Timeline,
+    Trajectory,
+    _scope_panels,
+    _sibling_order,
     character_trajectory,
     reconstruct_timeline,
     retrieve_actions,
@@ -556,6 +566,22 @@ def test_action_index_is_built_on_the_first_query_only(memo_builds):
     assert memo_builds == built  # later queries read the index
 
 
+def test_trajectory_index_is_built_on_the_first_query_only(memo_builds):
+    data = build_all(generate_fixture("battle")).to_json_bytes()
+    memo_builds.clear()
+    graph = deserialize(data)
+    assert memo_builds == []  # loading builds no index
+    first = character_trajectory(graph, "charA")
+    assert ("positions", "reading") in memo_builds
+    assert ("trajectory", entity_node_id("charA")) in memo_builds
+    assert ("positions", "storytime") not in memo_builds
+    built = list(memo_builds)
+    assert character_trajectory(graph, "charA") is first
+    assert memo_builds == built  # a repeat reads the index
+    reconstruct_timeline(graph, "story", "storytime")
+    assert memo_builds[len(built):] == [("positions", "storytime")]
+
+
 def test_queries_on_an_unfrozen_graph_cache_nothing(memo_builds):
     frozen = build_all(generate_fixture("battle"))
     graph = NarrativeGraph(frozen.story_id)
@@ -564,10 +590,16 @@ def test_queries_on_an_unfrozen_graph_cache_nothing(memo_builds):
     for edge in frozen.edges():
         graph.add_edge(edge.src, edge.dst, edge.kind)
     want = retrieve_actions(frozen, "fight", "raw")
+    want_trajectory = character_trajectory(frozen, "charA")
     memo_builds.clear()
     assert retrieve_actions(graph, "fight", "raw") == want
     assert retrieve_actions(graph, "fight", "raw") == want
     assert memo_builds.count(("actions_by", "surface_fold")) == 2
+    memo_builds.clear()
+    assert character_trajectory(graph, "charA") == want_trajectory
+    assert character_trajectory(graph, "charA") == want_trajectory
+    assert memo_builds.count(("trajectory", entity_node_id("charA"))) == 2
+    assert memo_builds.count(("positions", "reading")) == 2
     graph.finalize()
     memo_builds.clear()
     assert retrieve_actions(graph, "fight", "raw") == want
@@ -627,3 +659,164 @@ def test_fallback_query_the_provider_cannot_embed_links_lexically():
 
     assert canonicals("strikes") == {"attack"}  # lexicon group, similarity 1.0
     assert canonicals("shout_out") == set()  # would need a cosine link
+
+
+# --- the indexed queries against the per-call reference ----------------------
+#
+# The reference reads each panel's position from its attribute on every call
+# and rescans a character's instances on every trajectory query, as the
+# reasoner did before its position and trajectory indexes.
+
+
+def _position(graph, panel_id, order_kind="reading"):
+    return int(graph.node(panel_id).attrs[PANEL_ORDERS[order_kind][0]])
+
+
+def oracle_trace_dialogue(graph, event_id):
+    keyed = []
+    for panel_id in graph.neighbors(event_id, EdgeKind.INSTANTIATES, "in"):
+        for dialogue_id in graph.neighbors(panel_id, EdgeKind.GROUNDED_IN, "in"):
+            node = graph.node(dialogue_id)
+            if node.kind is not NodeKind.DIALOGUE:
+                continue
+            speaker = None
+            instance = node.attrs.get("speaker")
+            if instance:
+                (entity,) = graph.neighbors(instance, EdgeKind.REFERS_TO, "out")
+                speaker = graph.node(entity).attrs["entity_id"]
+            keyed.append(
+                (
+                    _position(graph, panel_id),
+                    int(node.attrs["order"]),
+                    (panel_id, dialogue_id, speaker, node.attrs["text"]),
+                )
+            )
+    keyed.sort(key=lambda item: item[:2])
+    return DialogueTrace(event_id, tuple(entry for _, _, entry in keyed))
+
+
+def oracle_character_trajectory(graph, entity_id):
+    node_id = entity_node_id(entity_id)
+    panel_ids = {
+        graph.node(instance).attrs["panel"]
+        for instance in graph.neighbors(node_id, EdgeKind.REFERS_TO, "in")
+    }
+    ordered_panels = sorted(panel_ids, key=lambda p: _position(graph, p))
+    event_ids = dict.fromkeys(
+        event_id
+        for panel_id in ordered_panels
+        for event_id in graph.neighbors(panel_id, EdgeKind.INSTANTIATES, "out")
+    )
+    macro_ids = dict.fromkeys(
+        macro_id
+        for event_id in event_ids
+        for macro_id in graph.neighbors(event_id, EdgeKind.SUBEVENT_OF, "out")
+    )
+    return Trajectory(entity_id, tuple(ordered_panels), tuple(event_ids), tuple(macro_ids))
+
+
+def oracle_reconstruct_timeline(graph, scope_id, order_kind):
+    scope = set(_scope_panels(graph, scope_id))
+    ordered = sorted(scope, key=lambda panel_id: _position(graph, panel_id, order_kind))
+    return Timeline(scope_id, order_kind, tuple(ordered))
+
+
+def oracle_summarize_event(graph, node_id):
+    node = graph.node(node_id)
+    if node.kind is NodeKind.MACRO_EVENT:
+        children = _sibling_order(
+            graph, list(graph.neighbors(node_id, EdgeKind.SUBEVENT_OF, "in"))
+        )
+    else:
+        children = sorted(
+            graph.neighbors(node_id, EdgeKind.INSTANTIATES, "in"),
+            key=lambda p: _position(graph, p),
+        )
+    return EventSummary(node_id, tuple((cid, graph.node(cid).label() or cid) for cid in children))
+
+
+def shuffled_orders(doc, seed):
+    """The document with both panel orders drawn at random, with gaps, so that
+    neither follows the panel ids."""
+    rng = random.Random(seed)
+    n = doc.panel_count()
+    reading, storytime = iter(rng.sample(range(3 * n), n)), iter(rng.sample(range(3 * n), n))
+
+    def panel(p):
+        return replace(p, reading_order=next(reading), storytime_order=next(storytime))
+
+    def event(e):
+        return replace(e, panels=tuple(map(panel, e.panels)))
+
+    def macro(m):
+        return replace(m, events=tuple(map(event, m.events)))
+
+    return replace(doc, macro_events=tuple(map(macro, doc.macro_events)))
+
+
+ORACLE_DOCS = {
+    "battle": lambda: generate_fixture("battle"),
+    "romance": lambda: generate_fixture("romance"),
+    "noise": lambda: generate_fixture("noise", seed=3, variance=0.6),
+    **{
+        f"shuffled-noise-{seed}": (
+            lambda seed=seed: shuffled_orders(generate_fixture("noise", seed=seed), seed)
+        )
+        for seed in range(3)
+    },
+    "shuffled-romance": lambda: shuffled_orders(generate_fixture("romance"), 7),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(ORACLE_DOCS))
+def oracle_graphs(request):
+    """The raw and the normalized graph of one document."""
+    doc = ORACLE_DOCS[request.param]()
+    raw = build_all(doc)
+    norm_map = build_normalization_map(doc, HASHED, COMBAT, 0.75)
+    return raw, apply_normalization(raw, norm_map)
+
+
+def ids_of(graph, *kinds):
+    return [node.id for kind in kinds for node in graph.nodes(kind)]
+
+
+def test_reasoner_oracle_trajectories(oracle_graphs):
+    for graph in oracle_graphs:
+        entities = [node.attrs["entity_id"] for node in graph.nodes(NodeKind.CHARACTER)]
+        assert entities
+        for entity in entities:
+            want = oracle_character_trajectory(graph, entity)
+            assert character_trajectory(graph, entity) == want
+            assert character_trajectory(graph, entity) == want  # read from the index
+
+
+def test_reasoner_oracle_timelines(oracle_graphs):
+    for graph in oracle_graphs:
+        scopes = [STORY_SCOPE, *ids_of(graph, NodeKind.EVENT, NodeKind.MACRO_EVENT)]
+        for scope, order in itertools.product(scopes, ORDER_KINDS):
+            want = oracle_reconstruct_timeline(graph, scope, order)
+            assert reconstruct_timeline(graph, scope, order) == want
+
+
+def test_reasoner_oracle_dialogue_traces(oracle_graphs):
+    for graph in oracle_graphs:
+        for event_id in ids_of(graph, NodeKind.EVENT):
+            assert trace_dialogue(graph, event_id) == oracle_trace_dialogue(graph, event_id)
+
+
+def test_reasoner_oracle_summaries(oracle_graphs):
+    for graph in oracle_graphs:
+        for node_id in ids_of(graph, NodeKind.EVENT, NodeKind.MACRO_EVENT):
+            assert summarize_event(graph, node_id) == oracle_summarize_event(graph, node_id)
+
+
+def test_reasoner_oracle_orders_differ_from_id_order():
+    """The shuffled documents give the oracle something to catch: an order
+    that differs from id order in every one of them."""
+    for name in ORACLE_DOCS:
+        if name.startswith("shuffled"):
+            graph = build_all(ORACLE_DOCS[name]())
+            panels = ids_of(graph, NodeKind.PANEL)
+            for order in ORDER_KINDS:
+                assert list(reconstruct_timeline(graph, STORY_SCOPE, order).panel_ids) != panels
