@@ -280,10 +280,8 @@ def _score_t1(graph, variant, gold, macro_of, action_gold, norm_map):
             continue
         found = []
         for query in sorted({canonical} | set(gold.action_clusters[canonical])):
-            if variant == "raw":
-                hits = retrieve_actions(graph, query, "raw")
-            else:
-                hits = retrieve_actions(graph, query, "normalized", norm_map=norm_map)
+            # raw retrieval ignores the map
+            hits = retrieve_actions(graph, query, variant, norm_map=norm_map)
             found.extend((h.panel_id, h.action_instance_id) for h in hits)
         found_by_macro = _by_macro(found, macro_of)
         for macro_id, gold_instances in gold_by_macro.items():
@@ -327,8 +325,6 @@ def run_eval(
         variant: _score_t1(graphs[variant], variant, gold, macro_of, action_gold, norm_map)
         for variant in VARIANTS
     }
-    # each entity's trajectory panels, read once per variant on first use
-    trajectories: dict[str, dict[str, set[str]]] = {variant: {} for variant in variants}
     rows: list[TaskScore] = []
     labels: dict[str, str] = {}
     for macro in doc.macro_events:
@@ -360,11 +356,8 @@ def run_eval(
             )
             per_entity = []
             for entity in entities:
-                seen = trajectories[variant]
-                if entity not in seen:
-                    seen[entity] = set(character_trajectory(graph, entity).panel_ids)
                 score = coverage(
-                    seen[entity] & macro_panel_ids,
+                    macro_panel_ids.intersection(character_trajectory(graph, entity).panel_ids),
                     gold.trajectory_gold[entity] & macro_panel_ids,
                 )
                 per_entity.append((score, score, score))
@@ -436,7 +429,8 @@ def _render_markdown(report: EvalReport) -> bytes:
     rule = "|---|---|---|---|---|---|"
     lines = [header, rule]
     for macro_id in macro_ids:
-        cells = [labels.get(macro_id, macro_id)]
+        # a label cell holds no column bar and no line break
+        cells = [" ".join(labels.get(macro_id, macro_id).replace("|", "\\|").splitlines())]
         for task, variant in _MARKDOWN_COLUMNS:
             value = by_key.get((macro_id, task, variant))
             cells.append("" if value is None else f"{value:.3f}")

@@ -5,7 +5,8 @@ trajectories, timeline reconstruction, and event summarization. All of
 them work on raw and normalized graphs alike; only action retrieval
 changes behaviour with the normalization mode.
 On a frozen graph they read indexes built on first use through memo(): the
-actions by label, each order's panel positions, each character's trajectory.
+actions by label, each order's panel positions and scopes, each character's
+trajectory.
 """
 
 from __future__ import annotations
@@ -215,27 +216,18 @@ def trace_dialogue(graph: NarrativeGraph, event_id: str) -> DialogueTrace:
     """Dialogue spans grounded in an event's panels, with resolved speakers."""
     if not graph.has_node(event_id) or graph.node(event_id).kind is not NodeKind.EVENT:
         raise UnknownEvent(f"unknown event: {event_id}")
-    position = _positions(graph)
-    keyed = []
-    for panel_id in graph.neighbors(event_id, EdgeKind.INSTANTIATES, "in"):
-        for dialogue_id in graph.neighbors(panel_id, EdgeKind.GROUNDED_IN, "in"):
-            node = graph.node(dialogue_id)
-            if node.kind is not NodeKind.DIALOGUE:
-                continue
+    entries = []
+    for panel_id in _scopes(graph, "reading")[1].get(event_id, ()):
+        grounded = map(graph.node, graph.neighbors(panel_id, EdgeKind.GROUNDED_IN, "in"))
+        dialogues = [node for node in grounded if node.kind is NodeKind.DIALOGUE]
+        for node in sorted(dialogues, key=lambda node: int(node.attrs["order"])):
             speaker = None
             instance = node.attrs.get("speaker")
             if instance:  # finalize() checked it refers to exactly one character
                 (entity,) = graph.neighbors(instance, EdgeKind.REFERS_TO, "out")
                 speaker = graph.node(entity).attrs["entity_id"]
-            keyed.append(
-                (
-                    position[panel_id],
-                    int(node.attrs["order"]),
-                    (panel_id, dialogue_id, speaker, node.attrs["text"]),
-                )
-            )
-    keyed.sort(key=lambda item: item[:2])
-    return DialogueTrace(event_id, tuple(entry for _, _, entry in keyed))
+            entries.append((panel_id, node.id, speaker, node.attrs["text"]))
+    return DialogueTrace(event_id, tuple(entries))
 
 
 def character_trajectory(graph: NarrativeGraph, entity_id: str) -> Trajectory:
@@ -267,31 +259,42 @@ def character_trajectory(graph: NarrativeGraph, entity_id: str) -> Trajectory:
     return graph.memo(("trajectory", node_id), build)
 
 
-def _scope_panels(graph: NarrativeGraph, scope_id: str) -> list[str]:
-    if scope_id == STORY_SCOPE:
-        return [node.id for node in graph.nodes(NodeKind.PANEL)]
-    if not graph.has_node(scope_id):
-        raise UnknownScope(f"unknown scope: {scope_id}")
-    node = graph.node(scope_id)
-    if node.kind is NodeKind.EVENT:
-        return list(graph.neighbors(scope_id, EdgeKind.INSTANTIATES, "in"))
-    if node.kind is NodeKind.MACRO_EVENT:
-        panels: list[str] = []
-        for event_id in graph.neighbors(scope_id, EdgeKind.SUBEVENT_OF, "in"):
-            panels.extend(graph.neighbors(event_id, EdgeKind.INSTANTIATES, "in"))
-        return panels
-    raise UnknownScope(f"scope must be an event, macro-event, or {STORY_SCOPE!r}: {scope_id}")
+def _scopes(
+    graph: NarrativeGraph, order_kind: str
+) -> tuple[tuple[str, ...], dict[str, tuple[str, ...]]]:
+    """The story's panels in one order, and each event's and macro-event's
+    panels in that order, from one pass over the story. Built on the first
+    query; the story is kept apart so that no node id can stand for it."""
+
+    def build():
+        position = _positions(graph, order_kind)
+        story = sorted(position, key=position.__getitem__)
+        # dict keys drop repeats: a panel under two events of one macro-event
+        scopes: dict[str, dict[str, None]] = {}
+        for panel_id in story:
+            for event_id in graph.neighbors(panel_id, EdgeKind.INSTANTIATES, "out"):
+                scopes.setdefault(event_id, {})[panel_id] = None
+                for macro_id in graph.neighbors(event_id, EdgeKind.SUBEVENT_OF, "out"):
+                    if graph.node(macro_id).kind is NodeKind.MACRO_EVENT:
+                        scopes.setdefault(macro_id, {})[panel_id] = None
+        return tuple(story), {scope: tuple(panels) for scope, panels in scopes.items()}
+
+    return graph.memo(("scopes", order_kind), build)
 
 
 def reconstruct_timeline(
     graph: NarrativeGraph, scope_id: str, order_kind: str = "reading"
 ) -> Timeline:
-    """Panels of a scope in one of the panel orders, sorted by its attribute."""
+    """Panels of the story, an event or a macro-event in one panel order."""
     if order_kind not in ORDER_KINDS:
         raise ValueError(f"order_kind must be one of {ORDER_KINDS}, got {order_kind!r}")
-    scope = set(_scope_panels(graph, scope_id))
-    ordered = sorted(scope, key=_positions(graph, order_kind).__getitem__)
-    return Timeline(scope_id, order_kind, tuple(ordered))
+    if scope_id == STORY_SCOPE:
+        return Timeline(scope_id, order_kind, _scopes(graph, order_kind)[0])
+    if not graph.has_node(scope_id):
+        raise UnknownScope(f"unknown scope: {scope_id}")
+    if graph.node(scope_id).kind not in (NodeKind.EVENT, NodeKind.MACRO_EVENT):
+        raise UnknownScope(f"scope must be an event, macro-event, or {STORY_SCOPE!r}: {scope_id}")
+    return Timeline(scope_id, order_kind, _scopes(graph, order_kind)[1].get(scope_id, ()))
 
 
 def _sibling_order(graph: NarrativeGraph, children: list[str]) -> list[str]:
@@ -319,10 +322,7 @@ def summarize_event(graph: NarrativeGraph, node_id: str) -> EventSummary:
             graph, list(graph.neighbors(node_id, EdgeKind.SUBEVENT_OF, "in"))
         )
     elif node.kind is NodeKind.EVENT:
-        children = sorted(
-            graph.neighbors(node_id, EdgeKind.INSTANTIATES, "in"),
-            key=_positions(graph).__getitem__,
-        )
+        children = _scopes(graph, "reading")[1].get(node_id, ())
     else:
         raise NotAnEventNode(f"not an event node: {node_id} ({node.kind.value})")
     return EventSummary(

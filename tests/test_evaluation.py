@@ -5,6 +5,7 @@ import json
 import logging
 import random
 import string
+from dataclasses import replace
 
 import pytest
 
@@ -420,6 +421,21 @@ def test_markdown_layout():
         cells = [c.strip() for c in line.strip("|").split("|")]
         assert len(cells) == 6
     assert render_report(report, "md") == render_report(report, "markdown")
+
+
+def test_markdown_label_cell_escapes_bars_and_line_breaks():
+    doc = generate_fixture("romance")
+    first, *rest = doc.macro_events
+    doc = replace(doc, macro_events=(replace(first, label="Letter | news\nfrom home"), *rest))
+    raw = build_all(doc)
+    norm_map = build_normalization_map(doc, HASHED, COMBAT, 0.75)
+    norm = apply_normalization(raw, norm_map)
+    report = run_eval(doc, raw, norm, build_gold(doc), norm_map=norm_map)
+    lines = render_report(report, "md").decode().splitlines()
+    assert len(lines) == 2 + len(doc.macro_events)
+    assert lines[2].startswith("| Letter \\| news from home | ")
+    for line in lines:
+        assert line.replace("\\|", "").count("|") == 7
 
 
 def test_markdown_empty_report():

@@ -37,7 +37,6 @@ from nkg.reasoner import (
     EventSummary,
     Timeline,
     Trajectory,
-    _scope_panels,
     _sibling_order,
     character_trajectory,
     reconstruct_timeline,
@@ -579,7 +578,51 @@ def test_trajectory_index_is_built_on_the_first_query_only(memo_builds):
     assert character_trajectory(graph, "charA") is first
     assert memo_builds == built  # a repeat reads the index
     reconstruct_timeline(graph, "story", "storytime")
-    assert memo_builds[len(built):] == [("positions", "storytime")]
+    assert memo_builds[len(built):] == [("scopes", "storytime"), ("positions", "storytime")]
+
+
+def unfrozen_copy(graph, keep=lambda edge: True):
+    """A graph with the nodes of `graph` and the edges keep() accepts, unfrozen."""
+    copy = NarrativeGraph(graph.story_id)
+    for node in graph.nodes():
+        copy.add_node(node)
+    for edge in filter(keep, graph.edges()):
+        copy.add_edge(edge.src, edge.dst, edge.kind)
+    return copy
+
+
+def test_scope_index_is_built_once_per_order(memo_builds):
+    frozen = build_all(generate_fixture("battle"))
+    data = frozen.to_json_bytes()
+    queries = [  # each query with the order whose scope index it reads
+        (lambda g: reconstruct_timeline(g, "m0", "storytime"), "storytime"),
+        (lambda g: summarize_event(g, "e0_0"), "reading"),
+        (lambda g: trace_dialogue(g, "e3_0"), "reading"),
+        (lambda g: reconstruct_timeline(g, STORY_SCOPE, "reading"), "reading"),
+    ]
+
+    def scope_builds():
+        return [key for key in memo_builds if key[0] == "scopes"]
+
+    for query, order in queries:
+        memo_builds.clear()
+        graph = deserialize(data)
+        assert memo_builds == []  # loading builds no index
+        query(graph)
+        assert scope_builds() == [("scopes", order)]
+    memo_builds.clear()
+    graph = deserialize(data)
+    want = [query(graph) for query, _ in queries]
+    assert scope_builds() == [("scopes", "storytime"), ("scopes", "reading")]
+    memo_builds.clear()
+    assert [query(graph) for query, _ in queries] == want
+    assert memo_builds == []  # a repeat reads the index
+
+    unfrozen = unfrozen_copy(frozen)
+    memo_builds.clear()
+    assert [query(unfrozen) for query, _ in queries] == want
+    assert [query(unfrozen) for query, _ in queries] == want
+    assert len(scope_builds()) == 2 * len(queries)  # nothing kept
 
 
 def test_queries_on_an_unfrozen_graph_cache_nothing(memo_builds):
@@ -663,9 +706,10 @@ def test_fallback_query_the_provider_cannot_embed_links_lexically():
 
 # --- the indexed queries against the per-call reference ----------------------
 #
-# The reference reads each panel's position from its attribute on every call
-# and rescans a character's instances on every trajectory query, as the
-# reasoner did before its position and trajectory indexes.
+# The reference reads each panel's position from its attribute on every call,
+# rescans a character's instances on every trajectory query, and gathers and
+# sorts a scope's panels on every timeline, summary and dialogue query, as the
+# reasoner did before its position, trajectory and scope indexes.
 
 
 def _position(graph, panel_id, order_kind="reading"):
@@ -715,6 +759,22 @@ def oracle_character_trajectory(graph, entity_id):
     return Trajectory(entity_id, tuple(ordered_panels), tuple(event_ids), tuple(macro_ids))
 
 
+def _scope_panels(graph, scope_id):
+    if scope_id == STORY_SCOPE:
+        return [node.id for node in graph.nodes(NodeKind.PANEL)]
+    if not graph.has_node(scope_id):
+        raise UnknownScope(f"unknown scope: {scope_id}")
+    node = graph.node(scope_id)
+    if node.kind is NodeKind.EVENT:
+        return list(graph.neighbors(scope_id, EdgeKind.INSTANTIATES, "in"))
+    if node.kind is NodeKind.MACRO_EVENT:
+        panels = []
+        for event_id in graph.neighbors(scope_id, EdgeKind.SUBEVENT_OF, "in"):
+            panels.extend(graph.neighbors(event_id, EdgeKind.INSTANTIATES, "in"))
+        return panels
+    raise UnknownScope(f"scope must be an event, macro-event, or {STORY_SCOPE!r}: {scope_id}")
+
+
 def oracle_reconstruct_timeline(graph, scope_id, order_kind):
     scope = set(_scope_panels(graph, scope_id))
     ordered = sorted(scope, key=lambda panel_id: _position(graph, panel_id, order_kind))
@@ -754,6 +814,18 @@ def shuffled_orders(doc, seed):
     return replace(doc, macro_events=tuple(map(macro, doc.macro_events)))
 
 
+def story_named(doc, tier):
+    """The document with its first event or first macro-event given the id
+    of the story scope."""
+    first, *rest = doc.macro_events
+    if tier == "macro_event":
+        first = replace(first, id=STORY_SCOPE)
+    else:
+        event, *events = first.events
+        first = replace(first, events=(replace(event, id=STORY_SCOPE), *events))
+    return replace(doc, macro_events=(first, *rest))
+
+
 ORACLE_DOCS = {
     "battle": lambda: generate_fixture("battle"),
     "romance": lambda: generate_fixture("romance"),
@@ -765,6 +837,11 @@ ORACLE_DOCS = {
         for seed in range(3)
     },
     "shuffled-romance": lambda: shuffled_orders(generate_fixture("romance"), 7),
+    # a node id equal to the story scope names that node, except to a timeline
+    **{
+        f"story-id-{tier}": lambda tier=tier: story_named(generate_fixture("battle"), tier)
+        for tier in ("event", "macro_event")
+    },
 }
 
 
@@ -809,6 +886,27 @@ def test_reasoner_oracle_summaries(oracle_graphs):
     for graph in oracle_graphs:
         for node_id in ids_of(graph, NodeKind.EVENT, NodeKind.MACRO_EVENT):
             assert summarize_event(graph, node_id) == oracle_summarize_event(graph, node_id)
+
+
+def test_reasoner_oracle_on_a_graph_no_annotation_makes():
+    """An event under an event rather than a macro-event, and an event with
+    no panels: neither lends panels to a scope it does not instantiate."""
+    graph = unfrozen_copy(
+        build_all(generate_fixture("battle")),
+        lambda edge: (edge.src, edge.kind) != ("e0_1", EdgeKind.SUBEVENT_OF)
+        and (edge.dst, edge.kind) != ("e0_2", EdgeKind.INSTANTIATES),
+    )
+    graph.add_edge("e0_1", "e0_0", EdgeKind.SUBEVENT_OF)
+    graph.finalize()
+    assert reconstruct_timeline(graph, "e0_2").panel_ids == ()
+    scopes = [STORY_SCOPE, *ids_of(graph, NodeKind.EVENT, NodeKind.MACRO_EVENT)]
+    for scope, order in itertools.product(scopes, ORDER_KINDS):
+        want = oracle_reconstruct_timeline(graph, scope, order)
+        assert reconstruct_timeline(graph, scope, order) == want
+    for node_id in ids_of(graph, NodeKind.EVENT, NodeKind.MACRO_EVENT):
+        assert summarize_event(graph, node_id) == oracle_summarize_event(graph, node_id)
+    for event_id in ids_of(graph, NodeKind.EVENT):
+        assert trace_dialogue(graph, event_id) == oracle_trace_dialogue(graph, event_id)
 
 
 def test_reasoner_oracle_orders_differ_from_id_order():
