@@ -160,6 +160,9 @@ class NormalizationMap:
                         f"label {member!r} appears twice in the {cluster.pool} pool",
                     )
                 table[member] = cluster.canonical
+        # each member's canonical by member position, as the query-time
+        # tables below index members
+        self._canonicals = {pool: tuple(table.values()) for pool, table in self._by_pool.items()}
         # query-time tables, each built on its first use
         self._by_fold: dict[str, dict[str, str]] = {}
         self._buckets: dict[str, tuple[SynonymLexicon, dict]] = {}
@@ -197,22 +200,26 @@ class NormalizationMap:
         provider=None uses the provider the map's id names, built once per
         map, when the id can rebuild one. Members or a query the provider
         cannot embed link lexically only."""
-        members = tuple(self._by_pool.get(pool, {}).items())  # (member, canonical)
+        canonicals = self._canonicals.get(pool, ())  # by member position
         query_bucket = lexicon.link_bucket(lexical_key(query, lexicon))
         lexical = self._member_buckets(lexicon, pool).get(query_bucket, [])
-        linked_to = [(-1.0, members[i][1]) for i in lexical]
+        linked_to = [(-1.0, canonicals[i]) for i in lexical]
         if provider is None:
             provider = self._own_provider
         vectors = None if provider is None else self._member_vectors(provider, pool)
         vec = None if vectors is None else _embed_or_none(provider, query)
         if vec is not None:
             matrix, unit, embedded = vectors
-            near = embedded & (unit @ unit_rows(vec) >= self.threshold - TIE_BAND)
+            vec = np.asarray(vec, dtype=np.float64)  # a provider may return a list
+            norm = np.linalg.norm(vec)
+            # a zero query stays zero: its products are 0.0, as cosine() gives
+            products = unit @ (vec / norm if norm > 0 else vec)
+            near = embedded & (products >= self.threshold - TIE_BAND)
             near[lexical] = False  # a lexical link scores 1.0, whatever the cosine
             for i in np.flatnonzero(near).tolist():
                 sim = cosine(vec, matrix[i])
                 if sim >= self.threshold:
-                    linked_to.append((-sim, members[i][1]))
+                    linked_to.append((-sim, canonicals[i]))
         return min(linked_to)[1] if linked_to else None
 
     def _member_buckets(self, lexicon: SynonymLexicon, pool: str) -> dict[int | str, list[int]]:

@@ -6,7 +6,9 @@ them work on raw and normalized graphs alike; only action retrieval
 changes behaviour with the normalization mode.
 On a frozen graph they read indexes built on first use through memo(): the
 actions by label, each order's panel positions and scopes, each character's
-trajectory.
+trajectory, each event's dialogue entries and each macro-event's children.
+Every query is then a lookup, except the nearest-cluster fallback of a
+normalized action query, which costs one product over the map's member matrix.
 """
 
 from __future__ import annotations
@@ -156,6 +158,7 @@ def _canonical_by_fold(graph: NarrativeGraph) -> dict[str, str]:
 def _resolve_canonical(
     graph: NarrativeGraph,
     query: str,
+    folded: str,
     norm_map: NormalizationMap | None,
     lexicon: SynonymLexicon | None,
     provider,
@@ -165,8 +168,8 @@ def _resolve_canonical(
     Resolution order: exact map member, fold-equal map member, nearest
     cluster under the map's link relation, then the query itself.
     Without a map the graph's own surface/canonical pairs stand in.
+    `folded` is fold_label(query).
     """
-    folded = fold_label(query)
     if norm_map is None:
         return _canonical_by_fold(graph).get(folded, query)
 
@@ -207,17 +210,18 @@ def retrieve_actions(
     if mode == "raw":
         index = _actions_by(graph, "surface_fold", lambda hit: fold_label(hit.surface_label))
         return list(index.get(folded, ()))
-    target = _resolve_canonical(graph, query_label, norm_map, lexicon, provider)
+    target = _resolve_canonical(graph, query_label, folded, norm_map, lexicon, provider)
     index = _actions_by(graph, "canonical", lambda hit: hit.canonical_label)
     return list(index.get(target, ()))
 
 
-def trace_dialogue(graph: NarrativeGraph, event_id: str) -> DialogueTrace:
-    """Dialogue spans grounded in an event's panels, with resolved speakers."""
-    if not graph.has_node(event_id) or graph.node(event_id).kind is not NodeKind.EVENT:
-        raise UnknownEvent(f"unknown event: {event_id}")
-    entries = []
-    for panel_id in _scopes(graph, "reading")[1].get(event_id, ()):
+def _dialogues(graph: NarrativeGraph) -> dict[str, tuple[tuple[str, str, str | None, str], ...]]:
+    """Event id -> the dialogue entries of its panels in reading order, each
+    panel's by dialogue order; events without panels are absent. Built on the
+    first query from the reading-order scopes, each panel's dialogues and
+    speakers resolved once."""
+
+    def panel_entries(panel_id: str):
         grounded = map(graph.node, graph.neighbors(panel_id, EdgeKind.GROUNDED_IN, "in"))
         dialogues = [node for node in grounded if node.kind is NodeKind.DIALOGUE]
         for node in sorted(dialogues, key=lambda node: int(node.attrs["order"])):
@@ -226,8 +230,25 @@ def trace_dialogue(graph: NarrativeGraph, event_id: str) -> DialogueTrace:
             if instance:  # finalize() checked it refers to exactly one character
                 (entity,) = graph.neighbors(instance, EdgeKind.REFERS_TO, "out")
                 speaker = graph.node(entity).attrs["entity_id"]
-            entries.append((panel_id, node.id, speaker, node.attrs["text"]))
-    return DialogueTrace(event_id, tuple(entries))
+            yield panel_id, node.id, speaker, node.attrs["text"]
+
+    def build():
+        story, scopes = _scopes(graph, "reading")
+        by_panel = {panel_id: tuple(panel_entries(panel_id)) for panel_id in story}
+        return {
+            scope: tuple(entry for panel_id in panels for entry in by_panel[panel_id])
+            for scope, panels in scopes.items()
+            if graph.node(scope).kind is NodeKind.EVENT
+        }
+
+    return graph.memo("dialogues", build)
+
+
+def trace_dialogue(graph: NarrativeGraph, event_id: str) -> DialogueTrace:
+    """Dialogue spans grounded in an event's panels, with resolved speakers."""
+    if not graph.has_node(event_id) or graph.node(event_id).kind is not NodeKind.EVENT:
+        raise UnknownEvent(f"unknown event: {event_id}")
+    return DialogueTrace(event_id, _dialogues(graph).get(event_id, ()))
 
 
 def character_trajectory(graph: NarrativeGraph, entity_id: str) -> Trajectory:
@@ -271,12 +292,18 @@ def _scopes(
         story = sorted(position, key=position.__getitem__)
         # dict keys drop repeats: a panel under two events of one macro-event
         scopes: dict[str, dict[str, None]] = {}
+        macros_of: dict[str, list[str]] = {}  # each event's parents, looked up once
         for panel_id in story:
             for event_id in graph.neighbors(panel_id, EdgeKind.INSTANTIATES, "out"):
                 scopes.setdefault(event_id, {})[panel_id] = None
-                for macro_id in graph.neighbors(event_id, EdgeKind.SUBEVENT_OF, "out"):
-                    if graph.node(macro_id).kind is NodeKind.MACRO_EVENT:
-                        scopes.setdefault(macro_id, {})[panel_id] = None
+                if event_id not in macros_of:
+                    macros_of[event_id] = [
+                        macro_id
+                        for macro_id in graph.neighbors(event_id, EdgeKind.SUBEVENT_OF, "out")
+                        if graph.node(macro_id).kind is NodeKind.MACRO_EVENT
+                    ]
+                for macro_id in macros_of[event_id]:
+                    scopes.setdefault(macro_id, {})[panel_id] = None
         return tuple(story), {scope: tuple(panels) for scope, panels in scopes.items()}
 
     return graph.memo(("scopes", order_kind), build)
@@ -312,15 +339,27 @@ def _sibling_order(graph: NarrativeGraph, children: list[str]) -> list[str]:
     return ordered
 
 
+def _macro_children(graph: NarrativeGraph) -> dict[str, tuple[str, ...]]:
+    """Macro-event id -> its direct children in narrative order. Built on the
+    first query."""
+    return graph.memo(
+        "macro_children",
+        lambda: {
+            macro.id: tuple(
+                _sibling_order(graph, list(graph.neighbors(macro.id, EdgeKind.SUBEVENT_OF, "in")))
+            )
+            for macro in graph.nodes(NodeKind.MACRO_EVENT)
+        },
+    )
+
+
 def summarize_event(graph: NarrativeGraph, node_id: str) -> EventSummary:
     """Direct children of an event or macro-event, in narrative order."""
     if not graph.has_node(node_id):
         raise UnknownNode(node_id)
     node = graph.node(node_id)
     if node.kind is NodeKind.MACRO_EVENT:
-        children = _sibling_order(
-            graph, list(graph.neighbors(node_id, EdgeKind.SUBEVENT_OF, "in"))
-        )
+        children = _macro_children(graph)[node_id]
     elif node.kind is NodeKind.EVENT:
         children = _scopes(graph, "reading")[1].get(node_id, ())
     else:

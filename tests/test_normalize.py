@@ -300,6 +300,21 @@ def test_nearest_canonical_skips_members_the_provider_cannot_embed():
     assert NormalizationMap(clusters, 0.0, "test").nearest_canonical("q", lexicon, provider) == "b"
 
 
+def test_nearest_canonical_with_a_zero_query_vector():
+    # as in cluster_labels: a zero vector has cosine 0.0 with everything
+    zero = VectorFileProvider(
+        {"a": [0.0, 0.0], "b": np.array([1.0, 0.0]), "c": np.array([-1.0, 0.0])}, 2
+    )
+    empty = SynonymLexicon.empty()
+    for member in ("b", "c"):
+        alone = NormalizationMap([LabelCluster((member,), member)], 0.0, "test")
+        assert alone.nearest_canonical("a", empty, zero) == member
+    # "d" has no vector; "b" and "c" tie at 0.0, so the smaller canonical wins
+    clusters = [LabelCluster(("b",), "y"), LabelCluster(("c",), "x"), LabelCluster(("d",), "w")]
+    assert NormalizationMap(clusters, 0.0, "test").nearest_canonical("a", empty, zero) == "x"
+    assert NormalizationMap(clusters, 1e-12, "test").nearest_canonical("a", empty, zero) is None
+
+
 @pytest.mark.parametrize("kind,seed,variance,with_gold", sorted(MAP_DIGESTS))
 def test_map_bytes_match_pinned_digest(kind, seed, variance, with_gold):
     doc = generate_fixture(kind, seed=seed, variance=variance)

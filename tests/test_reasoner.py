@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from nkg import embedding, normalize
+from nkg import embedding, normalize, reasoner
 from nkg.annotations import parse_annotations
 from nkg.builder import build_all, entity_node_id
 from nkg.embedding import HashedNgramProvider, VectorFileProvider
@@ -648,6 +648,57 @@ def test_queries_on_an_unfrozen_graph_cache_nothing(memo_builds):
     assert retrieve_actions(graph, "fight", "raw") == want
     assert retrieve_actions(graph, "fight", "raw") == want
     assert memo_builds.count(("actions_by", "surface_fold")) == 1
+
+
+@pytest.mark.parametrize(
+    "key,query,first,other",
+    [
+        ("dialogues", trace_dialogue, "e3_0", "e5_0"),
+        ("macro_children", summarize_event, "m0", "m3"),
+    ],
+)
+def test_dialogue_and_macro_children_indexes_are_built_on_the_first_query_only(
+    memo_builds, key, query, first, other
+):
+    frozen = build_all(generate_fixture("battle"))
+    data = frozen.to_json_bytes()
+    want = [query(frozen, first), query(frozen, other)]
+    memo_builds.clear()
+    graph = deserialize(data)
+    assert memo_builds == []  # loading builds no index
+    assert query(graph, first) == want[0]
+    assert memo_builds.count(key) == 1
+    built = list(memo_builds)
+    assert [query(graph, first), query(graph, other)] == want
+    assert memo_builds == built  # later queries read the index
+
+    unfrozen = unfrozen_copy(frozen)
+    memo_builds.clear()
+    assert [query(unfrozen, first), query(unfrozen, first)] == [want[0], want[0]]
+    assert memo_builds.count(key) == 2  # nothing kept
+
+
+def test_scope_index_looks_up_each_events_parents_once(monkeypatch):
+    graph = deserialize(build_all(generate_fixture("battle")).to_json_bytes())
+    calls = Counter()
+    neighbors = NarrativeGraph.neighbors
+
+    def counting(self, node_id, kind, direction="out"):
+        calls[kind] += 1
+        return neighbors(self, node_id, kind, direction)
+
+    monkeypatch.setattr(NarrativeGraph, "neighbors", counting)
+    reconstruct_timeline(graph, STORY_SCOPE, "reading")
+    assert calls[EdgeKind.SUBEVENT_OF] == len(graph.nodes(NodeKind.EVENT)) == 11
+
+
+def test_normalized_retrieval_folds_the_query_once(monkeypatch):
+    folds = []
+    monkeypatch.setattr(reasoner, "fold_label", lambda l: folds.append(l) or fold_label(l))
+    for query in ("Fight", "kick_cart"):  # a fold-equal member and a fallback
+        folds.clear()
+        retrieve_actions(BATTLE_NORM, query, "normalized", norm_map=BATTLE_MAP)
+        assert folds == [query]
 
 
 def test_fallback_buckets_map_members_once_per_lexicon(monkeypatch):
