@@ -6,14 +6,17 @@ Three implementations:
   needs no data files or network. Captures surface similarity only;
   semantic synonymy is the lexicon's job. A batch of labels is embedded in
   one pass that hashes each distinct trigram once (the hashing trick of
-  Weinberger et al. 2009); each vector has the bits it has when its label
-  is embedded alone.
+  Weinberger et al. 2009) and adds the label rows one token position at a
+  time; each vector has the bits it has when its label is embedded alone.
 - VectorFileProvider: precomputed vectors from a JSON file, exact labels only.
 - RemoteProvider: HTTP client for an external embedding service
   (POST <endpoint>/embed with {"texts": [...]}).
 
 All providers return L2-normalized float vectors of one fixed dimension per
 provider instance, and the same label always yields the same vector.
+
+For many pairs of rows of one matrix, row_norms and pair_cosines give
+cosine()'s exact bits at one dot product a pair.
 """
 
 from __future__ import annotations
@@ -60,9 +63,12 @@ def _hashed_rows(labels: list[str], dim: int) -> np.ndarray:
     handles each distinct token and trigram once.
 
     Token rows hold integer counts, so their sums and norms are exact in any
-    order. Label rows add their token rows in token order from zeros and are
-    scaled by sqrt(row.dot(row)), the ddot np.linalg.norm takes of a vector,
-    so each row has the bits of the same steps taken for its label alone."""
+    order. Label rows add their token rows in token order from zeros, one
+    token position at a time for every label, and are scaled by row_norms,
+    the ddot np.linalg.norm takes of a vector, so each row has the bits of
+    the same steps taken for its label alone. A label with fewer tokens adds
+    the zero row at the positions it lacks; no sum here is ever -0.0, so
+    adding +0.0 changes no bit."""
     token_ids: dict[str, int] = {}
     label_tokens = [  # fold_label raises EmptyLabel on blank input
         [token_ids.setdefault(t, len(token_ids)) for t in fold_label(label).split("_")]
@@ -77,18 +83,21 @@ def _hashed_rows(labels: list[str], dim: int) -> np.ndarray:
             cell_trigram.append(trigram_ids.setdefault(padded[i : i + 3], len(trigram_ids)))
     h = _fnv1a(list(trigram_ids))[cell_trigram]
     cells = np.array(cell_token, dtype=np.intp) * dim + (h % np.uint64(dim)).astype(np.intp)
+    # one row more than there are tokens: the last stays zero
     tokens = np.bincount(
-        cells, weights=np.where(h & np.uint64(1), -1.0, 1.0), minlength=len(token_ids) * dim
-    ).reshape(len(token_ids), dim)
-    norms = np.sqrt(np.einsum("ij,ij->i", tokens, tokens))[:, None]
+        cells, weights=np.where(h & np.uint64(1), -1.0, 1.0), minlength=(len(token_ids) + 1) * dim
+    ).reshape(len(token_ids) + 1, dim)
+    norms = row_norms(tokens)[:, None]
     np.divide(tokens, norms, out=tokens, where=norms > 0)
 
+    # token ids by position, -1 (the zero row) past a label's last token
+    width = max(map(len, label_tokens), default=0)
+    table = np.array([ids + [-1] * (width - len(ids)) for ids in label_tokens], dtype=np.intp)
     rows = np.zeros((len(labels), dim))
-    for row, ids in zip(rows, label_tokens):
-        for t in ids:
-            row += tokens[t]
+    for column in table.reshape(len(labels), width).T:
+        rows += tokens[column]
     rows /= np.array([len(ids) for ids in label_tokens])[:, None]
-    norms = np.sqrt([row.dot(row) for row in rows]).reshape(-1, 1)
+    norms = row_norms(rows)[:, None]
     return np.divide(rows, norms, out=rows, where=norms > 0)
 
 
@@ -104,6 +113,27 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     if na == 0 or nb == 0:
         return 0.0
     return float(np.dot(a, b) / (na * nb))
+
+
+def row_norms(vectors: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row, with its bits: for a 1-D float64 vector
+    norm() is sqrt(v.dot(v)), and vecdot takes each row's dot with the same
+    BLAS kernel that v.dot(v) calls."""
+    return np.sqrt(np.vecdot(vectors, vectors))
+
+
+def pair_cosines(vectors: np.ndarray, norms: np.ndarray, rows, cols) -> np.ndarray:
+    """cosine(vectors[i], vectors[j]) for each pair (i, j) of rows and cols,
+    with its bits, given norms = row_norms(vectors): one dot product a pair.
+    The pairs go len(vectors) at a time, so the rows gathered for them never
+    take more memory than twice the vectors do."""
+    dots = np.empty(len(rows))
+    step = max(len(vectors), 1)
+    for start in range(0, len(rows), step):
+        pair = slice(start, start + step)
+        dots[pair] = np.vecdot(vectors[rows[pair]], vectors[cols[pair]])
+    nonzero = (norms[rows] > 0) & (norms[cols] > 0)
+    return np.divide(dots, norms[rows] * norms[cols], out=np.zeros_like(dots), where=nonzero)
 
 
 def embed_matrix(provider, labels: list[str]) -> np.ndarray:

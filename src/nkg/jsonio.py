@@ -5,7 +5,7 @@ lexicons, vector files, --config) is UTF-8 JSON holding an object:
 load_object decodes it and require reads its typed fields, so a wrong type
 fails with SchemaViolation naming the field's JSON path. Canonical files
 (annotation documents, normalization maps) come from dump_canonical; the
-graph writer lays out the same bytes by hand, for speed.
+graph and map writers lay out the same bytes from templates, for speed.
 """
 
 from __future__ import annotations
@@ -55,3 +55,12 @@ def require(obj: dict, key: str, kind: type, path: str, default: Any = MISSING) 
 def dump_canonical(obj: Any) -> bytes:
     """Canonical UTF-8 JSON: equal objects give equal bytes."""
     return (json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+def dump_list(items: list[str], indent: int) -> str:
+    """JSON values, each already laid out, joined into a list as
+    dump_canonical lays out one whose closing bracket is `indent` spaces in."""
+    if not items:
+        return "[]"
+    pad = " " * (indent + 2)
+    return f"[\n{pad}" + f",\n{pad}".join(items) + "\n" + " " * indent + "]"

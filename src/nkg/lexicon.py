@@ -160,5 +160,17 @@ def lemmatize_token(token: str, lexicon: SynonymLexicon) -> str:
 
 def lexical_key(label: str, lexicon: SynonymLexicon) -> str:
     """Lowercase, split on separators, lemmatize each token, rejoin with '_'."""
-    folded = fold_label(label)
-    return "_".join(lemmatize_token(t, lexicon) for t in folded.split("_"))
+    return lexical_keys([label], lexicon)[0]
+
+
+def lexical_keys(labels: list[str], lexicon: SynonymLexicon) -> list[str]:
+    """lexical_key of each label, lemmatizing each distinct token once."""
+    lemmas: dict[str, str] = {}
+    keys = []
+    for label in labels:
+        tokens = fold_label(label).split("_")
+        for token in tokens:
+            if token not in lemmas:
+                lemmas[token] = lemmatize_token(token, lexicon)
+        keys.append("_".join([lemmas[token] for token in tokens]))
+    return keys

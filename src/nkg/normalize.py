@@ -8,30 +8,46 @@ connected components of the link relation. Action labels and event labels
 form separate pools so the two vocabularies never merge with each other.
 
 Clustering finds the links in one batched pass per pool. Lexical links
-bucket the labels by lexical key or lexicon group. Cosine links come from
-row-blocked products of the pool's embedding matrix, which the provider
-fills once per pool, and only when the buckets are more than one. A product
-within TIE_BAND of the threshold is re-checked with the scalar cosine()
-that link_similarity uses, so a float tie falls on the same side for both.
+bucket the labels by lexical key or lexicon group; the pool's keys
+lemmatize each distinct token once. Cosine links come from row-blocked
+products of the pool's embedding matrix, which the provider fills once per
+pool, and only when the buckets are more than one. Each block of rows is
+multiplied only with the rows from its own start on, the upper triangle
+the links i < j need. A product within TIE_BAND of the threshold is
+re-checked at one dot product against row norms kept per pool, with the
+bits the scalar cosine() that link_similarity uses gives, so a float tie
+falls on the same side for both. Every block's links join one union-find.
 
 Canonical selection prefers gold labels (highest annotation frequency first),
-otherwise the shortest member; remaining ties break lexicographically.
+otherwise the shortest member; remaining ties break lexicographically. A
+pool's frequency table and gold set are built once and serve each of its
+clusters.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 
 import numpy as np
 
 from .annotations import AnnotationDoc
 from .errors import AlreadyNormalized, MissingLabel, ProviderError, SchemaViolation
 from .graph import NarrativeGraph, NodeKind
-from .jsonio import dump_canonical, load_object, require
-from .lexicon import SynonymLexicon, fold_label, is_label, lexical_key
-from .embedding import DEFAULT_DIM, HashedNgramProvider, cosine, embed_matrix, unit_rows
+from .jsonio import dump_list, load_object, require
+from .lexicon import SynonymLexicon, fold_label, is_label, lexical_key, lexical_keys
+from .embedding import (
+    DEFAULT_DIM,
+    HashedNgramProvider,
+    cosine,
+    embed_matrix,
+    pair_cosines,
+    row_norms,
+    unit_rows,
+)
 
 ACTION_POOL = "action"
 EVENT_POOL = "event"
@@ -40,7 +56,7 @@ DEFAULT_THRESHOLD = 0.75
 # at the map's dimension, so the file would otherwise set its memory
 MAX_HASHED_DIM = 16 * DEFAULT_DIM
 # a product this close to the threshold may fall on the other side of it
-# than cosine() does, so cosine() decides those pairs
+# than cosine() does, so cosine()'s value (from pair_cosines) decides those pairs
 TIE_BAND = 1e-9
 _BLOCK_ROWS = 256  # rows per product block: memory stays O(block x pool)
 
@@ -82,9 +98,10 @@ def cluster_labels(
     label of a pool that lexical links leave in more than one bucket."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+    ordered = sorted(set(labels))
     buckets: dict[int | str, list[str]] = {}
-    for label in sorted(set(labels)):
-        buckets.setdefault(lexicon.link_bucket(lexical_key(label, lexicon)), []).append(label)
+    for label, key in zip(ordered, lexical_keys(ordered, lexicon)):
+        buckets.setdefault(lexicon.link_bucket(key), []).append(label)
     groups = list(buckets.values())
     if provider is not None and len(groups) > 1:
         groups = _join_by_cosine(groups, provider, threshold)
@@ -95,45 +112,54 @@ def _join_by_cosine(groups: list[list[str]], provider, threshold: float) -> list
     """The groups merged along cosine links between their labels."""
     labels = [label for group in groups for label in group]
     owner = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
-    parent = list(range(len(groups)))
-
-    def root(g: int) -> int:
-        while parent[g] != g:
-            parent[g] = parent[parent[g]]
-            g = parent[g]
-        return g
-
+    root = np.arange(len(groups))  # one union-find that every block's links join
     for rows, cols in _cosine_links(embed_matrix(provider, labels), threshold):
-        # pairs already joined before this block are dropped without a loop
-        roots = np.array([root(g) for g in range(len(groups))])
-        a, b = roots[owner[rows]], roots[owner[cols]]
-        apart = a != b
-        for x, y in zip(a[apart].tolist(), b[apart].tolist()):
-            parent[root(x)] = root(y)
+        _union(root, owner[rows], owner[cols])
     merged: dict[int, list[str]] = {}
-    for g, group in enumerate(groups):
-        merged.setdefault(root(g), []).extend(group)
+    for g, group in zip(root.tolist(), groups):
+        merged.setdefault(g, []).extend(group)
     return list(merged.values())
+
+
+def _union(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Joins the trees of a[k] and b[k] for every k, in place.
+
+    root is a union-find forest in which each entry points at itself or a
+    smaller entry, and every entry at its tree's smallest one; both stay
+    true. Each round hooks the larger root of every pair still apart under
+    the smallest root paired with it, then jumps pointers to the roots."""
+    while True:
+        ra, rb = root[a], root[b]
+        apart = ra != rb
+        if not apart.any():
+            return
+        ra, rb = ra[apart], rb[apart]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while ((up := root[root]) != root).any():
+            root[:] = up
 
 
 def _cosine_links(vectors: np.ndarray, threshold: float):
     """Yields, one block of rows at a time, the index pairs i < j whose
-    cosine(vectors[i], vectors[j]) is at or above the threshold."""
+    cosine(vectors[i], vectors[j]) is at or above the threshold. A block is
+    multiplied only with the rows from its own start on."""
     unit = unit_rows(vectors)
+    norms = row_norms(vectors)
     for start in range(0, len(unit), _BLOCK_ROWS):
-        sims = unit[start : start + _BLOCK_ROWS] @ unit.T
-        rows, cols = np.nonzero(np.triu(sims >= threshold - TIE_BAND, start + 1))
-        near = np.flatnonzero(sims[rows, cols] < threshold + TIE_BAND)
+        sims = unit[start : start + _BLOCK_ROWS] @ unit[start:].T
+        rows, cols = np.nonzero(np.triu(sims >= threshold - TIE_BAND, 1))
+        near = sims[rows, cols] < threshold + TIE_BAND
         rows += start
-        keep = np.ones(len(rows), dtype=bool)
-        keep[near] = [cosine(vectors[rows[k]], vectors[cols[k]]) >= threshold for k in near]
+        cols += start
+        keep = ~near
+        keep[near] = pair_cosines(vectors, norms, rows[near], cols[near]) >= threshold
         yield rows[keep], cols[keep]
 
 
 def assign_canonical(
     cluster: LabelCluster, gold_labels: set[str], frequency: dict[str, int]
 ) -> LabelCluster:
-    gold_members = set(cluster.members) & set(gold_labels)
+    gold_members = [m for m in cluster.members if m in gold_labels]
     if gold_members:
         canonical = min(gold_members, key=lambda m: (-frequency.get(m, 0), len(m), m))
     else:
@@ -253,16 +279,20 @@ class NormalizationMap:
         )
 
     def to_json_bytes(self) -> bytes:
-        obj = {
-            "schema_version": 1,
-            "threshold": self.threshold,
-            "provider_id": self.provider_id,
-            "clusters": [
-                {"pool": c.pool, "canonical": c.canonical, "members": list(c.members)}
-                for c in self.clusters
-            ],
-        }
-        return dump_canonical(obj)
+        """dump_canonical's bytes of the map's dict, filled into a template of
+        its fixed shape, as the graph writer fills its own."""
+        q = encode_basestring  # the quoting json.dumps uses under ensure_ascii=False
+        clusters = [
+            f'{{\n      "canonical": {q(c.canonical)},\n'
+            f'      "members": {dump_list(list(map(q, c.members)), 6)},\n'
+            f'      "pool": {q(c.pool)}\n    }}'
+            for c in self.clusters
+        ]
+        return (
+            f'{{\n  "clusters": {dump_list(clusters, 2)},\n'
+            f'  "provider_id": {q(self.provider_id)},\n  "schema_version": 1,\n'
+            f'  "threshold": {json.dumps(self.threshold)}\n}}\n'
+        ).encode("utf-8")
 
     @classmethod
     def from_json_bytes(cls, raw: bytes | str) -> "NormalizationMap":
@@ -365,16 +395,17 @@ def build_normalization_map(
     so a gold name like "attack" can become the canonical of a cluster even
     when no annotation uses it verbatim.
     """
-    gold = set(gold_labels or ())
     action_freq, event_freq = collect_label_pools(source)
     clusters: list[LabelCluster] = []
-    action_pool = set(action_freq) | gold
-    if action_pool:
-        for cluster in cluster_labels(action_pool, provider, lexicon, threshold, ACTION_POOL):
-            clusters.append(assign_canonical(cluster, gold, dict(action_freq)))
-    if event_freq:
-        for cluster in cluster_labels(set(event_freq), provider, lexicon, threshold, EVENT_POOL):
-            clusters.append(assign_canonical(cluster, set(), dict(event_freq)))
+    # each pool's frequency table and gold set serve every one of its clusters
+    for pool, freq, gold in (
+        (ACTION_POOL, action_freq, set(gold_labels or ())),
+        (EVENT_POOL, event_freq, set()),
+    ):
+        labels = freq.keys() | gold
+        if labels:
+            for cluster in cluster_labels(labels, provider, lexicon, threshold, pool):
+                clusters.append(assign_canonical(cluster, gold, freq))
     return NormalizationMap(clusters, threshold, getattr(provider, "provider_id", "unknown"))
 
 

@@ -19,8 +19,10 @@ from nkg.embedding import (
     cosine,
     embed_hashed,
     load_vector_file,
+    pair_cosines,
     parse_vector_file,
     remote_embed,
+    row_norms,
 )
 from nkg.errors import (
     BadStatus,
@@ -154,6 +156,24 @@ def label_batches(draw):
 def test_hashed_batch_bytes_match_oracle_on_any_labels(labels, dim):
     for label, row in zip(labels, HashedNgramProvider(dim).embed_batch(labels)):
         assert row.tobytes() == oracle_hashed(label, dim).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 3, 7, DEFAULT_DIM])
+def test_pair_cosines_have_the_bits_of_cosine(dim):
+    rng = np.random.default_rng(dim)
+    vectors = np.vstack([
+        rng.standard_normal((6, dim)),
+        rng.integers(-2, 3, (6, dim)).astype(float),  # exact ties between rows
+        HashedNgramProvider(dim).embed_batch(["mark_bag", "work_bag", "kick_door"]),
+        np.zeros((1, dim)),  # a zero row: cosine() gives 0.0
+    ])
+    norms = row_norms(vectors)
+    assert norms.tobytes() == np.array([np.linalg.norm(v) for v in vectors]).tobytes()
+    # more pairs than rows, so the pairs go in several steps
+    rows, cols = np.triu_indices(len(vectors))
+    got = pair_cosines(vectors, norms, rows, cols)
+    want = [cosine(vectors[i], vectors[j]) for i, j in zip(rows, cols)]
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_hashed_batch_shares_the_cache_with_embed():

@@ -3,6 +3,8 @@ import random
 import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nkg.errors import EmptyLabel, MalformedJson, SchemaViolation
 from nkg.lexicon import (
@@ -11,6 +13,7 @@ from nkg.lexicon import (
     is_label,
     lemmatize_token,
     lexical_key,
+    lexical_keys,
     load_lexicon,
 )
 
@@ -110,6 +113,36 @@ def test_lexical_key():
     assert lexical_key("Walking  Home", EMPTY) == "walk_home"
     with pytest.raises(EmptyLabel):
         lexical_key(" ", EMPTY)
+
+
+# tokens that hit the suffix rules, an exception chain and its cycles
+KEY_TOKENS = st.sampled_from(
+    ("walks", "walked", "Walking", "ran", "run", "runs", "a", "b", "c", "cries", "bb")
+)
+KEY_LABELS = st.lists(KEY_TOKENS, min_size=1, max_size=3).map("_".join) | st.text(
+    "ab _cs", min_size=1, max_size=6
+).filter(is_label)
+KEY_EXCEPTIONS = st.sampled_from((
+    {},
+    {"ran": "run"},
+    {"a": "b", "b": "a"},
+    {"a": "b", "b": "c", "c": "a"},
+    {"run": "ran", "ran": "run"},
+))
+
+
+def old_lexical_key(label, lexicon):
+    """lexical_key as it was before keys were taken a pool at a time."""
+    return "_".join(lemmatize_token(t, lexicon) for t in fold_label(label).split("_"))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(KEY_LABELS, max_size=12), KEY_EXCEPTIONS)
+def test_lexical_keys_of_a_pool_equal_each_labels_key(labels, exceptions):
+    lexicon = SynonymLexicon.build([], exceptions)
+    want = [old_lexical_key(label, lexicon) for label in labels]
+    assert lexical_keys(labels, lexicon) == want
+    assert [lexical_key(label, lexicon) for label in labels] == want
 
 
 def test_groups_fold_to_keys_and_merge_overlaps(caplog):

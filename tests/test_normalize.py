@@ -3,12 +3,15 @@ import itertools
 import json
 import random
 import string
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nkg import normalize as normalize_module
 from nkg import resources
 from nkg.builder import build_all
 from nkg.embedding import HashedNgramProvider, VectorFileProvider, cosine
@@ -16,6 +19,7 @@ from nkg.errors import AlreadyNormalized, GraphFrozen, MissingLabel, SchemaViola
 from nkg.evaluation import load_gold_labels
 from nkg.fixtures import generate_fixture
 from nkg.graph import EdgeKind, NarrativeGraph, Node, NodeKind, deserialize
+from nkg.jsonio import dump_canonical
 from nkg.lexicon import SynonymLexicon
 from nkg.normalize import (
     ACTION_POOL,
@@ -204,6 +208,38 @@ def test_batched_clusters_equal_greedy_at_pair_cosine_thresholds():
         assert got == greedy_cluster_labels(labels, HASHED, lexicon, threshold), threshold
 
 
+@pytest.mark.parametrize("block_rows", [1, 2, 7])
+def test_block_seams_keep_the_bfs_and_greedy_oracles(block_rows, monkeypatch):
+    """Both oracle tests again with blocks so small that most links and
+    tie-band pairs cross a block boundary, where each block's product starts
+    its columns at the block's first row."""
+    monkeypatch.setattr(normalize_module, "_BLOCK_ROWS", block_rows)
+    test_clusters_match_bfs_oracle_at_pair_cosine_thresholds()
+    test_batched_clusters_equal_greedy_at_pair_cosine_thresholds()
+
+
+@st.composite
+def link_blocks(draw):
+    n = draw(st.integers(1, 12))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return n, draw(st.lists(st.lists(pair, max_size=10), max_size=4))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(link_blocks())
+def test_union_of_link_blocks_gives_each_entry_its_components_smallest(case):
+    n, blocks = case
+    root = np.arange(n)
+    for block in blocks:
+        a, b = (np.array([p[k] for p in block], dtype=np.intp) for k in (0, 1))
+        normalize_module._union(root, a, b)
+    components = [{g} for g in range(n)]
+    for x, y in (p for block in blocks for p in block):
+        joined = [c for c in components if x in c or y in c]
+        components = [c for c in components if c not in joined] + [set().union(*joined)]
+    assert root.tolist() == [min(c) for g in range(n) for c in components if g in c]
+
+
 def test_product_tie_at_the_threshold_follows_cosine():
     a, b = HASHED.embed("mark_bag"), HASHED.embed("work_bag")
     tie = cosine(a, b)
@@ -355,6 +391,109 @@ def test_assign_canonical_rules():
     # among gold members, frequency first, then length, then spelling
     assert pick({"hit", "strike"}, {"hit", "strike"}, {"strike": 3, "hit": 1}) == "strike"
     assert pick({"bb", "aa"}, {"aa", "bb"}, {}) == "aa"
+
+
+def canonical_loop_oracle(actions, events, gold_labels, provider, lexicon, threshold):
+    """build_normalization_map's clusters from its old loop: assign_canonical
+    per cluster with a fresh copy of the pool's frequency table and gold set,
+    each canonical checked against the old rule's set intersection."""
+    gold = set(gold_labels)
+    clusters = []
+    for pool, freq, pool_gold in ((ACTION_POOL, actions, gold), (EVENT_POOL, events, set())):
+        labels = set(freq) | pool_gold
+        if not labels:
+            continue
+        for cluster in cluster_labels(labels, provider, lexicon, threshold, pool):
+            chosen = assign_canonical(cluster, set(pool_gold), dict(freq))
+            gold_members = set(cluster.members) & set(pool_gold)
+            if gold_members:
+                old = min(gold_members, key=lambda m: (-freq.get(m, 0), len(m), m))
+            else:
+                old = min(cluster.members, key=lambda m: (len(m), m))
+            assert chosen.canonical == old
+            clusters.append(chosen)
+    return clusters
+
+
+# surface variants that merge, so clusters hold several members
+CANONICAL_LABELS = st.sampled_from((
+    "walk", "walks", "walked", "Walking", "hit", "hits", "strike", "attack", "attacks",
+    "insert", "insert_into", "Insert-Into", "mark_bag", "work_bag", "kick", "kicked",
+))
+# small counts, so frequency ties are common
+POOL_COUNTS = st.dictionaries(CANONICAL_LABELS, st.integers(1, 3), max_size=10).map(Counter)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    POOL_COUNTS,
+    POOL_COUNTS,
+    st.sets(CANONICAL_LABELS | st.sampled_from(("strike_hard", "leap"))),
+    st.sampled_from((0.5, 0.75, 1.0)),
+)
+def test_canonical_choice_per_pool_equals_the_per_cluster_loop(actions, events, gold, threshold):
+    lexicon = resources.default_lexicon()
+    want = canonical_loop_oracle(actions, events, gold, HASHED, lexicon, threshold)
+    pools = lambda source: (actions, events)
+    with mock.patch.object(normalize_module, "collect_label_pools", pools):
+        got = build_normalization_map(None, HASHED, lexicon, threshold, gold)
+    assert got.clusters == NormalizationMap(want, threshold, HASHED.provider_id).clusters
+
+
+def map_dict_oracle(norm_map):
+    """The map writer's old path: the map as a dict through dump_canonical."""
+    return dump_canonical({
+        "schema_version": 1,
+        "threshold": norm_map.threshold,
+        "provider_id": norm_map.provider_id,
+        "clusters": [
+            {"pool": c.pool, "canonical": c.canonical, "members": list(c.members)}
+            for c in norm_map.clusters
+        ],
+    })
+
+
+# quotes, backslashes, control characters, non-ASCII and U+2028, which JSON
+# escapes or passes through differently
+WRITER_TEXT = st.text(
+    st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028\u2029\u00e9\u6f22\U0001f600 _a')
+    | st.characters(exclude_categories=("Cs",)),
+    min_size=1,
+    max_size=6,
+)
+
+
+@st.composite
+def writer_maps(draw):
+    clusters = []
+    for pool in (ACTION_POOL, EVENT_POOL):
+        labels = draw(st.lists(WRITER_TEXT, unique=True, max_size=6))
+        while labels:
+            size = draw(st.integers(1, len(labels)))
+            members, labels = labels[:size], labels[size:]
+            canonical = draw(st.sampled_from(members) | WRITER_TEXT)
+            clusters.append(LabelCluster(tuple(sorted(members)), canonical, pool))
+    threshold = draw(st.sampled_from((0, 1, 0.0, 1.0, 0.1, 0.75)))
+    provider_id = draw(st.sampled_from((HASHED.provider_id, "remote:http://h/")) | WRITER_TEXT)
+    return NormalizationMap(clusters, threshold, provider_id)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(writer_maps())
+@example(NormalizationMap([], 0, HASHED.provider_id))
+@example(NormalizationMap([], 0.75, HASHED.provider_id))
+@example(
+    NormalizationMap(
+        [
+            LabelCluster(("a\u2028\"b", "\\c"), "\\c", ACTION_POOL),
+            LabelCluster(("\x01\u00e9",), "\x01\u00e9", EVENT_POOL),
+        ],
+        1,
+        'file:x"\u2028.json',
+    )
+)
+def test_map_writer_bytes_equal_dump_canonical(norm_map):
+    assert norm_map.to_json_bytes() == map_dict_oracle(norm_map)
 
 
 def test_battle_variants_map_to_attack():
