@@ -193,14 +193,17 @@ def cmd_query(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     graph = deserialize(Path(args.input).read_bytes())
     if args.task == "action":
-        hits = retrieve_actions(
-            graph,
-            args.arg,
-            args.mode,
-            norm_map=_query_norm_map(args),
-            lexicon=load_lexicon_config(config.lexicon_path),
-            provider=make_provider(config.embedder),
-        )
+        if args.mode == "normalized":
+            hits = retrieve_actions(
+                graph,
+                args.arg,
+                args.mode,
+                norm_map=_query_norm_map(args),
+                lexicon=load_lexicon_config(config.lexicon_path),
+                provider=make_provider(config.embedder),
+            )
+        else:  # surface labels only: no map, lexicon or embedder is read
+            hits = retrieve_actions(graph, args.arg, args.mode)
         payload: object = [hit.as_dict() for hit in hits]
     elif args.task == "dialogue":
         payload = trace_dialogue(graph, args.arg).as_dict()

@@ -22,8 +22,6 @@ cosine()'s exact bits at one dot product a pair.
 from __future__ import annotations
 
 import json
-import urllib.error
-import urllib.request
 
 import numpy as np
 
@@ -239,6 +237,9 @@ def remote_embed(
     endpoint: str, labels: list[str], timeout: float = DEFAULT_TIMEOUT
 ) -> list[np.ndarray]:
     """One batched POST to <endpoint>/embed; returns one vector per label."""
+    import urllib.error  # the HTTP client stack loads on the first request only
+    import urllib.request
+
     if any(not label for label in labels):
         raise EmptyLabel("remote embedding request")
     url = endpoint.rstrip("/") + "/embed"

@@ -5,12 +5,16 @@ only knows how to fold surface variation (case, separators, inflection).
 The lemmatizer is a small suffix-rule cascade run to a fixed point, with an
 exception table consulted before the rules on every pass, so irregular and
 silent-e forms can be pinned explicitly.
+
+Labels split on '_' and on whitespace, with str methods: str.split()
+splits on, and str.isspace() holds for, exactly the code points the regex
+class \\s matches, and lowercasing turns no other code point into one of
+them.
 """
 
 from __future__ import annotations
 
 import logging
-import re
 from dataclasses import dataclass, field
 
 from .errors import EmptyLabel, SchemaViolation
@@ -18,7 +22,6 @@ from .jsonio import load_object, require
 
 log = logging.getLogger(__name__)
 
-_SPLIT = re.compile(r"[_\s]+")
 _VOWELS = set("aeiouy")
 # pairs like ll/ss/zz are part of the stem, not inflection doubling
 _KEEP_DOUBLED = {"ll", "ss", "zz"}
@@ -29,7 +32,7 @@ def fold_label(label: str) -> str:
 
     Raises EmptyLabel when no token is left: "", "  ", "_" or "_ _".
     """
-    folded = "_".join(t for t in _SPLIT.split(label.strip().lower()) if t)
+    folded = "_".join(label.lower().replace("_", " ").split())
     if not folded:
         raise EmptyLabel(repr(label))
     return folded
@@ -37,12 +40,12 @@ def fold_label(label: str) -> str:
 
 def is_label(value) -> bool:
     """A string that fold_label accepts: not empty, not only separators."""
-    return isinstance(value, str) and value != "" and _SPLIT.fullmatch(value) is None
+    return isinstance(value, str) and value != "" and not value.replace("_", " ").isspace()
 
 
 def _is_token(value) -> bool:
     """One token as fold_label splits a label: not empty, no '_' or whitespace."""
-    return isinstance(value, str) and value != "" and _SPLIT.search(value) is None
+    return isinstance(value, str) and value.replace("_", " ").split() == [value]
 
 
 @dataclass(frozen=True)

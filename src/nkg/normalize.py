@@ -22,6 +22,13 @@ Canonical selection prefers gold labels (highest annotation frequency first),
 otherwise the shortest member; remaining ties break lexicographically. A
 pool's frequency table and gold set are built once and serve each of its
 clusters.
+
+A map resolves a query label that is none of its members to the cluster it
+links to best (nearest_canonical). The cosine side of that costs one float32
+product of the query with the pool's unit member rows, kept per provider,
+and a cosine() recheck of each member whose product comes within a band of
+the threshold that covers float32's rounding, so the answer is the one
+link_similarity gives member by member.
 """
 
 from __future__ import annotations
@@ -225,7 +232,9 @@ class NormalizationMap:
 
         provider=None uses the provider the map's id names, built once per
         map, when the id can rebuild one. Members or a query the provider
-        cannot embed link lexically only."""
+        cannot embed link lexically only. One float32 product with the
+        member rows picks the members within a band of the threshold wide
+        enough for float32's error; cosine() decides each of them."""
         canonicals = self._canonicals.get(pool, ())  # by member position
         query_bucket = lexicon.link_bucket(lexical_key(query, lexicon))
         lexical = self._member_buckets(lexicon, pool).get(query_bucket, [])
@@ -235,14 +244,18 @@ class NormalizationMap:
         vectors = None if provider is None else self._member_vectors(provider, pool)
         vec = None if vectors is None else _embed_or_none(provider, query)
         if vec is not None:
-            matrix, unit, embedded = vectors
+            matrix, rows = vectors
             vec = np.asarray(vec, dtype=np.float64)  # a provider may return a list
-            norm = np.linalg.norm(vec)
+            norm = math.sqrt(vec.dot(vec))
             # a zero query stays zero: its products are 0.0, as cosine() gives
-            products = unit @ (vec / norm if norm > 0 else vec)
-            near = embedded & (products >= self.threshold - TIE_BAND)
-            near[lexical] = False  # a lexical link scores 1.0, whatever the cosine
-            for i in np.flatnonzero(near).tolist():
+            products = rows @ (vec / norm if norm > 0 else vec).astype(np.float32)
+            # twice the error bound of a float32 dot product of two unit
+            # vectors, so every member cosine() links passes; rounding the
+            # cutoff to float32 takes at most 2**-24 of the spare half
+            band = (rows.shape[1] + 2) * 2.0**-23
+            for i in np.flatnonzero(products >= self.threshold - TIE_BAND - band).tolist():
+                if i in lexical:  # a lexical link scores 1.0, whatever the cosine
+                    continue
                 sim = cosine(vec, matrix[i])
                 if sim >= self.threshold:
                     linked_to.append((-sim, canonicals[i]))
@@ -260,9 +273,9 @@ class NormalizationMap:
         return kept[1]
 
     def _member_vectors(self, provider, pool: str):
-        """(matrix, unit rows, embedded mask) of the pool's members, or None
-        when the provider embeds none of them; kept for the last provider
-        object asked for."""
+        """(matrix, float32 unit rows) of the pool's members, or None when the
+        provider embeds none of them; kept for the last provider object
+        asked for."""
         kept = self._vectors.get(pool)
         if kept is None or kept[0] is not provider:
             members = list(self._by_pool.get(pool, {}))
@@ -326,20 +339,22 @@ class NormalizationMap:
 
 
 def _embed_members(provider, members: list[str]):
-    """(matrix, unit rows, embedded mask) for map members, or None when the
-    provider embeds none of them or fails as a whole."""
+    """(matrix, float32 unit rows) for map members, or None when the provider
+    embeds none of them or fails as a whole. A member without a vector has a
+    zero matrix row and a NaN unit row, whose products pass no cutoff."""
     try:
         vectors = list(embed_matrix(provider, members))
     except MissingLabel:  # one at a time, so the members it has vectors for still link
         vectors = [_embed_or_none(provider, member) for member in members]
     except ProviderError:  # a failed provider, say a dead endpoint: lexical links only
         return None
-    embedded = np.array([vec is not None for vec in vectors], dtype=bool)
-    if not embedded.any():
+    dim = next((len(vec) for vec in vectors if vec is not None), None)
+    if dim is None:
         return None
-    dim = len(vectors[int(np.argmax(embedded))])
     matrix = np.array([np.zeros(dim) if vec is None else vec for vec in vectors])
-    return matrix, unit_rows(matrix), embedded
+    rows = unit_rows(matrix).astype(np.float32)
+    rows[[vec is None for vec in vectors]] = np.nan
+    return matrix, rows
 
 
 def _embed_or_none(provider, label: str):

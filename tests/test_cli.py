@@ -458,6 +458,38 @@ def test_query_mode_mismatch_exits_6(battle_files):
     assert main(["query", "action", "fight", "--input", str(raw), "--mode", "normalized"]) == 6
 
 
+def test_raw_action_query_reads_no_map_sidecar(battle_files, capsys):
+    _, _, norm = battle_files
+    args = ["query", "action", "Fight", "--input", str(norm)]
+    side = map_side_path(norm)
+    good = side.read_bytes()
+    side.unlink()
+    assert main(args + ["--mode", "raw"]) == 0
+    want = read_stdout(capsys)
+    assert [h["surface_label"] for h in want] == ["fight"]
+    side.write_text('{"schema_version": 1, "threshold": 2.5, "provider_id": "x", "clusters": []}')
+    assert main(args + ["--mode", "raw"]) == 0
+    assert read_stdout(capsys) == want
+    assert main(args + ["--mode", "normalized"]) == 2
+    assert "$.threshold" in capsys.readouterr().err
+    side.write_bytes(good)
+    assert main(args + ["--mode", "normalized"]) == 0
+
+
+def test_raw_action_query_builds_no_embedder(battle_files, capsys):
+    _, _, norm = battle_files
+    action = ["query", "action", "fight", "--input", str(norm), "--mode"]
+    bad = ["--embedder", "remote:ftp://x"]
+    assert main(action + ["raw"]) == 0
+    want = read_stdout(capsys)
+    assert main(action + ["raw"] + bad) == 0
+    assert read_stdout(capsys) == want
+    assert main(["query", "dialogue", "e0_0", "--input", str(norm)] + bad) == 0
+    capsys.readouterr()
+    assert main(action + ["normalized"] + bad) == 2
+    assert "http(s) URL" in capsys.readouterr().err
+
+
 # --- exit codes --------------------------------------------------------------
 
 # The ordered table main() matched errors against before each error class

@@ -1,7 +1,10 @@
 import json
+import os
 import random
 import runpy
 import string
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
@@ -375,6 +378,18 @@ def test_remote_http_error(embed_server):
     with pytest.raises(BadStatus) as exc:
         remote_embed(embed_server, ["a"])
     assert exc.value.status == 500
+
+
+def test_importing_nkg_loads_no_http_client():
+    # the HTTP client stack loads with the first remote request, not with nkg
+    code = "import sys, nkg, nkg.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    src = str(Path(embedding.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-c", code, "urllib.request", "http.client", "ssl"],
+        capture_output=True, text=True, check=True, env=env, timeout=60,
+    )
+    assert run.stdout == "[]\n"
 
 
 def test_remote_unreachable():

@@ -1,14 +1,17 @@
 import json
 import random
+import re
 import string
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nkg.errors import EmptyLabel, MalformedJson, SchemaViolation
 from nkg.lexicon import (
     SynonymLexicon,
+    _is_token,
     fold_label,
     is_label,
     lemmatize_token,
@@ -52,6 +55,61 @@ def test_is_label_is_what_fold_label_accepts():
         assert is_label(value) is accepted, repr(value)
     for not_a_string in (None, 3, ["a"], b"a"):
         assert not is_label(not_a_string)
+
+
+# the regex rule fold_label, is_label and _is_token kept before they split
+# with str methods
+OLD_SPLIT = re.compile(r"[_\s]+")
+
+
+def old_fold_label(label):
+    folded = "_".join(t for t in OLD_SPLIT.split(label.strip().lower()) if t)
+    if not folded:
+        raise EmptyLabel(repr(label))
+    return folded
+
+
+def old_is_label(value):
+    return isinstance(value, str) and value != "" and OLD_SPLIT.fullmatch(value) is None
+
+
+def old_is_token(value):
+    return isinstance(value, str) and value != "" and OLD_SPLIT.search(value) is None
+
+
+SPACES = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+FOLD_TEXT = st.text(
+    st.sampled_from(SPACES + "_") | st.sampled_from("aZσΣςİ") | st.characters(), max_size=12
+)
+
+
+def assert_folds_as_the_regex_rule(text):
+    try:
+        want = old_fold_label(text)
+    except EmptyLabel:
+        with pytest.raises(EmptyLabel):
+            fold_label(text)
+    else:
+        assert fold_label(text) == want
+    assert is_label(text) is old_is_label(text)
+    assert _is_token(text) is old_is_token(text)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(FOLD_TEXT)
+@example("ΟΔΟΣ_ΟΔΟΣ")  # a final sigma lowercases by its context
+@example("İ")  # lowercases to two code points
+@example("Ab_\u2028cD\x1c")
+def test_str_method_folding_equals_the_regex_rule(text):
+    assert_folds_as_the_regex_rule(text)
+
+
+@pytest.mark.parametrize("label", [*SPACES, "_", SPACES + "_", "_" + SPACES[::-1]])
+def test_separator_only_labels_are_empty_under_both_rules(label):
+    assert_folds_as_the_regex_rule(label)
+    with pytest.raises(EmptyLabel):
+        fold_label(label)
+    assert not is_label(label) and not _is_token(label)
 
 
 def test_lemmatize_suffix_rules():

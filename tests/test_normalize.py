@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from nkg import normalize as normalize_module
 from nkg import resources
 from nkg.builder import build_all
-from nkg.embedding import HashedNgramProvider, VectorFileProvider, cosine
+from nkg.embedding import HashedNgramProvider, VectorFileProvider, cosine, unit_rows
 from nkg.errors import AlreadyNormalized, GraphFrozen, MissingLabel, SchemaViolation
 from nkg.evaluation import load_gold_labels
 from nkg.fixtures import generate_fixture
@@ -349,6 +349,130 @@ def test_nearest_canonical_with_a_zero_query_vector():
     clusters = [LabelCluster(("b",), "y"), LabelCluster(("c",), "x"), LabelCluster(("d",), "w")]
     assert NormalizationMap(clusters, 0.0, "test").nearest_canonical("a", empty, zero) == "x"
     assert NormalizationMap(clusters, 1e-12, "test").nearest_canonical("a", empty, zero) is None
+
+
+def pair_scan_nearest(norm_map, query, lexicon, provider):
+    """nearest_canonical's answer from link_similarity, member by member; a
+    member or query the provider has no vector for links lexically only."""
+    query_key = lexical_key(query, lexicon)
+    linked_to = []
+    for cluster in norm_map.clusters:
+        for member in cluster.members:
+            key = lexical_key(member, lexicon)
+            try:
+                sim = link_similarity(query, query_key, member, key, provider, lexicon)
+            except MissingLabel:
+                sim = link_similarity(query, query_key, member, key, None, lexicon)
+            if sim >= norm_map.threshold:
+                linked_to.append((-sim, cluster.canonical))
+    return min(linked_to)[1] if linked_to else None
+
+
+BAND_DIMS = (1, 2, 3, 256, MAX_HASHED_DIM)
+MEMBER_NAMES = tuple(f"m{i}" for i in range(12))
+
+
+@st.composite
+def band_cases(draw):
+    """A map of random member vectors at one of BAND_DIMS, with some members
+    near the query, some without a vector and maybe a zero one, and a
+    threshold at a member's cosine to the query, one ulp either side of it,
+    or at 0."""
+    dim = draw(st.sampled_from(BAND_DIMS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    query = rng.standard_normal(dim) if draw(st.booleans()) else np.zeros(dim)
+    members = MEMBER_NAMES[: draw(st.integers(1, len(MEMBER_NAMES)))]
+    vectors = {"q": query}
+    for member in members:
+        kind = draw(st.sampled_from(("random", "near", "near", "zero", "none")))
+        if kind == "random":
+            vectors[member] = rng.standard_normal(dim)
+        elif kind == "near":  # a cosine close to 1, where float32 rounding bites
+            vectors[member] = query + rng.standard_normal(dim) * draw(
+                st.sampled_from((1e-7, 1e-4, 1e-2, 0.3))
+            )
+        elif kind == "zero":
+            vectors[member] = np.zeros(dim)
+    provider = VectorFileProvider(vectors, dim, source="band")
+    embedded = [m for m in members if m in vectors]
+    if embedded and draw(st.booleans()):
+        threshold = cosine(query, vectors[draw(st.sampled_from(embedded))])
+        threshold = np.nextafter(threshold, draw(st.sampled_from((threshold, 0.0, 1.0))))
+    else:
+        threshold = 0.0
+    threshold = float(min(max(threshold, 0.0), 1.0))
+    canonicals = draw(st.lists(st.sampled_from(members), min_size=len(members),
+                               max_size=len(members)))
+    clusters = [LabelCluster((m,), c) for m, c in zip(members, canonicals)]
+    groups = [["q", draw(st.sampled_from(members))]] if draw(st.booleans()) else []
+    lexicon = SynonymLexicon.build(groups, {})
+    return NormalizationMap(clusters, threshold, "test"), provider, lexicon
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(band_cases())
+def test_nearest_canonical_float32_band_matches_pair_scan(case):
+    norm_map, provider, lexicon = case
+    want = pair_scan_nearest(norm_map, "q", lexicon, provider)
+    assert norm_map.nearest_canonical("q", lexicon, provider) == want
+
+
+def float32_product(query, member):
+    """The product nearest_canonical filters a one-member map on."""
+    rows = unit_rows(member[None, :]).astype(np.float32)
+    return (rows @ unit_rows(query).astype(np.float32))[0]
+
+
+@pytest.mark.parametrize("dim", BAND_DIMS)
+def test_nearest_canonical_at_a_members_cosine_and_one_ulp_either_side(dim):
+    rng = np.random.default_rng(dim)
+    query = rng.standard_normal(dim)
+    vectors = {"q": query, "m": query + rng.standard_normal(dim) * 1e-3}
+    provider = VectorFileProvider(vectors, dim, source="ulp")
+    empty = SynonymLexicon.empty()
+    tie = cosine(vectors["q"], vectors["m"])  # 1.0 at dim 1, where no map goes above it
+    for threshold, want in (
+        (np.nextafter(tie, -np.inf), "m"),
+        (tie, "m"),
+        (np.nextafter(tie, np.inf), None),
+    ):
+        norm_map = NormalizationMap([LabelCluster(("m",), "m")], float(threshold), "test")
+        assert norm_map.nearest_canonical("q", empty, provider) == want
+        assert pair_scan_nearest(norm_map, "q", empty, provider) == want
+
+
+@pytest.mark.parametrize("dim", (3, 256, MAX_HASHED_DIM))
+def test_nearest_canonical_links_a_member_whose_float32_product_falls_short(dim):
+    rng = np.random.default_rng(7)
+    for _ in range(1000):
+        query = rng.standard_normal(dim)
+        member = query + rng.standard_normal(dim) * 1e-2
+        tie = cosine(query, member)
+        # below the threshold less TIE_BAND, as float32 compares them: a
+        # filter without the band would drop the member before cosine() links it
+        if float32_product(query, member) < np.float32(tie - TIE_BAND):
+            break
+    else:
+        pytest.fail("no float32 product fell short of its cosine")
+    provider = VectorFileProvider({"q": query, "m": member}, dim, source="short")
+    norm_map = NormalizationMap([LabelCluster(("m",), "m")], tie, "test")
+    assert norm_map.nearest_canonical("q", SynonymLexicon.empty(), provider) == "m"
+
+
+def test_nearest_canonical_zero_query_and_unembedded_members_at_threshold_0():
+    dim = 4
+    vectors = {"q": np.zeros(dim), "a": np.ones(dim), "b": -np.ones(dim), "z": np.zeros(dim)}
+    provider = VectorFileProvider(vectors, dim, source="zero")
+    # "n" and "o" have no vector: at threshold 0 they must not link through a NaN row
+    clusters = [LabelCluster(("n",), "a"), LabelCluster(("o",), "b"),
+                LabelCluster(("a", "z"), "c"), LabelCluster(("b",), "d")]
+    empty = SynonymLexicon.empty()
+    norm_map = NormalizationMap(clusters, 0.0, "test")
+    assert norm_map.nearest_canonical("q", empty, provider) == "c"
+    assert pair_scan_nearest(norm_map, "q", empty, provider) == "c"
+    unembedded = NormalizationMap(clusters[:2], 0.0, "test")
+    assert unembedded.nearest_canonical("q", empty, provider) is None
+    assert pair_scan_nearest(unembedded, "q", empty, provider) is None
 
 
 @pytest.mark.parametrize("kind,seed,variance,with_gold", sorted(MAP_DIGESTS))
