@@ -190,10 +190,10 @@ def _query_norm_map(args: argparse.Namespace) -> NormalizationMap | None:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
     graph = deserialize(Path(args.input).read_bytes())
     if args.task == "action":
-        if args.mode == "normalized":
+        if args.mode == "normalized":  # the only query that reads the settings
+            config = resolve_config(args)
             hits = retrieve_actions(
                 graph,
                 args.arg,

@@ -1,4 +1,6 @@
-"""Embedding providers behind a single contract: embed(label) -> unit vector.
+"""Embedding providers behind a single contract: embed(label) -> unit vector,
+and embed_batch(labels) -> the list of those vectors, one per label, which
+raises what embed raises for the first label it cannot embed.
 
 Three implementations:
 
@@ -10,7 +12,7 @@ Three implementations:
   time; each vector has the bits it has when its label is embedded alone.
 - VectorFileProvider: precomputed vectors from a JSON file, exact labels only.
 - RemoteProvider: HTTP client for an external embedding service
-  (POST <endpoint>/embed with {"texts": [...]}).
+  (POST <endpoint>/embed with {"texts": [...]}); a batch is one request.
 
 All providers return L2-normalized float vectors of one fixed dimension per
 provider instance, and the same label always yields the same vector.
@@ -134,18 +136,6 @@ def pair_cosines(vectors: np.ndarray, norms: np.ndarray, rows, cols) -> np.ndarr
     return np.divide(dots, norms[rows] * norms[cols], out=np.zeros_like(dots), where=nonzero)
 
 
-def embed_matrix(provider, labels: list[str]) -> np.ndarray:
-    """The provider's vectors for a list of labels, one row each.
-
-    A provider with `embed_batch` gets one call for the whole list, which
-    for HashedNgramProvider is one pass over the labels' distinct trigrams
-    and for RemoteProvider one request; any other provider gets one `embed`
-    call per label."""
-    batch = getattr(provider, "embed_batch", None)
-    vectors = batch(labels) if batch is not None else [provider.embed(l) for l in labels]
-    return np.array(vectors, dtype=np.float64)
-
-
 def unit_rows(vectors) -> np.ndarray:
     """Each row (or a single vector) scaled to unit length; zero rows stay
     zero, so their products are exactly 0.0, as cosine() gives."""
@@ -208,6 +198,9 @@ class VectorFileProvider:
             return self._vectors[label]
         except KeyError:
             raise MissingLabel(label) from None
+
+    def embed_batch(self, labels: list[str]) -> list[np.ndarray]:
+        return [self.embed(label) for label in labels]
 
     @property
     def labels(self) -> set[str]:

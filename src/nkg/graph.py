@@ -53,7 +53,7 @@ from .errors import (
     UnknownEndpoint,
     UnknownNode,
 )
-from .jsonio import load_object, require
+from .jsonio import dump_list, load_object, require
 
 T = TypeVar("T")
 
@@ -435,18 +435,18 @@ class NarrativeGraph:
     def to_json_bytes(self) -> bytes:
         q = encode_basestring  # the quoting json.dumps uses under ensure_ascii=False
         nodes = [
-            f'    {{\n      "attrs": {_json_object(n.attrs)},\n      "id": {q(n.id)},\n'
+            f'{{\n      "attrs": {_json_object(n.attrs)},\n      "id": {q(n.id)},\n'
             f'      "kind": {q(n.kind._value_)},\n'
             f'      "layer": {q(KIND_LAYER[n.kind]._value_)}\n    }}'
             for n in self.nodes()
         ]
         edges = [
-            f'    {{\n      "dst": {q(dst)},\n      "kind": {q(kind)},\n'
+            f'{{\n      "dst": {q(dst)},\n      "kind": {q(kind)},\n'
             f'      "src": {q(src)}\n    }}'
             for src, dst, kind in self._edge_keys()
         ]
         return (
-            f'{{\n  "edges": {_json_list(edges)},\n  "nodes": {_json_list(nodes)},\n'
+            f'{{\n  "edges": {dump_list(edges, 2)},\n  "nodes": {dump_list(nodes, 2)},\n'
             f'  "normalized": {json.dumps(self.normalized)},\n  "story_id": {q(self.story_id)}\n}}\n'
         ).encode("utf-8")
 
@@ -498,10 +498,6 @@ def _json_object(attrs: dict[str, str]) -> str:
     q = encode_basestring
     items = ",\n".join(f"        {q(k)}: {q(v)}" for k, v in sorted(attrs.items()))
     return "{\n" + items + "\n      }"
-
-
-def _json_list(items: list[str]) -> str:
-    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
 def _int_attr(node: Node, name: str) -> int:

@@ -9,14 +9,16 @@ form separate pools so the two vocabularies never merge with each other.
 
 Clustering finds the links in one batched pass per pool. Lexical links
 bucket the labels by lexical key or lexicon group; the pool's keys
-lemmatize each distinct token once. Cosine links come from row-blocked
-products of the pool's embedding matrix, which the provider fills once per
-pool, and only when the buckets are more than one. Each block of rows is
-multiplied only with the rows from its own start on, the upper triangle
-the links i < j need. A product within TIE_BAND of the threshold is
-re-checked at one dot product against row norms kept per pool, with the
-bits the scalar cosine() that link_similarity uses gives, so a float tie
-falls on the same side for both. Every block's links join one union-find.
+lemmatize each distinct token once. One union-find over the pool's sorted
+labels starts with each label at its bucket's first label. Cosine links
+come from row-blocked products of the pool's embedding matrix, which one
+embed_batch call fills, and only when the buckets are more than one. Each
+block of rows is multiplied only with the rows from its own start on, the
+upper triangle the links i < j need. A product within TIE_BAND of the
+threshold is re-checked at one dot product against row norms kept per
+pool, with the bits the scalar cosine() that link_similarity uses gives,
+so a float tie falls on the same side for both. Every block's links join
+the same union-find, whose roots give the clusters in sorted order.
 
 Canonical selection prefers gold labels (highest annotation frequency first),
 otherwise the shortest member; remaining ties break lexicographically. A
@@ -50,7 +52,6 @@ from .embedding import (
     DEFAULT_DIM,
     HashedNgramProvider,
     cosine,
-    embed_matrix,
     pair_cosines,
     row_norms,
     unit_rows,
@@ -101,31 +102,26 @@ def cluster_labels(
 ) -> list[LabelCluster]:
     """Connected components of the link relation; canonicals left unassigned.
 
-    provider=None: lexical links only. Otherwise the provider embeds every
-    label of a pool that lexical links leave in more than one bucket."""
+    provider=None: lexical links only. Otherwise one embed_batch call, in
+    sorted order, embeds a pool that lexical links leave in more than one
+    bucket."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     ordered = sorted(set(labels))
-    buckets: dict[int | str, list[str]] = {}
-    for label, key in zip(ordered, lexical_keys(ordered, lexicon)):
-        buckets.setdefault(lexicon.link_bucket(key), []).append(label)
-    groups = list(buckets.values())
-    if provider is not None and len(groups) > 1:
-        groups = _join_by_cosine(groups, provider, threshold)
-    return [LabelCluster(tuple(members), "", pool) for members in sorted(map(sorted, groups))]
-
-
-def _join_by_cosine(groups: list[list[str]], provider, threshold: float) -> list[list[str]]:
-    """The groups merged along cosine links between their labels."""
-    labels = [label for group in groups for label in group]
-    owner = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
-    root = np.arange(len(groups))  # one union-find that every block's links join
-    for rows, cols in _cosine_links(embed_matrix(provider, labels), threshold):
-        _union(root, owner[rows], owner[cols])
-    merged: dict[int, list[str]] = {}
-    for g, group in zip(root.tolist(), groups):
-        merged.setdefault(g, []).extend(group)
-    return list(merged.values())
+    # each label points at its link bucket's first position: a forest as
+    # _union keeps it, already joined along every lexical link
+    first: dict[int | str, int] = {}
+    buckets = map(lexicon.link_bucket, lexical_keys(ordered, lexicon))
+    root = np.array([first.setdefault(b, i) for i, b in enumerate(buckets)], dtype=np.intp)
+    if provider is not None and len(first) > 1:
+        vectors = np.array(provider.embed_batch(ordered), dtype=np.float64)
+        for rows, cols in _cosine_links(vectors, threshold):
+            _union(root, rows, cols)
+    # roots are the smallest positions, so clusters come out in sorted order
+    clusters: dict[int, list[str]] = {}
+    for r, label in zip(root.tolist(), ordered):
+        clusters.setdefault(r, []).append(label)
+    return [LabelCluster(tuple(members), "", pool) for members in clusters.values()]
 
 
 def _union(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
@@ -343,7 +339,7 @@ def _embed_members(provider, members: list[str]):
     embeds none of them or fails as a whole. A member without a vector has a
     zero matrix row and a NaN unit row, whose products pass no cutoff."""
     try:
-        vectors = list(embed_matrix(provider, members))
+        vectors = provider.embed_batch(members)
     except MissingLabel:  # one at a time, so the members it has vectors for still link
         vectors = [_embed_or_none(provider, member) for member in members]
     except ProviderError:  # a failed provider, say a dead endpoint: lexical links only
@@ -387,11 +383,9 @@ def collect_label_pools(source) -> tuple[Counter, Counter]:
                 for panel in event.panels:
                     actions.update(a.label for a in panel.actions)
     elif isinstance(source, NarrativeGraph):
-        for node in source.nodes(NodeKind.ACTION):
-            actions[node.label()] += 1
-        for kind in (NodeKind.EVENT, NodeKind.MACRO_EVENT):
-            for node in source.nodes(kind):
-                events[node.label()] += 1
+        for pool, counts in ((ACTION_POOL, actions), (EVENT_POOL, events)):
+            for kind in _POOL_KINDS[pool]:
+                counts.update(node.label() for node in source.nodes(kind))
     else:
         raise TypeError(f"expected AnnotationDoc or NarrativeGraph, got {type(source).__name__}")
     return actions, events

@@ -7,7 +7,7 @@ from nkg import cli, errors, evaluation, resources
 from nkg.annotations import parse_annotations
 from nkg.builder import build_all
 from nkg.cli import main, map_side_path, resolve_config
-from nkg.embedding import HashedNgramProvider
+from nkg.embedding import HashedNgramProvider, load_vector_file
 from nkg.errors import (
     AlreadyNormalized,
     CycleIntroduced,
@@ -33,8 +33,8 @@ from nkg.errors import (
 )
 from nkg.fixtures import generate_fixture
 from nkg.graph import deserialize
-from nkg.normalize import MAX_HASHED_DIM, build_normalization_map
-from nkg.reasoner import character_trajectory
+from nkg.normalize import MAX_HASHED_DIM, build_normalization_map, collect_label_pools
+from nkg.reasoner import character_trajectory, reconstruct_timeline, trace_dialogue
 
 
 @pytest.fixture(autouse=True)
@@ -351,14 +351,18 @@ def test_query_exits_2_for_each_class_of_read_error(tmp_path, battle_files, caps
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def build_with_first_panel(change):
+def build_with_doc(change):
     def argv(tmp_path, files):
         obj = json.loads(files[0].read_bytes())
-        change(obj["macro_events"][0]["events"][0]["panels"][0])
+        change(obj)
         doc = tmp_path / "edited.json"
         doc.write_text(json.dumps(obj))
         return ["build", "--input", str(doc), "--output", str(tmp_path / "g.json")]
     return argv
+
+
+def build_with_first_panel(change):
+    return build_with_doc(lambda obj: change(obj["macro_events"][0]["events"][0]["panels"][0]))
 
 
 def query_with_map(clusters):
@@ -401,6 +405,13 @@ MISTYPED_INPUTS = {
     "panel-action-null": (
         build_with_first_panel(lambda p: p.update(actions=[None])),
         "$.macro_events[0].events[0].panels[0].actions[0]",
+    ),
+    "story-id-empty": (
+        build_with_doc(lambda obj: obj.update(story_id="")), "$.story_id: must be nonempty"
+    ),
+    "character-entity-id-empty": (
+        build_with_first_panel(lambda p: p["characters"][0].update(entity_id="")),
+        "$.macro_events[0].events[0].panels[0].characters[0]: entity_id must be nonempty",
     ),
     "map-clusters-a-number": (query_with_map(5), "$.clusters"),
     "config-embedder-a-number": (normalize_with_config({"embedder": 5}), "$.embedder"),
@@ -488,6 +499,47 @@ def test_raw_action_query_builds_no_embedder(battle_files, capsys):
     capsys.readouterr()
     assert main(action + ["normalized"] + bad) == 2
     assert "http(s) URL" in capsys.readouterr().err
+
+
+def test_queries_that_use_no_settings_read_none(tmp_path, battle_files, capsys, monkeypatch):
+    _, raw, norm = battle_files
+    config = tmp_path / "cfg.json"
+    config.write_text('{"threshold": 7}')
+    graph = deserialize(raw.read_bytes())
+    assert main(["query", "timeline", "story", "--input", str(raw), "--config", str(config)]) == 0
+    assert read_stdout(capsys) == reconstruct_timeline(graph, "story").as_dict()
+    monkeypatch.setenv("NKG_THRESHOLD", "abc")
+    assert main(["query", "dialogue", "e0_0", "--input", str(raw)]) == 0
+    assert read_stdout(capsys) == trace_dialogue(graph, "e0_0").as_dict()
+    assert main(["query", "action", "fight", "--input", str(norm), "--mode", "normalized"]) == 2
+    assert "NKG_THRESHOLD" in capsys.readouterr().err
+
+
+def write_vector_file(path, labels):
+    provider = HashedNgramProvider(16)
+    vectors = {label: provider.embed(label).tolist() for label in labels}
+    path.write_text(json.dumps({"dim": 16, "vectors": vectors}))
+
+
+def test_normalize_with_a_vector_file_embedder(tmp_path, battle_files, capsys):
+    _, raw, _ = battle_files
+    graph = deserialize(raw.read_bytes())
+    actions, events = collect_label_pools(graph)
+    vectors, out = tmp_path / "vectors.json", tmp_path / "n.json"
+    args = ["normalize", "--input", str(raw), "--output", str(out), "--embedder", f"file:{vectors}"]
+    write_vector_file(vectors, actions.keys() | events.keys())
+    assert main(args) == 0
+    side = map_side_path(out).read_bytes()
+    assert json.loads(side)["provider_id"] == f"file:{vectors}"
+    provider = load_vector_file(str(vectors))
+    want = build_normalization_map(graph, provider, resources.default_lexicon(), 0.75)
+    assert side == want.to_json_bytes()
+    # the battle action pool spans many buckets, so each of its labels needs a vector
+    left_out = min(actions)
+    write_vector_file(vectors, actions.keys() - {left_out} | events.keys())
+    capsys.readouterr()
+    assert main(args) == 4
+    assert repr(left_out) in capsys.readouterr().err
 
 
 # --- exit codes --------------------------------------------------------------

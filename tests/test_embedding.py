@@ -19,6 +19,7 @@ from nkg.embedding import (
     DEFAULT_DIM,
     HashedNgramProvider,
     RemoteProvider,
+    VectorFileProvider,
     cosine,
     embed_hashed,
     load_vector_file,
@@ -237,6 +238,18 @@ def test_vector_file_provider(tmp_path):
     assert provider.labels == {"a", "b"}
     with pytest.raises(MissingLabel):
         provider.embed("c")
+
+
+def test_vector_file_batch_is_embed_per_label():
+    vectors = {label: np.array([1.0, i, 0.0]) for i, label in enumerate("abc")}
+    provider = VectorFileProvider(vectors, 3)
+    labels = ["c", "a", "c", "b"]
+    batch = [vec.tobytes() for vec in provider.embed_batch(labels)]
+    assert batch == [provider.embed(label).tobytes() for label in labels]
+    assert provider.embed_batch([]) == []
+    with pytest.raises(MissingLabel) as raised:
+        provider.embed_batch(["a", "y", "b", "z"])
+    assert raised.value.label == "y"
 
 
 def test_vector_file_rejects_bad_shapes():

@@ -513,14 +513,14 @@ def test_writer_pauses_and_restores_the_callers_collector_setting(
     battle_bytes, enabled, monkeypatch
 ):
     during = []
-    json_list = graph_module._json_list
+    dump_list = graph_module.dump_list
 
-    def spy(items):
+    def spy(items, indent):
         during.append(gc.isenabled())
-        return json_list(items)
+        return dump_list(items, indent)
 
     graph = deserialize(battle_bytes)
-    monkeypatch.setattr(graph_module, "_json_list", spy)
+    monkeypatch.setattr(graph_module, "dump_list", spy)
     try:
         if not enabled:
             gc.disable()

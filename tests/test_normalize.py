@@ -284,6 +284,37 @@ def test_cluster_edge_cases():
     ]
 
 
+class BatchCounter(HashedNgramProvider):
+    """The hashed provider, recording the labels of each embed_batch call."""
+
+    def __init__(self):
+        super().__init__()
+        self.batches = []
+
+    def embed_batch(self, labels):
+        self.batches.append(list(labels))
+        return super().embed_batch(labels)
+
+
+def test_a_pool_is_embedded_in_one_sorted_batch():
+    labels = {"walk", "walked", "run", "Running", "attack"}
+    for lexicon in (SynonymLexicon.empty(), COMBAT):
+        provider = BatchCounter()
+        cluster_labels(labels, provider, lexicon, 0.75)
+        assert provider.batches == [sorted(labels)]
+    # one lexical bucket: nothing to embed
+    provider = BatchCounter()
+    assert len(cluster_labels({"attacks", "strikes", "fights"}, provider, COMBAT, 0.75)) == 1
+    assert cluster_labels({"walk"}, provider, COMBAT, 0.0) == [LabelCluster(("walk",))]
+    assert provider.batches == []
+    # one batch per pool of a map
+    doc = generate_fixture("battle")
+    provider = BatchCounter()
+    build_normalization_map(doc, provider, resources.default_lexicon(), 0.75)
+    actions, events = normalize_module.collect_label_pools(doc)
+    assert provider.batches == [sorted(actions), sorted(events)]
+
+
 @pytest.mark.parametrize("label", ["", "_", " ", "_ _", "\t\n"])
 @pytest.mark.parametrize("field", ["members", "canonical"])
 def test_map_rejects_separator_only_labels(field, label):
