@@ -230,7 +230,8 @@ def remote_embed(
     endpoint: str, labels: list[str], timeout: float = DEFAULT_TIMEOUT
 ) -> list[np.ndarray]:
     """One batched POST to <endpoint>/embed; returns one vector per label."""
-    import urllib.error  # the HTTP client stack loads on the first request only
+    import http.client  # the HTTP client stack loads on the first request only
+    import urllib.error
     import urllib.request
 
     if any(not label for label in labels):
@@ -246,12 +247,12 @@ def remote_embed(
     except urllib.error.HTTPError as exc:
         exc.close()  # the error is also the response; unclosed, its socket leaks
         raise BadStatus(exc.code, exc.reason) from exc
-    except urllib.error.URLError as exc:
-        if isinstance(exc.reason, TimeoutError):
+    # URLError and TimeoutError are OSErrors; a dropped, cut short or non-HTTP
+    # reply raises an HTTPException
+    except (OSError, http.client.HTTPException) as exc:
+        if isinstance(exc, TimeoutError) or isinstance(getattr(exc, "reason", None), TimeoutError):
             raise RemoteTimeout(f"no answer from {url} within {timeout}s") from exc
-        raise BadStatus(0, f"{url}: {exc.reason}") from exc
-    except TimeoutError as exc:
-        raise RemoteTimeout(f"no answer from {url} within {timeout}s") from exc
+        raise BadStatus(0, f"{url}: {getattr(exc, 'reason', exc)}") from exc
     try:
         obj = json.loads(payload)
     except json.JSONDecodeError as exc:

@@ -47,8 +47,6 @@ def require(obj: dict, key: str, kind: type, path: str, default: Any = MISSING) 
         return default
     if key not in obj:
         raise SchemaViolation(f"{path}.{key}", "missing required field")
-    if isinstance(value, kind) and not isinstance(value, bool):
-        return value
     raise SchemaViolation(f"{path}.{key}", f"expected {kind.__name__}, got {type(value).__name__}")
 
 

@@ -25,12 +25,15 @@ otherwise the shortest member; remaining ties break lexicographically. A
 pool's frequency table and gold set are built once and serve each of its
 clusters.
 
-A map resolves a query label that is none of its members to the cluster it
-links to best (nearest_canonical). The cosine side of that costs one float32
-product of the query with the pool's unit member rows, kept per provider,
-and a cosine() recheck of each member whose product comes within a band of
-the threshold that covers float32's rounding, so the answer is the one
-link_similarity gives member by member.
+A map resolves an action query label in one place (NormalizationMap.resolve),
+in this order: an exact member; else the first member, in sorted order,
+whose fold_label equals the query's; else the nearest cluster, by lexical
+key, lexicon group or cosine at or above the map's threshold
+(nearest_canonical); else the query itself. The cosine side of the nearest
+cluster costs one float32 product of the query with the action pool's unit
+member rows, kept per provider, and a cosine() recheck of each member whose
+product comes within a band of the threshold that covers float32's
+rounding, so the answer is the one link_similarity gives member by member.
 """
 
 from __future__ import annotations
@@ -189,13 +192,13 @@ class NormalizationMap:
                         f"label {member!r} appears twice in the {cluster.pool} pool",
                     )
                 table[member] = cluster.canonical
-        # each member's canonical by member position, as the query-time
-        # tables below index members
-        self._canonicals = {pool: tuple(table.values()) for pool, table in self._by_pool.items()}
+        # each action member's canonical by member position, as the query-time
+        # tables below index members; only action queries resolve
+        self._canonicals = tuple(self._by_pool[ACTION_POOL].values())
         # query-time tables, each built on its first use
-        self._by_fold: dict[str, dict[str, str]] = {}
-        self._buckets: dict[str, tuple[SynonymLexicon, dict]] = {}
-        self._vectors: dict[str, tuple] = {}
+        self._by_fold: dict[str, str] | None = None
+        self._buckets: tuple[SynonymLexicon, dict] | None = None  # kept per lexicon
+        self._vectors: tuple | None = None  # kept per provider
         self._own_provider = provider_from_id(provider_id)  # for queries given none
 
     def lookup(self, label: str, pool: str = ACTION_POOL) -> str:
@@ -208,36 +211,48 @@ class NormalizationMap:
     def pool_labels(self, pool: str) -> set[str]:
         return set(self._by_pool.get(pool, {}))
 
-    def lookup_fold(self, folded: str, pool: str = ACTION_POOL) -> str | None:
-        """Canonical of the first member, in sorted order, whose fold_label is
-        `folded`; None when no member folds to it."""
-        table = self._by_fold.get(pool)
-        if table is None:
-            table = {}
-            for member in sorted(self._by_pool.get(pool, {})):
-                table.setdefault(fold_label(member), self.lookup(member, pool))
-            self._by_fold[pool] = table
-        return table.get(folded)
+    def resolve(self, query: str, folded: str, lexicon: SynonymLexicon | None, provider) -> str:
+        """Canonical an action query retrieves under, given folded =
+        fold_label(query): an exact member's; else that of the first member,
+        in sorted order, whose fold_label is `folded`; else nearest_canonical's;
+        else the query itself. lexicon=None is the empty lexicon."""
+        actions = self._by_pool[ACTION_POOL]
+        if query in actions:
+            return actions[query]
+        if self._by_fold is None:
+            self._by_fold = {}
+            for member in sorted(actions):
+                self._by_fold.setdefault(fold_label(member), actions[member])
+        if folded in self._by_fold:
+            return self._by_fold[folded]
+        if lexicon is None:
+            lexicon = SynonymLexicon.empty()
+        nearest = self.nearest_canonical(query, lexicon, provider)
+        return query if nearest is None else nearest
 
-    def nearest_canonical(
-        self, query: str, lexicon: SynonymLexicon, provider, pool: str = ACTION_POOL
-    ) -> str | None:
-        """Canonical of the member that links best to the query under the
-        map's threshold: the highest link similarity wins, then the smallest
-        canonical; None when no member links.
+    def nearest_canonical(self, query: str, lexicon: SynonymLexicon, provider) -> str | None:
+        """Canonical of the action member that links best to the query under
+        the map's threshold: the highest link similarity wins, then the
+        smallest canonical; None when no member links.
 
         provider=None uses the provider the map's id names, built once per
         map, when the id can rebuild one. Members or a query the provider
         cannot embed link lexically only. One float32 product with the
         member rows picks the members within a band of the threshold wide
         enough for float32's error; cosine() decides each of them."""
-        canonicals = self._canonicals.get(pool, ())  # by member position
         query_bucket = lexicon.link_bucket(lexical_key(query, lexicon))
-        lexical = self._member_buckets(lexicon, pool).get(query_bucket, [])
-        linked_to = [(-1.0, canonicals[i]) for i in lexical]
+        if self._buckets is None or self._buckets[0] is not lexicon:
+            buckets: dict[int | str, list[int]] = {}  # link bucket -> member positions
+            for i, member in enumerate(self._by_pool[ACTION_POOL]):
+                buckets.setdefault(lexicon.link_bucket(lexical_key(member, lexicon)), []).append(i)
+            self._buckets = (lexicon, buckets)
+        lexical = self._buckets[1].get(query_bucket, [])
+        linked_to = [(-1.0, self._canonicals[i]) for i in lexical]
         if provider is None:
             provider = self._own_provider
-        vectors = None if provider is None else self._member_vectors(provider, pool)
+        if provider is not None and (self._vectors is None or self._vectors[0] is not provider):
+            self._vectors = (provider, _embed_members(provider, list(self._by_pool[ACTION_POOL])))
+        vectors = None if provider is None else self._vectors[1]
         vec = None if vectors is None else _embed_or_none(provider, query)
         if vec is not None:
             matrix, rows = vectors
@@ -254,29 +269,8 @@ class NormalizationMap:
                     continue
                 sim = cosine(vec, matrix[i])
                 if sim >= self.threshold:
-                    linked_to.append((-sim, canonicals[i]))
+                    linked_to.append((-sim, self._canonicals[i]))
         return min(linked_to)[1] if linked_to else None
-
-    def _member_buckets(self, lexicon: SynonymLexicon, pool: str) -> dict[int | str, list[int]]:
-        """Link bucket -> positions of the pool's members in it; kept for the
-        last lexicon object asked for."""
-        kept = self._buckets.get(pool)
-        if kept is None or kept[0] is not lexicon:
-            table: dict[int | str, list[int]] = {}
-            for i, member in enumerate(self._by_pool.get(pool, {})):
-                table.setdefault(lexicon.link_bucket(lexical_key(member, lexicon)), []).append(i)
-            kept = self._buckets[pool] = (lexicon, table)
-        return kept[1]
-
-    def _member_vectors(self, provider, pool: str):
-        """(matrix, float32 unit rows) of the pool's members, or None when the
-        provider embeds none of them; kept for the last provider object
-        asked for."""
-        kept = self._vectors.get(pool)
-        if kept is None or kept[0] is not provider:
-            members = list(self._by_pool.get(pool, {}))
-            kept = self._vectors[pool] = (provider, _embed_members(provider, members))
-        return kept[1]
 
     def __eq__(self, other):
         if not isinstance(other, NormalizationMap):

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .graph import PANEL_ORDERS, EdgeKind, NarrativeGraph, Node, NodeKind
 from .lexicon import SynonymLexicon, fold_label
-from .normalize import ACTION_POOL, NormalizationMap
+from .normalize import NormalizationMap
 
 MODES = ("raw", "normalized")
 ORDER_KINDS = tuple(PANEL_ORDERS)
@@ -155,35 +155,6 @@ def _canonical_by_fold(graph: NarrativeGraph) -> dict[str, str]:
     return graph.memo("canonical_by_fold", build)
 
 
-def _resolve_canonical(
-    graph: NarrativeGraph,
-    query: str,
-    folded: str,
-    norm_map: NormalizationMap | None,
-    lexicon: SynonymLexicon | None,
-    provider,
-) -> str:
-    """Canonical form a query label should retrieve under.
-
-    Resolution order: exact map member, fold-equal map member, nearest
-    cluster under the map's link relation, then the query itself.
-    Without a map the graph's own surface/canonical pairs stand in.
-    `folded` is fold_label(query).
-    """
-    if norm_map is None:
-        return _canonical_by_fold(graph).get(folded, query)
-
-    if norm_map.has_label(query, ACTION_POOL):
-        return norm_map.lookup(query, ACTION_POOL)
-    by_fold = norm_map.lookup_fold(folded, ACTION_POOL)
-    if by_fold is not None:
-        return by_fold
-
-    lex = lexicon if lexicon is not None else SynonymLexicon.empty()
-    nearest = norm_map.nearest_canonical(query, lex, provider, ACTION_POOL)
-    return query if nearest is None else nearest
-
-
 def retrieve_actions(
     graph: NarrativeGraph,
     query_label: str,
@@ -197,8 +168,8 @@ def retrieve_actions(
 
     Raw mode matches the stored surface label after case and separator
     folding only. Normalized mode requires a normalized graph and matches
-    on canonical labels, resolving the query through the normalization
-    map when one is supplied. Both read an index of the graph's actions,
+    on canonical labels, resolving the query with NormalizationMap.resolve
+    when a map is supplied. Both read an index of the graph's actions,
     built on the first query of a frozen graph.
     """
     if mode not in MODES:
@@ -210,7 +181,10 @@ def retrieve_actions(
     if mode == "raw":
         index = _actions_by(graph, "surface_fold", lambda hit: fold_label(hit.surface_label))
         return list(index.get(folded, ()))
-    target = _resolve_canonical(graph, query_label, folded, norm_map, lexicon, provider)
+    if norm_map is None:
+        target = _canonical_by_fold(graph).get(folded, query_label)
+    else:
+        target = norm_map.resolve(query_label, folded, lexicon, provider)
     index = _actions_by(graph, "canonical", lambda hit: hit.canonical_label)
     return list(index.get(target, ()))
 

@@ -487,6 +487,20 @@ def test_raw_action_query_reads_no_map_sidecar(battle_files, capsys):
     assert main(args + ["--mode", "normalized"]) == 0
 
 
+def test_map_sits_beside_an_output_without_json(tmp_path, battle_files, capsys):
+    _, raw, _ = battle_files
+    out = tmp_path / "norm.graph"
+    assert main(["normalize", "--input", str(raw), "--output", str(out)]) == 0
+    side = map_side_path(out)
+    assert side == tmp_path / "norm.graph.map.json" and side.exists()
+    args = ["query", "action", "attack", "--input", str(out), "--mode", "normalized"]
+    assert main(args) == 0
+    assert {h["surface_label"] for h in read_stdout(capsys)} >= {"fight", "strike"}
+    side.unlink()
+    assert main(args) == 0
+    assert read_stdout(capsys) == []
+
+
 def test_raw_action_query_builds_no_embedder(battle_files, capsys):
     _, _, norm = battle_files
     action = ["query", "action", "fight", "--input", str(norm), "--mode"]

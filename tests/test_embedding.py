@@ -6,6 +6,7 @@ import string
 import subprocess
 import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nkg import embedding
+from nkg.cli import main
 from nkg.embedding import (
     DEFAULT_DIM,
     HashedNgramProvider,
@@ -33,6 +35,8 @@ from nkg.errors import (
     DimensionMismatch,
     EmptyLabel,
     MissingLabel,
+    ProviderError,
+    RemoteTimeout,
     SchemaViolation,
 )
 from nkg.fixtures import generate_fixture
@@ -308,6 +312,14 @@ class _EmbedHandler(BaseHTTPRequestHandler):
         if self.behavior == "error":
             self.send_error(500, "boom")
             return
+        if self.behavior == "drop":  # close the connection without a reply
+            return
+        if self.behavior == "not-http":
+            self.wfile.write(b"garbage\r\n\r\n")
+            return
+        if self.behavior == "slow":  # silent until after the client's timeout
+            time.sleep(0.6)
+            return
         if self.behavior == "short":
             vectors = [[1.0] * self.dim for _ in texts[:-1]]
         elif self.behavior == "nan":
@@ -321,10 +333,15 @@ class _EmbedHandler(BaseHTTPRequestHandler):
             vectors = [
                 [rng.uniform(-1, 1) + len(t) for _ in range(self.dim)] for t in texts
             ]
-        payload = json.dumps({"vectors": vectors}).encode()
+        payload = {
+            "not-json": b"not json",
+            "no-vectors": json.dumps({"vectors": None}).encode(),
+        }.get(self.behavior, json.dumps({"vectors": vectors}).encode())
+        # "truncated" announces more bytes than it sends
+        length = len(payload) + 10 * (self.behavior == "truncated")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
+        self.send_header("Content-Length", str(length))
         self.end_headers()
         self.wfile.write(payload)
 
@@ -391,6 +408,49 @@ def test_remote_http_error(embed_server):
     with pytest.raises(BadStatus) as exc:
         remote_embed(embed_server, ["a"])
     assert exc.value.status == 500
+
+
+@pytest.mark.parametrize("behavior", ["drop", "truncated", "not-http"])
+def test_remote_broken_reply_raises_a_provider_error(embed_server, behavior):
+    _EmbedHandler.behavior = behavior
+    with pytest.raises(ProviderError):
+        remote_embed(embed_server, ["a", "b"])
+
+
+def test_remote_slow_reply_times_out(embed_server):
+    _EmbedHandler.behavior = "slow"
+    with pytest.raises(RemoteTimeout):
+        remote_embed(embed_server, ["a"], timeout=0.2)
+
+
+@pytest.mark.parametrize("behavior, detail", [("not-json", "non-JSON"), ("no-vectors", "vectors")])
+def test_remote_200_without_a_vectors_list(embed_server, behavior, detail):
+    _EmbedHandler.behavior = behavior
+    with pytest.raises(BadStatus, match=detail) as exc:
+        remote_embed(embed_server, ["a"])
+    assert exc.value.status == 200
+
+
+def test_remote_provider_rejects_a_second_batch_of_another_dimension(embed_server, monkeypatch):
+    provider = RemoteProvider(embed_server)
+    provider.embed("a")
+    monkeypatch.setattr(_EmbedHandler, "dim", 5)
+    with pytest.raises(DimensionMismatch, match="4 -> 5"):
+        provider.embed("b")
+
+
+def test_dropped_connection_exits_4_and_falls_back_to_lexical_links(embed_server, tmp_path):
+    _EmbedHandler.behavior = "drop"
+    doc, raw = tmp_path / "battle.json", tmp_path / "raw.json"
+    assert main(["fixture", "battle", "--output", str(doc)]) == 0
+    assert main(["build", "--input", str(doc), "--output", str(raw)]) == 0
+    args = ["normalize", "--input", str(raw), "--output", str(tmp_path / "norm.json")]
+    assert main(args + ["--embedder", f"remote:{embed_server}"]) == 4
+    lexicon = default_lexicon()
+    norm_map = build_normalization_map(
+        generate_fixture("battle"), HashedNgramProvider(), lexicon, 0.75
+    )
+    assert norm_map.nearest_canonical("strikes", lexicon, RemoteProvider(embed_server)) == "hit"
 
 
 def test_importing_nkg_loads_no_http_client():

@@ -367,6 +367,17 @@ def test_battle_equality():
         assert norm_rows[macro_id].f1 == row.f1
 
 
+def test_gold_cluster_without_instances_leaves_the_report_unchanged():
+    doc, raw, norm, norm_map, gold = eval_bundle("battle", COMBAT, gold_file=BATTLE_GOLD_FILE)
+    report = run_eval(doc, raw, norm, gold, norm_map=norm_map)
+    clusters = {**json.loads(BATTLE_GOLD_FILE)["action_clusters"], "somersault": ["cartwheel"]}
+    extra = build_gold(doc, gold_label_file=json.dumps({"action_clusters": clusters}))
+    assert "somersault" in extra.action_clusters
+    again = run_eval(doc, raw, norm, extra, norm_map=norm_map)
+    assert again.rows == report.rows
+    assert again.to_json_bytes() == report.to_json_bytes()
+
+
 def test_report_shape_and_determinism():
     doc, raw, norm, norm_map, gold = eval_bundle("romance", COMBAT)
     report = run_eval(doc, raw, norm, gold, norm_map=norm_map)

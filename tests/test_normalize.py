@@ -112,6 +112,12 @@ def test_singleton_cluster():
     assert clusters == [LabelCluster(("walk",), "", ACTION_POOL)]
 
 
+@pytest.mark.parametrize("threshold", [-0.1, 1.1, float("nan")], ids=repr)
+def test_cluster_labels_rejects_a_threshold_outside_the_unit_interval(threshold):
+    with pytest.raises(ValueError, match="threshold must be in"):
+        cluster_labels({"walk", "run"}, HASHED, SynonymLexicon.empty(), threshold)
+
+
 def test_clusters_match_bfs_oracle():
     rng = random.Random(42)
     for _ in range(40):
@@ -744,6 +750,26 @@ def test_map_names_the_json_path_of_a_repeated_label(member_lists, reason):
     with pytest.raises(SchemaViolation, match=reason) as info:
         NormalizationMap.from_json_bytes(map_with_members(member_lists))
     assert info.value.path == "$.clusters[1].members"
+
+
+@pytest.mark.parametrize(
+    "cluster, path, reason",
+    [
+        (["walk"], "$.clusters[1]", "cluster must be an object"),
+        (
+            {"pool": "scene", "canonical": "walk", "members": ["walk"]},
+            "$.clusters[1].pool",
+            "'action' or 'event'",
+        ),
+    ],
+    ids=["not-an-object", "unknown-pool"],
+)
+def test_map_names_the_json_path_of_a_bad_cluster(cluster, path, reason):
+    raw = json.loads(map_with_members([["run"]]))
+    raw["clusters"].append(cluster)
+    with pytest.raises(SchemaViolation, match=reason) as info:
+        NormalizationMap.from_json_bytes(json.dumps(raw))
+    assert info.value.path == path
 
 
 def map_with_members(member_lists):
