@@ -6,6 +6,15 @@ sequence, event hierarchy); nodes carry string attributes and edges are
 _in; edges(), edge_count(), equality and the writer derive from them. Node
 and Edge are slotted frozen dataclasses: a graph holds a Node per node, and
 edges() makes an Edge per edge.
+An entry of _out[kind] or _in[kind] is the neighbour's id itself while its
+node has one neighbour of that kind, and a set of ids from the second on.
+Most entries have one neighbour, and a one-element set costs 216 bytes
+where the bare id costs nothing more, so this more than halves a built
+graph's memory; a set, not a tuple, keeps appends and the duplicate check
+O(1) at any degree. Every read but add_edge's duplicate check goes through
+_ends(entry). The shape follows from the degree alone, so equal graphs have
+equal tables. add_edge stores each end as the node's own id string, so a
+read graph keeps no copy of the file's endpoint strings.
 The four order-bearing edge kinds must stay acyclic, and subevent_of must
 stay a forest; both are enforced on every add_edge. An edge closes a cycle
 exactly when dst reaches src, and a dst with no out-edge of its kind, or a
@@ -200,9 +209,9 @@ class NarrativeGraph:
         self.story_id = story_id
         self.normalized = normalized
         self._nodes: dict[str, Node] = {}
-        # kind -> src -> dst set, and its mirror; the graph's only record of its edges
-        self._out: dict[EdgeKind, dict[str, set[str]]] = {kind: {} for kind in EdgeKind}
-        self._in: dict[EdgeKind, dict[str, set[str]]] = {kind: {} for kind in EdgeKind}
+        # kind -> src -> dst id or set, and its mirror; the graph's only record of its edges
+        self._out: dict[EdgeKind, dict[str, str | set[str]]] = {kind: {} for kind in EdgeKind}
+        self._in: dict[EdgeKind, dict[str, str | set[str]]] = {kind: {} for kind in EdgeKind}
         self._frozen = False
         # read-only views of a frozen graph, each built on its first read
         self._memo: dict = {}
@@ -222,12 +231,16 @@ class NarrativeGraph:
     def add_edge(self, src: str, dst: str, kind: EdgeKind) -> None:
         if self._frozen:
             raise GraphFrozen()
-        if src not in self._nodes or dst not in self._nodes:
-            raise UnknownEndpoint(src if src not in self._nodes else dst)
+        nodes = self._nodes
+        src_node, dst_node = nodes.get(src), nodes.get(dst)
+        if src_node is None or dst_node is None:
+            raise UnknownEndpoint(src if src_node is None else dst)
+        src, dst = src_node.id, dst_node.id
         out = self._out[kind]
-        if dst in out.get(src, ()):
+        dsts = out.get(src)
+        if dsts is not None and (dst in dsts if dsts.__class__ is set else dst == dsts):
             raise DuplicateEdge(str((src, dst, kind._value_)))
-        if kind is _SUBEVENT_OF and out.get(src):
+        if kind is _SUBEVENT_OF and dsts is not None:
             raise ForestViolation(src)
         into = self._in[kind]
         # the edge closes a cycle iff dst reaches src; a dst with no out-edge
@@ -237,15 +250,15 @@ class NarrativeGraph:
             src == dst or (dst in out and src in into and self._reaches(kind, dst, src))
         ):
             raise CycleIntroduced(kind.value, f"{src} -> {dst}")
-        out.setdefault(src, set()).add(dst)
-        into.setdefault(dst, set()).add(src)
+        _attach(out, src, dst)
+        _attach(into, dst, src)
 
     def _reaches(self, kind: EdgeKind, start: str, goal: str) -> bool:
         """Whether a path of one or more `kind` edges leads from start to goal."""
         adjacency = self._out[kind]
         queue, seen = deque([start]), {start}
         while queue:
-            for nxt in adjacency.get(queue.popleft(), ()):
+            for nxt in _ends(adjacency.get(queue.popleft())):
                 if nxt == goal:
                     return True
                 if nxt not in seen:
@@ -270,7 +283,7 @@ class NarrativeGraph:
             if kind is _PANEL:
                 panels.append(node)
             elif kind is _CHARACTER_INSTANCE:
-                refs = refers_to.get(node.id, ())
+                refs = _ends(refers_to.get(node.id))
                 if len(refs) != 1:
                     problem = (
                         "character instance must have exactly one refers_to edge, "
@@ -296,7 +309,7 @@ class NarrativeGraph:
                 raise SchemaViolation(f"node {node.id}", problem)
         for edge_kind, (src_kind, dst_kind) in EDGE_ENDPOINTS.items():
             for src, dsts in self._out[edge_kind].items():
-                for dst in dsts:
+                for dst in _ends(dsts):
                     if nodes[src].kind is not src_kind or nodes[dst].kind is not dst_kind:
                         raise SchemaViolation(
                             f"edge {src} -> {dst}",
@@ -311,7 +324,7 @@ class NarrativeGraph:
                 if a == b:
                     raise SchemaViolation(f"panels {a_id} and {b_id}", f"share {attr} {a}")
                 want.add((a_id, b_id))
-            have = {(s, d) for s, ds in self._out[edge_kind].items() for d in ds}
+            have = {(s, d) for s, ds in self._out[edge_kind].items() for d in _ends(ds)}
             if have != want:
                 src, dst = min(have ^ want)
                 state = "lacks" if (src, dst) in want else "has an extra"
@@ -395,13 +408,15 @@ class NarrativeGraph:
         """(src, dst, kind value) of the edges of one kind, or all, sorted."""
         out = self._out
         kinds = out if kind is None else (kind,)
-        return sorted((s, d, k._value_) for k in kinds for s, ds in out[k].items() for d in ds)
+        return sorted(
+            (s, d, k._value_) for k in kinds for s, ds in out[k].items() for d in _ends(ds)
+        )
 
     def node_count(self) -> int:
         return len(self._nodes)
 
     def edge_count(self) -> int:
-        return sum(len(dsts) for table in self._out.values() for dsts in table.values())
+        return sum(len(_ends(dsts)) for table in self._out.values() for dsts in table.values())
 
     def neighbors(self, node_id: str, kind: EdgeKind, direction: str = "out") -> list[str]:
         """Ids joined to the node by edges of one kind, ascending."""
@@ -410,7 +425,7 @@ class NarrativeGraph:
         if direction not in ("out", "in"):
             raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
         table = self._out if direction == "out" else self._in
-        return sorted(table[kind].get(node_id, ()))
+        return sorted(_ends(table[kind].get(node_id)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NarrativeGraph):
@@ -419,7 +434,7 @@ class NarrativeGraph:
             self.story_id == other.story_id
             and self.normalized == other.normalized
             and self._nodes == other._nodes
-            and self._out == other._out
+            and self._out == other._out  # an entry's shape follows from its degree
         )
 
     def __repr__(self) -> str:
@@ -433,22 +448,33 @@ class NarrativeGraph:
 
     @collector_paused()
     def to_json_bytes(self) -> bytes:
+        """The canonical bytes. Each section is joined as soon as its items are
+        laid out, and both sections are dropped before encoding, so the items
+        are never alive with the document or its bytes."""
         q = encode_basestring  # the quoting json.dumps uses under ensure_ascii=False
-        nodes = [
-            f'{{\n      "attrs": {_json_object(n.attrs)},\n      "id": {q(n.id)},\n'
-            f'      "kind": {q(n.kind._value_)},\n'
-            f'      "layer": {q(KIND_LAYER[n.kind]._value_)}\n    }}'
-            for n in self.nodes()
-        ]
-        edges = [
-            f'{{\n      "dst": {q(dst)},\n      "kind": {q(kind)},\n'
-            f'      "src": {q(src)}\n    }}'
-            for src, dst, kind in self._edge_keys()
-        ]
-        return (
-            f'{{\n  "edges": {dump_list(edges, 2)},\n  "nodes": {dump_list(nodes, 2)},\n'
+        nodes = dump_list(
+            [
+                f'{{\n      "attrs": {_json_object(n.attrs)},\n      "id": {q(n.id)},\n'
+                f'      "kind": {q(n.kind._value_)},\n'
+                f'      "layer": {q(KIND_LAYER[n.kind]._value_)}\n    }}'
+                for n in self.nodes()
+            ],
+            2,
+        )
+        edges = dump_list(
+            [
+                f'{{\n      "dst": {q(dst)},\n      "kind": {q(kind)},\n'
+                f'      "src": {q(src)}\n    }}'
+                for src, dst, kind in self._edge_keys()
+            ],
+            2,
+        )
+        doc = (
+            f'{{\n  "edges": {edges},\n  "nodes": {nodes},\n'
             f'  "normalized": {json.dumps(self.normalized)},\n  "story_id": {q(self.story_id)}\n}}\n'
-        ).encode("utf-8")
+        )
+        del nodes, edges
+        return doc.encode("utf-8")
 
     @classmethod
     @collector_paused()
@@ -489,6 +515,24 @@ class NarrativeGraph:
                 raise SchemaViolation(f"$.edges[{i}]", "src and dst must be strings")
             graph.add_edge(src, dst, kind)
         return graph.finalize()
+
+
+def _ends(entry: str | set[str] | None) -> tuple[str, ...] | set[str]:
+    """The neighbour ids of an edge-table entry, or of a missing one (None)."""
+    if entry is None:
+        return ()
+    return entry if entry.__class__ is set else (entry,)
+
+
+def _attach(table: dict[str, str | set[str]], key: str, end: str) -> None:
+    """Add `end` to the entry under `key`: a bare id first, a set from the second."""
+    entry = table.get(key)
+    if entry is None:
+        table[key] = end
+    elif entry.__class__ is set:
+        entry.add(end)
+    else:
+        table[key] = {entry, end}
 
 
 # the writer's parts, laid out as json.dumps(indent=2, sort_keys=True) lays them out

@@ -2,6 +2,7 @@ import copy
 import gc
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -729,6 +730,17 @@ class AlwaysSearchGraph(NarrativeGraph):
 ORDER_KINDS = sorted(ACYCLIC_KINDS, key=lambda kind: kind.value)
 
 
+def table_triples(table):
+    """An edge table as sorted (kind, key, neighbour) triples, whether an
+    entry is a bare id or a set of ids."""
+    return sorted(
+        (kind.value, key, end)
+        for kind, entries in table.items()
+        for key, entry in entries.items()
+        for end in ((entry,) if isinstance(entry, str) else entry)
+    )
+
+
 def add_edge_outcomes(graph, edges):
     """Each add_edge's result, None or the class and message it raised, and
     the graph's edge tables after the last."""
@@ -741,7 +753,7 @@ def add_edge_outcomes(graph, edges):
             outcomes.append(None)
         except (CycleIntroduced, DuplicateEdge, ForestViolation) as exc:
             outcomes.append((type(exc), str(exc)))
-    return outcomes, graph._out, graph._in
+    return outcomes, table_triples(graph._out), table_triples(graph._in)
 
 
 def assert_add_edge_matches_the_oracle(edges):
@@ -789,3 +801,106 @@ def test_building_and_reading_skip_searches_that_cannot_find_a_cycle(monkeypatch
     assert searches == []
     deserialize(graph.to_json_bytes())
     assert len(searches) < sum(1 for edge in graph.edges() if edge.kind in ACYCLIC_KINDS)
+
+
+def model_add_edge(triples, src, dst, kind):
+    """add_edge on a plain set of (src, dst, kind) triples: the error it
+    raises, in add_edge's order of checks, or None after adding the edge."""
+    if (src, dst, kind) in triples:
+        return DuplicateEdge(str((src, dst, kind.value)))
+    if kind is EdgeKind.SUBEVENT_OF and any(s == src and k is kind for s, _, k in triples):
+        return ForestViolation(src)
+    if kind in ACYCLIC_KINDS:
+        reached, frontier = {dst}, [dst]
+        while frontier:
+            node = frontier.pop()
+            for s, d, k in triples:
+                if s == node and k is kind and d not in reached:
+                    reached.add(d)
+                    frontier.append(d)
+        if src in reached:
+            return CycleIntroduced(kind.value, f"{src} -> {dst}")
+    triples.add((src, dst, kind))
+    return None
+
+
+ALL_EDGE_KINDS = sorted(EdgeKind, key=lambda kind: kind.value)
+# ids that are substrings of one another, and the empty id, a falsy entry
+TABLE_IDS = ("", "a", "ab", "b", "ba", "c")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(TABLE_IDS), st.sampled_from(TABLE_IDS), st.sampled_from(ALL_EDGE_KINDS)
+        ),
+        max_size=40,
+    )
+)
+@example([("a", "", EdgeKind.SUBEVENT_OF), ("a", "b", EdgeKind.SUBEVENT_OF)])
+@example([("a", "ab", EdgeKind.ACTS_ON), ("a", "b", EdgeKind.ACTS_ON)] * 2)
+@example([("ab", "a", EdgeKind.PRECEDES), ("a", "", EdgeKind.PRECEDES), ("", "ab", EdgeKind.PRECEDES)])
+def test_edge_tables_match_a_set_of_triples_model(edges):
+    g, triples = NarrativeGraph("s"), set()
+    for node_id in TABLE_IDS:
+        g.add_node(panel(node_id))
+    for src, dst, kind in edges:
+        want = model_add_edge(triples, src, dst, kind)
+        try:
+            g.add_edge(src, dst, kind)
+            got = None
+        except (CycleIntroduced, DuplicateEdge, ForestViolation) as exc:
+            got = exc
+        assert (type(got), str(got)) == (type(want), str(want))
+    for table in (g._out, g._in):
+        for entries in table.values():
+            for entry in entries.values():
+                assert isinstance(entry, str) or (type(entry) is set and len(entry) >= 2)
+    for node_id in TABLE_IDS:
+        for kind in EdgeKind:
+            assert g.neighbors(node_id, kind, "out") == sorted(
+                d for s, d, k in triples if s == node_id and k is kind
+            )
+            assert g.neighbors(node_id, kind, "in") == sorted(
+                s for s, d, k in triples if d == node_id and k is kind
+            )
+    ordered = sorted(triples, key=lambda t: (t[0], t[1], t[2].value))
+    assert g.edge_count() == len(triples)
+    assert g.edges() == tuple(Edge(s, d, k) for s, d, k in ordered)
+    # the same edges added in another order give an equal graph and the same bytes
+    other = NarrativeGraph("s")
+    for node_id in reversed(TABLE_IDS):
+        other.add_node(panel(node_id))
+    for s, d, k in reversed(ordered):
+        other.add_edge(s, d, k)
+    assert g == other
+    assert g.to_json_bytes() == other.to_json_bytes() == json_dumps_oracle(g)
+
+
+def assert_edge_tables_hold_node_ids(g):
+    for table in (g._out, g._in):
+        for _, key, end in table_triples(table):
+            assert key is g.node(key).id and end is g.node(end).id
+
+
+def test_edge_tables_hold_the_node_id_strings_after_build_and_read():
+    built = build_all(generate_fixture("battle"))
+    assert_edge_tables_hold_node_ids(built)
+    assert_edge_tables_hold_node_ids(deserialize(built.to_json_bytes()))
+
+
+def test_writer_peak_stays_below_three_times_its_output():
+    g = build_all(generate_fixture("battle"))
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        data = g.to_json_bytes()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak < 3.0 * len(data)
