@@ -9,7 +9,9 @@ names, a field with a default may be missing or null, and every other field
 is required.
 
 The records are slotted frozen dataclasses: a parse makes one per object
-of the document, and a slotted one costs less to build and to keep.
+of the document, and a slotted one costs less to build and to keep. Each
+sets its fields through its slots (graph.slot_init), which costs half what
+a frozen dataclass's own __init__ does.
 parse_annotations reads each field with one lookup and one type test, spells
 out a JSON path only on the way to raising, and runs with the cyclic
 collector paused (graph.collector_paused), since what it allocates stays
@@ -27,7 +29,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Any, Iterator, get_args, get_origin, get_type_hints
 
 from .errors import DanglingReference, DuplicateId, NkgError, SchemaViolation
-from .graph import collector_paused
+from .graph import collector_paused, slot_init
 from .jsonio import dump_canonical, load_object, require
 from .lexicon import is_label
 
@@ -39,36 +41,51 @@ def entity_node_id(entity_id: str) -> str:
     return f"entity:{entity_id}"
 
 
-@dataclass(frozen=True, slots=True)
+@slot_init
+@dataclass(frozen=True, slots=True, init=False)
 class CharacterAnn:
+    """A character in one panel: an instance of a story-level entity."""
+
     instance_id: str
     entity_id: str  # story-level identity shared across panels
     name: str = ""
 
 
-@dataclass(frozen=True, slots=True)
+@slot_init
+@dataclass(frozen=True, slots=True, init=False)
 class ObjectAnn:
+    """An object in one panel."""
+
     instance_id: str
     label: str
 
 
-@dataclass(frozen=True, slots=True)
+@slot_init
+@dataclass(frozen=True, slots=True, init=False)
 class ActionAnn:
+    """An action in one panel, with the instances that do it and undergo it."""
+
     instance_id: str
     label: str  # free-text surface form, normalized later
     agent: str | None = None  # character instance_id in the same panel
     target: str | None = None  # character or object instance_id in the same panel
 
 
-@dataclass(frozen=True, slots=True)
+@slot_init
+@dataclass(frozen=True, slots=True, init=False)
 class DialogueAnn:
+    """A line of dialogue in one panel, and the instance that speaks it."""
+
     instance_id: str
     text: str
     speaker: str | None = None  # character instance_id in the same panel
 
 
-@dataclass(frozen=True, slots=True)
+@slot_init
+@dataclass(frozen=True, slots=True, init=False)
 class PanelAnn:
+    """A panel: its position in each order, and what it shows."""
+
     id: str
     reading_order: int
     storytime_order: int
@@ -79,22 +96,31 @@ class PanelAnn:
     captions: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@slot_init
+@dataclass(frozen=True, slots=True, init=False)
 class EventAnn:
+    """An event and its panels."""
+
     id: str
     label: str
     panels: tuple[PanelAnn, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@slot_init
+@dataclass(frozen=True, slots=True, init=False)
 class MacroEventAnn:
+    """A macro-event and its events."""
+
     id: str
     label: str
     events: tuple[EventAnn, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@slot_init
+@dataclass(frozen=True, slots=True, init=False)
 class AnnotationDoc:
+    """A story's annotation document."""
+
     story_id: str
     macro_events: tuple[MacroEventAnn, ...]
     schema_version: int = SCHEMA_VERSION

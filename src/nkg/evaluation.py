@@ -266,17 +266,17 @@ def _by_macro(pairs, macro_of: dict[str, str]) -> dict[str, set[str]]:
     return split
 
 
-def _score_t1(graph, variant, gold, macro_of, action_gold, norm_map):
+def _score_t1(graph, variant, gold, macro_of, gold_by_macro, norm_map):
     """Per macro-event, the set P/R/F1 of each gold cluster with instances there.
 
-    `action_gold` maps a cluster to its gold (panel id, instance id) pairs and
-    `macro_of` a panel to its macro-event. Each cluster's queries run once,
-    story-wide, and the hits are split by macro-event like the gold.
+    `gold_by_macro` maps a cluster to its gold instance ids per macro-event
+    and `macro_of` a panel to its macro-event. Each cluster's queries run
+    once, story-wide, and the hits are split by macro-event like the gold.
     """
     per_macro: dict[str, list] = {}
     for canonical in sorted(gold.action_clusters):
-        gold_by_macro = _by_macro(action_gold.get(canonical, ()), macro_of)
-        if not gold_by_macro:
+        gold_split = gold_by_macro.get(canonical)
+        if not gold_split:
             continue
         found = []
         for query in sorted({canonical} | set(gold.action_clusters[canonical])):
@@ -284,7 +284,7 @@ def _score_t1(graph, variant, gold, macro_of, action_gold, norm_map):
             hits = retrieve_actions(graph, query, variant, norm_map=norm_map)
             found.extend((h.panel_id, h.action_instance_id) for h in hits)
         found_by_macro = _by_macro(found, macro_of)
-        for macro_id, gold_instances in gold_by_macro.items():
+        for macro_id, gold_instances in gold_split.items():
             per_macro.setdefault(macro_id, []).append(
                 set_f1(found_by_macro.get(macro_id, set()), gold_instances)
             )
@@ -311,18 +311,19 @@ def run_eval(
         for member in members
     }
     macro_of: dict[str, str] = {}
-    # gold action instances per cluster, as (panel id, instance id) pairs
-    action_gold: dict[str, set[tuple[str, str]]] = {}
+    # gold action instance ids per cluster, split by macro-event once for both variants
+    gold_by_macro: dict[str, dict[str, set[str]]] = {}
     for macro, _, panel in doc.iter_panels():
         macro_of[panel.id] = macro.id
         for action in panel.actions:
             canonical = member_to_canonical.get(action.label, action.label)
-            action_gold.setdefault(canonical, set()).add((panel.id, action.instance_id))
+            split = gold_by_macro.setdefault(canonical, {})
+            split.setdefault(macro.id, set()).add(action.instance_id)
 
     graphs = {"raw": graph_raw, "normalized": graph_norm}
     variants = VARIANTS if normalized_all else ("raw",)
     t1 = {
-        variant: _score_t1(graphs[variant], variant, gold, macro_of, action_gold, norm_map)
+        variant: _score_t1(graphs[variant], variant, gold, macro_of, gold_by_macro, norm_map)
         for variant in VARIANTS
     }
     rows: list[TaskScore] = []

@@ -5,16 +5,19 @@ sequence, event hierarchy); nodes carry string attributes and edges are
 (src, dst, kind) triples, each stored once, in the adjacency tables _out and
 _in; edges(), edge_count(), equality and the writer derive from them. Node
 and Edge are slotted frozen dataclasses: a graph holds a Node per node, and
-edges() makes an Edge per edge.
+edges() makes an Edge per edge. Node sets its fields through its slots
+(slot_init), as do the annotation records and the reasoner's ActionHit.
 An entry of _out[kind] or _in[kind] is the neighbour's id itself while its
 node has one neighbour of that kind, and a set of ids from the second on.
 Most entries have one neighbour, and a one-element set costs 216 bytes
 where the bare id costs nothing more, so this more than halves a built
 graph's memory; a set, not a tuple, keeps appends and the duplicate check
-O(1) at any degree. Every read but add_edge's duplicate check goes through
+O(1) at any degree. Every read but the duplicate checks goes through
 _ends(entry). The shape follows from the degree alone, so equal graphs have
-equal tables. add_edge stores each end as the node's own id string, so a
-read graph keeps no copy of the file's endpoint strings.
+equal tables. Each end is stored as the node's own id string, and the reader
+points each panel and speaker attribute that names a node at that string
+too, so a read graph keeps no copy of the file's endpoint strings or of
+those attributes.
 The four order-bearing edge kinds must stay acyclic, and subevent_of must
 stay a forest; both are enforced on every add_edge. An edge closes a cycle
 exactly when dst reaches src, and a dst with no out-edge of its kind, or a
@@ -37,8 +40,14 @@ would free nothing.
 
 Serialization is canonical: nodes sorted by id, edges by (src, dst, kind),
 keys sorted. Equal graphs produce identical bytes regardless of how they
-were assembled. The writer fills a template of the graph's fixed shape; its
-bytes are those of json.dumps(indent=2, sort_keys=True, ensure_ascii=False).
+were assembled. The writer fills a template of the graph's fixed shape, one
+per node kind and attribute key sequence; its bytes are those of
+json.dumps(indent=2, sort_keys=True, ensure_ascii=False).
+The reader checks a valid file in whole-table passes: one per field of the
+nodes and of the edges, one loop that fills the tables, a forest check and a
+topological pass per order-bearing kind. At the first sign of a fault it
+reads the decoded items again one by one through add_node and add_edge, so
+the first fault is named as it always was, by the same class and message.
 """
 
 from __future__ import annotations
@@ -47,8 +56,9 @@ import gc
 import json
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import _HAS_DEFAULT_FACTORY, MISSING, dataclass, field, fields
 from enum import Enum
+from itertools import chain
 from json.encoder import encode_basestring
 from typing import Callable, Iterator, Mapping, TypeVar
 
@@ -81,6 +91,49 @@ def collector_paused() -> Iterator[None]:
     finally:
         if enabled:
             gc.enable()
+
+
+def slot_init(cls: type[T]) -> type[T]:
+    """Give a frozen slotted dataclass declared with init=False the __init__
+    dataclass would have made, with its signature, defaults and default
+    factories, but storing each field through the class's slot descriptor:
+    a frozen dataclass's own __init__ goes through object.__setattr__, at
+    about twice the cost, for records made by the ten thousand. Assignment
+    still raises FrozenInstanceError, since that is __setattr__'s.
+
+    Give the class a docstring: without one, dataclass writes one from the
+    signature of an __init__ it has not got, which parses object's text
+    signature at import and reads "Cls()"."""
+    record_fields = fields(cls)
+    if any(not f.init or f.kw_only for f in record_fields) or hasattr(cls, "__post_init__"):
+        raise TypeError(f"{cls.__name__}: slot_init takes positional init fields only")
+    scope, params, body = {"_FACTORY": _HAS_DEFAULT_FACTORY}, [], []
+    for f in record_fields:
+        name, value = f.name, f.name
+        scope[f"_set_{name}"] = getattr(cls, name).__set__
+        if f.default is not MISSING:
+            scope[f"_default_{name}"] = f.default
+            params.append(f"{name}=_default_{name}")
+        elif f.default_factory is not MISSING:
+            scope[f"_factory_{name}"] = f.default_factory
+            params.append(f"{name}=_FACTORY")
+            value = f"_factory_{name}() if {name} is _FACTORY else {name}"
+        else:
+            params.append(name)
+        body.append(f"  _set_{name}(self, {value})")
+    # the helpers reach __init__ as closure cells, as dataclass's own do
+    source = (
+        f"def make({', '.join(scope)}):\n def __init__(self, {', '.join(params)}):\n"
+        + "\n".join(body)
+        + "\n return __init__"
+    )
+    namespace: dict = {}
+    exec(source, {"__name__": cls.__module__}, namespace)
+    init = namespace["make"](**scope)
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {**{f.name: f.type for f in record_fields}, "return": None}
+    cls.__init__ = init
+    return cls
 
 
 # The three kind enums hash by identity: Enum.__hash__ is a Python-level call,
@@ -166,6 +219,9 @@ LABELED_KINDS = frozenset(
     {NodeKind.ACTION, NodeKind.EVENT, NodeKind.MACRO_EVENT, NodeKind.OBJECT}
 )
 
+# ACYCLIC_KINDS in a fixed order, for the reader's passes
+_ORDER_KINDS = tuple(kind for kind in EdgeKind if kind in ACYCLIC_KINDS)
+
 # each panel order: the attribute with a panel's position, the chain's edge kind
 PANEL_ORDERS = {
     "reading": ("reading_order", EdgeKind.PRECEDES_READING),
@@ -180,8 +236,11 @@ EDGE_ENDPOINTS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+@slot_init
+@dataclass(frozen=True, slots=True, init=False)
 class Node:
+    """A node: its id, its kind and its string attributes."""
+
     id: str
     kind: NodeKind
     attrs: dict[str, str] = field(default_factory=dict)
@@ -450,17 +509,22 @@ class NarrativeGraph:
     def to_json_bytes(self) -> bytes:
         """The canonical bytes. Each section is joined as soon as its items are
         laid out, and both sections are dropped before encoding, so the items
-        are never alive with the document or its bytes."""
+        are never alive with the document or its bytes. Nodes of one kind
+        with one attribute key sequence share a layout (_node_layout), made
+        on the first of them in each call."""
         q = encode_basestring  # the quoting json.dumps uses under ensure_ascii=False
-        nodes = dump_list(
-            [
-                f'{{\n      "attrs": {_json_object(n.attrs)},\n      "id": {q(n.id)},\n'
-                f'      "kind": {q(n.kind._value_)},\n'
-                f'      "layer": {q(KIND_LAYER[n.kind]._value_)}\n    }}'
-                for n in self.nodes()
-            ],
-            2,
-        )
+        layouts: dict[tuple, tuple[str, list[str]]] = {}
+        items = []
+        for n in self.nodes():
+            attrs = n.attrs
+            shape = (n.kind, *attrs)
+            layout = layouts.get(shape)
+            if layout is None:
+                layout = layouts[shape] = _node_layout(n.kind, attrs)
+            template, keys = layout
+            items.append(template % (*[q(attrs[k]) for k in keys], q(n.id)))
+        nodes = dump_list(items, 2)
+        del items
         edges = dump_list(
             [
                 f'{{\n      "dst": {q(dst)},\n      "kind": {q(kind)},\n'
@@ -479,9 +543,90 @@ class NarrativeGraph:
     @classmethod
     @collector_paused()
     def from_json_bytes(cls, raw: bytes | str) -> "NarrativeGraph":
+        """The finalized graph a file holds. A valid file is read in
+        whole-table passes (_fill_tables); at the first sign of a fault the
+        decoded items are read again one by one (_add_items), so that the
+        first fault raises what it always has."""
         obj = load_object(raw, "graph")
-        graph = cls(require(obj, "story_id", str, "$"), require(obj, "normalized", bool, "$"))
+        story_id = require(obj, "story_id", str, "$")
+        normalized = require(obj, "normalized", bool, "$")
         nodes, edges = require(obj, "nodes", list, "$"), require(obj, "edges", list, "$")
+        graph = cls(story_id, normalized)
+        if not graph._fill_tables(nodes, edges):
+            graph = cls(story_id, normalized)
+            graph._add_items(nodes, edges)
+        return graph.finalize()
+
+    def _fill_tables(self, nodes: list, edges: list) -> bool:
+        """Fill this empty graph with a file's decoded nodes and edges, and
+        whether they hold no fault that _add_items would raise; after False
+        the graph is part-filled and of no use.
+
+        Each pass reads one field of every item: the node ids, kinds, layers
+        and attributes, checked as add_node and _add_items check them, then
+        the edge kinds and both ends, looked up as nodes. A `panel`
+        attribute that names a node, and the `speaker` beside it, are pointed
+        at the node's own id string, as build_all's panels are. One loop
+        fills the tables, each end the node's own id string, and finds
+        duplicates. Last come one check that subevent_of is a forest and, per
+        order-bearing kind, one topological pass in place of a search per
+        edge."""
+        try:
+            # AttributeError: an item that is no object; KeyError: a missing
+            # field, or a kind, layer or end that names nothing; TypeError: an
+            # unhashable one, or an edge that is no object
+            ids = [n.get("id") for n in nodes]
+            kinds = [_NODE_KINDS[n["kind"]] for n in nodes]
+            layers = [_LAYERS[n["layer"]] for n in nodes]
+            attrs = [n.get("attrs", {}) for n in nodes]
+            if not (
+                list(map(KIND_LAYER.__getitem__, kinds)) == layers
+                and _all_of(str, ids)
+                and _all_of(dict, attrs)
+                and _all_of(str, chain.from_iterable(map(dict.values, attrs)))
+            ):
+                return False
+            table = self._nodes
+            table.update(zip(ids, map(Node, ids, kinds, attrs)))
+            if len(table) != len(ids):  # a duplicate id
+                return False
+            edge_kinds = [_EDGE_KINDS[e["kind"]] for e in edges]
+            srcs = [table[e["src"]].id for e in edges]
+            dsts = [table[e["dst"]].id for e in edges]
+        except (AttributeError, KeyError, TypeError):
+            return False
+        for placed in attrs:
+            if "panel" in placed:
+                named = table.get(placed["panel"])
+                if named is not None:
+                    placed["panel"] = named.id
+                if "speaker" in placed:
+                    named = table.get(placed["speaker"])
+                    if named is not None:
+                        placed["speaker"] = named.id
+        out_tables, in_tables = self._out, self._in
+        for src, dst, kind in zip(srcs, dsts, edge_kinds):
+            out = out_tables[kind]
+            entry = out.get(src)
+            if entry is None:
+                out[src] = dst
+            elif entry.__class__ is set:
+                if dst in entry:
+                    return False
+                entry.add(dst)
+            elif entry == dst:
+                return False
+            else:
+                out[src] = {entry, dst}
+            _attach(in_tables[kind], dst, src)
+        if any(entry.__class__ is set for entry in out_tables[_SUBEVENT_OF].values()):
+            return False
+        return all(_acyclic(out_tables[kind], in_tables[kind]) for kind in _ORDER_KINDS)
+
+    def _add_items(self, nodes: list, edges: list) -> None:
+        """Add a file's decoded nodes, then its edges, one by one through
+        add_node and add_edge, raising at the first fault. The reader's
+        error path, and the reference its whole-table passes must match."""
         # an item's JSON path is spelled out only on the way to raising
         for i, n in enumerate(nodes):
             if not isinstance(n, dict):
@@ -502,7 +647,7 @@ class NarrativeGraph:
             node_id = n.get("id")
             if not isinstance(node_id, str):
                 raise SchemaViolation(f"$.nodes[{i}]", "id must be a string")
-            graph.add_node(Node(node_id, kind, attrs))
+            self.add_node(Node(node_id, kind, attrs))
         for i, e in enumerate(edges):
             if not isinstance(e, dict):
                 raise SchemaViolation(f"$.edges[{i}]", "edge must be an object")
@@ -513,8 +658,7 @@ class NarrativeGraph:
             src, dst = e.get("src"), e.get("dst")
             if not isinstance(src, str) or not isinstance(dst, str):
                 raise SchemaViolation(f"$.edges[{i}]", "src and dst must be strings")
-            graph.add_edge(src, dst, kind)
-        return graph.finalize()
+            self.add_edge(src, dst, kind)
 
 
 def _ends(entry: str | set[str] | None) -> tuple[str, ...] | set[str]:
@@ -535,13 +679,45 @@ def _attach(table: dict[str, str | set[str]], key: str, end: str) -> None:
         table[key] = {entry, end}
 
 
-# the writer's parts, laid out as json.dumps(indent=2, sort_keys=True) lays them out
-def _json_object(attrs: dict[str, str]) -> str:
-    if not attrs:
-        return "{}"
+def _all_of(cls: type, values) -> bool:
+    """Whether every value is exactly a `cls`, as every value JSON decodes
+    to a str or a dict is."""
+    return set(map(type, values)) <= {cls}
+
+
+def _acyclic(out: dict[str, str | set[str]], into: dict[str, str | set[str]]) -> bool:
+    """Whether the edges of one kind, given as its two tables, close no
+    cycle: Kahn's algorithm, which takes every node off exactly when none
+    lies on a cycle."""
+    waiting = {node: len(_ends(entry)) for node, entry in into.items()}
+    ready = [node for node in out if node not in into]
+    while ready:
+        for nxt in _ends(out.get(ready.pop())):
+            left = waiting[nxt] - 1
+            if left:
+                waiting[nxt] = left
+            else:
+                del waiting[nxt]
+                ready.append(nxt)
+    return not waiting
+
+
+def _node_layout(kind: NodeKind, keys) -> tuple[str, list[str]]:
+    """The writer's %-template for a node of this kind with these attribute
+    keys, laid out as json.dumps(indent=2, sort_keys=True) lays it out, and
+    the keys in the order its slots take their quoted values; the quoted id
+    fills the last slot."""
     q = encode_basestring
-    items = ",\n".join(f"        {q(k)}: {q(v)}" for k, v in sorted(attrs.items()))
-    return "{\n" + items + "\n      }"
+    keys = sorted(keys)
+    attrs = "{}"
+    if keys:
+        lines = ",\n".join(f"        {q(k).replace('%', '%%')}: %s" for k in keys)
+        attrs = "{\n" + lines + "\n      }"
+    template = (
+        f'{{\n      "attrs": {attrs},\n      "id": %s,\n'
+        f'      "kind": {q(kind._value_)},\n      "layer": {q(KIND_LAYER[kind]._value_)}\n    }}'
+    )
+    return template, keys
 
 
 def _int_attr(node: Node, name: str) -> int:

@@ -24,7 +24,7 @@ from .errors import (
     UnknownNode,
     UnknownScope,
 )
-from .graph import PANEL_ORDERS, EdgeKind, NarrativeGraph, Node, NodeKind
+from .graph import PANEL_ORDERS, EdgeKind, NarrativeGraph, Node, NodeKind, slot_init
 from .lexicon import SynonymLexicon, fold_label
 from .normalize import NormalizationMap
 
@@ -34,8 +34,11 @@ ORDER_KINDS = tuple(PANEL_ORDERS)
 STORY_SCOPE = "story"
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True, init=False)
 class ActionHit:
+    """An action instance that an action query retrieved."""
+
     panel_id: str
     action_instance_id: str
     surface_label: str

@@ -1,5 +1,7 @@
 import copy
+import dataclasses
 import gc
+import inspect
 import json
 import random
 import tracemalloc
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nkg import annotations
 from nkg import graph as graph_module
 from nkg.builder import build_all
 from nkg.errors import (
@@ -17,6 +20,7 @@ from nkg.errors import (
     ForestViolation,
     GraphFrozen,
     MalformedJson,
+    NkgError,
     SchemaViolation,
     UnknownEndpoint,
     UnknownNode,
@@ -35,6 +39,7 @@ from nkg.graph import (
     serialize,
 )
 from nkg.fixtures import generate_fixture
+from nkg.reasoner import ActionHit
 
 
 def panel(node_id, reading=0, storytime=0):
@@ -294,9 +299,11 @@ def json_dumps_oracle(g):
 
 
 # quotes, backslashes, control characters, line and paragraph separators,
-# non-BMP characters; empty strings come from min_size=0
+# non-BMP characters, the braces and percent sign of format templates; empty
+# strings come from min_size=0
 HOSTILE = [
     '"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "\u2028", "\u2029", "\U0001f600", "é", "/",
+    "{", "}", "%",
 ]
 hostile_text = st.text(
     st.one_of(st.sampled_from(HOSTILE), st.characters(blacklist_categories=("Cs",))),
@@ -482,14 +489,112 @@ def battle_bytes():
     return build_all(generate_fixture("battle")).to_json_bytes()
 
 
-@pytest.mark.parametrize("case", sorted(CORRUPT_GRAPH_FILES))
-def test_reader_rejects_corrupt_file_with_its_class(battle_bytes, case):
-    edit, error = CORRUPT_GRAPH_FILES[case]
+def corrupt_battle_file(battle_bytes, case):
+    edit, _ = CORRUPT_GRAPH_FILES[case]
     obj = json.loads(battle_bytes)
     edit(obj)
-    with pytest.raises(error) as raised:  # an emptied document stands for a list
-        deserialize(json.dumps(obj if obj else []).encode())
+    return json.dumps(obj if obj else []).encode()  # an emptied document stands for a list
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_GRAPH_FILES))
+def test_reader_rejects_corrupt_file_with_its_class(battle_bytes, case):
+    error = CORRUPT_GRAPH_FILES[case][1]
+    with pytest.raises(error) as raised:
+        deserialize(corrupt_battle_file(battle_bytes, case))
     assert type(raised.value) is error
+
+
+def read_item_by_item(raw):
+    """deserialize with its whole-table passes switched off, so that every
+    item goes through add_node and add_edge: the reader's error path, and the
+    reference for its passes."""
+    fill_tables = NarrativeGraph._fill_tables
+    NarrativeGraph._fill_tables = lambda self, nodes, edges: False
+    try:
+        return deserialize(raw)
+    finally:
+        NarrativeGraph._fill_tables = fill_tables
+
+
+def read_outcome(read, raw):
+    """The graph a reader returns and its bytes, or the class and message it raised."""
+    try:
+        g = read(raw)
+    except NkgError as exc:
+        return type(exc), str(exc)
+    return g, g.to_json_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_GRAPH_FILES))
+def test_reader_paths_raise_alike_on_corrupt_files(battle_bytes, case):
+    raw = corrupt_battle_file(battle_bytes, case)
+    want = read_outcome(read_item_by_item, raw)
+    assert want[0] is CORRUPT_GRAPH_FILES[case][1]
+    assert read_outcome(deserialize, raw) == want
+
+
+MUTATIONS = ("drop-node", "duplicate-edge", "close-cycle", "second-parent", "shuffle")
+
+
+@st.composite
+def mutated_graph_files(draw):
+    """The file of a hostile graph with a chain of each order-bearing kind
+    added, after up to three mutations: a node dropped, an edge duplicated, a
+    chain closed into a cycle, a second subevent_of parent, the nodes and
+    edges shuffled."""
+    obj = json.loads(draw(hostile_graphs()).to_json_bytes())
+    ids = [n["id"] for n in obj["nodes"]]
+    chains = []
+    for kind in ORDER_KINDS:
+        chain = draw(st.lists(st.sampled_from(ids), unique=True, max_size=4)) if ids else []
+        chains.append((kind.value, chain))
+        obj["edges"] += [{"src": a, "dst": b, "kind": kind.value} for a, b in zip(chain, chain[1:])]
+    for mutation in draw(st.lists(st.sampled_from(MUTATIONS), max_size=3)):
+        nodes, edges = obj["nodes"], obj["edges"]
+        if mutation == "drop-node" and nodes:
+            del nodes[draw(st.integers(0, len(nodes) - 1))]
+        elif mutation == "duplicate-edge" and edges:
+            edges.append(dict(draw(st.sampled_from(edges))))
+        elif mutation == "close-cycle":
+            kind, chain = draw(st.sampled_from(chains))
+            if chain:
+                edges.append({"src": chain[-1], "dst": chain[0], "kind": kind})
+        elif mutation == "second-parent":
+            kind, chain = chains[ORDER_KINDS.index(EdgeKind.SUBEVENT_OF)]
+            if len(chain) > 1:
+                edges.append({"src": chain[0], "dst": draw(st.sampled_from(ids)), "kind": kind})
+        elif mutation == "shuffle":
+            obj["nodes"], obj["edges"] = draw(st.permutations(nodes)), draw(st.permutations(edges))
+    return json.dumps(obj, ensure_ascii=False).encode()
+
+
+def small_file(edges):
+    """The file of objects a, b and c with these (src, dst, kind value) edges."""
+    nodes = [{"attrs": {"label": i}, "id": i, "kind": "object", "layer": "panel"} for i in "abc"]
+    edges = [{"src": s, "dst": d, "kind": k} for s, d, k in edges]
+    return json.dumps({"edges": edges, "nodes": nodes, "normalized": False, "story_id": ""}).encode()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mutated_graph_files())
+# a duplicate of an edge whose source already has two neighbours of its kind
+@example(small_file([("a", "b", "acts_on"), ("a", "c", "acts_on"), ("a", "b", "acts_on")]))
+@example(small_file([("a", "b", "precedes"), ("b", "c", "precedes"), ("c", "a", "precedes")]))
+def test_reader_paths_agree_on_mutated_files(raw):
+    assert read_outcome(deserialize, raw) == read_outcome(read_item_by_item, raw)
+    # below finalize(): the passes find a fault exactly when the item path
+    # raises one, and otherwise fill the tables the item path fills
+    obj, tables = json.loads(raw), NarrativeGraph()
+    filled = tables._fill_tables(obj["nodes"], obj["edges"])
+    obj, items = json.loads(raw), NarrativeGraph()
+    try:
+        items._add_items(obj["nodes"], obj["edges"])
+    except NkgError:
+        assert not filled
+    else:
+        assert filled
+        assert tables == items and tables.to_json_bytes() == items.to_json_bytes()
+        assert_edge_tables_hold_node_ids(tables)
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -799,7 +904,10 @@ def test_building_and_reading_skip_searches_that_cannot_find_a_cycle(monkeypatch
     # the builder adds each chain in order, so no edge's dst has an out-edge yet
     graph = build_all(generate_fixture("noise", seed=3))
     assert searches == []
+    # a valid file is read in whole-table passes, with no search at all
     deserialize(graph.to_json_bytes())
+    assert searches == []
+    read_item_by_item(graph.to_json_bytes())
     assert len(searches) < sum(1 for edge in graph.edges() if edge.kind in ACYCLIC_KINDS)
 
 
@@ -878,16 +986,28 @@ def test_edge_tables_match_a_set_of_triples_model(edges):
     assert g.to_json_bytes() == other.to_json_bytes() == json_dumps_oracle(g)
 
 
-def assert_edge_tables_hold_node_ids(g):
+def assert_edge_tables_hold_node_ids(g, named_attrs=()):
+    """Every end in the edge tables, and every attribute under one of the
+    named_attrs keys, is the node's own id string; returns how many such
+    attributes there are."""
     for table in (g._out, g._in):
         for _, key, end in table_triples(table):
             assert key is g.node(key).id and end is g.node(end).id
+    named = [(n.id, k, n.attrs[k]) for n in g.nodes() for k in named_attrs if k in n.attrs]
+    for node_id, key, value in named:
+        assert value is g.node(value).id, (node_id, key)
+    return len(named)
 
 
 def test_edge_tables_hold_the_node_id_strings_after_build_and_read():
     built = build_all(generate_fixture("battle"))
-    assert_edge_tables_hold_node_ids(built)
-    assert_edge_tables_hold_node_ids(deserialize(built.to_json_bytes()))
+    # build_all takes each panel attribute from the panel node it adds
+    assert assert_edge_tables_hold_node_ids(built, ("panel",))
+    read = deserialize(built.to_json_bytes())
+    speakers = sum("speaker" in n.attrs for n in read.nodes(NodeKind.DIALOGUE))
+    assert speakers and assert_edge_tables_hold_node_ids(read, ("panel", "speaker")) == sum(
+        "panel" in n.attrs for n in read.nodes()
+    ) + speakers
 
 
 def test_writer_peak_stays_below_three_times_its_output():
@@ -904,3 +1024,72 @@ def test_writer_peak_stays_below_three_times_its_output():
         if not was_tracing:
             tracemalloc.stop()
     assert peak < 3.0 * len(data)
+
+
+RECORD_CLASSES = [
+    Node,
+    annotations.CharacterAnn,
+    annotations.ObjectAnn,
+    annotations.ActionAnn,
+    annotations.DialogueAnn,
+    annotations.PanelAnn,
+    annotations.EventAnn,
+    annotations.MacroEventAnn,
+    annotations.AnnotationDoc,
+    ActionHit,
+]
+
+
+def dataclass_twin(cls):
+    """The class as dataclass would make it with its own __init__."""
+    return dataclasses.make_dataclass(
+        cls.__name__,
+        [
+            (f.name, f.type, dataclasses.field(default=f.default, default_factory=f.default_factory))
+            for f in dataclasses.fields(cls)
+        ],
+        frozen=True,
+        slots=True,
+    )
+
+
+@pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__name__)
+def test_slot_init_matches_the_dataclass_init(cls):
+    twin = dataclass_twin(cls)
+    assert "__dict__" not in dir(cls)
+    assert cls.__doc__ != f"{cls.__name__}()"
+    assert inspect.signature(cls.__init__) == inspect.signature(twin.__init__)
+    fields = dataclasses.fields(cls)
+    for given in (
+        {f.name: f"{f.name}-{i}" for i, f in enumerate(fields) if f.init and f.default is
+         dataclasses.MISSING and f.default_factory is dataclasses.MISSING},
+        {f.name: f"{f.name}-{i}" for i, f in enumerate(fields)},
+    ):
+        record, reference = cls(*given.values()), twin(**given)
+        assert record == cls(**given)
+        assert repr(record) == repr(reference)
+        assert dataclasses.asdict(record) == dataclasses.asdict(reference)
+        first = fields[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, first, "changed")
+        changed = dataclasses.replace(record, **{first: "changed"})
+        assert changed == cls(**{**given, first: "changed"}) and record == cls(**given)
+
+
+def test_slot_init_gives_each_record_a_fresh_default():
+    a, b = Node("a", NodeKind.PANEL), Node("b", NodeKind.PANEL)
+    assert a.attrs == b.attrs == {} and a.attrs is not b.attrs
+    panel = annotations.PanelAnn("0_0_0", 1, 2, captions=("hi",))
+    assert panel == annotations.PanelAnn("0_0_0", 1, 2, (), (), (), (), ("hi",))
+    assert panel == annotations.PanelAnn(
+        captions=("hi",), storytime_order=2, reading_order=1, id="0_0_0"
+    )
+
+
+def test_slot_init_refuses_fields_it_cannot_set_positionally():
+    @dataclasses.dataclass(frozen=True, slots=True, init=False)
+    class KeywordOnly:
+        name: str = dataclasses.field(kw_only=True)
+
+    with pytest.raises(TypeError, match="positional init fields only"):
+        graph_module.slot_init(KeywordOnly)
