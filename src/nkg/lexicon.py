@@ -4,7 +4,9 @@ Semantic synonymy (attack ~ strike) lives in the lexicon file; this module
 only knows how to fold surface variation (case, separators, inflection).
 The lemmatizer is a small suffix-rule cascade run to a fixed point, with an
 exception table consulted before the rules on every pass, so irregular and
-silent-e forms can be pinned explicitly.
+silent-e forms can be pinned explicitly. Each lexicon instance memoizes the
+lemma of every token lexical_keys meets under it; the memo lives as long as
+the lexicon and grows with the distinct tokens it has seen.
 
 Labels split on '_' and on whitespace, with str methods: str.split()
 splits on, and str.isspace() holds for, exactly the code points the regex
@@ -34,7 +36,7 @@ def fold_label(label: str) -> str:
     """
     folded = "_".join(label.lower().replace("_", " ").split())
     if not folded:
-        raise EmptyLabel(repr(label))
+        raise EmptyLabel(f"label has no token: {label!r}")
     return folded
 
 
@@ -53,6 +55,9 @@ class SynonymLexicon:
     groups: tuple[frozenset[str], ...] = ()
     lemma_exceptions: dict[str, str] = field(default_factory=dict)
     _group_of: dict[str, int] = field(default_factory=dict, repr=False)
+    # token -> lemma under this lexicon, filled by lexical_keys; an instance's
+    # own, so dataclasses.replace, which may change the exceptions, starts empty
+    _lemmas: dict[str, str] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
     def empty(cls) -> "SynonymLexicon":
@@ -167,8 +172,9 @@ def lexical_key(label: str, lexicon: SynonymLexicon) -> str:
 
 
 def lexical_keys(labels: list[str], lexicon: SynonymLexicon) -> list[str]:
-    """lexical_key of each label, lemmatizing each distinct token once."""
-    lemmas: dict[str, str] = {}
+    """lexical_key of each label, lemmatizing each distinct token once per
+    lexicon: the lexicon's memo keeps every lemma made under it."""
+    lemmas = lexicon._lemmas
     keys = []
     for label in labels:
         tokens = fold_label(label).split("_")

@@ -9,12 +9,13 @@ form separate pools so the two vocabularies never merge with each other.
 
 Clustering finds the links in one batched pass per pool. Lexical links
 bucket the labels by lexical key or lexicon group; the pool's keys
-lemmatize each distinct token once. One union-find over the pool's sorted
-labels starts with each label at its bucket's first label. Cosine links
-come from row-blocked products of the pool's embedding matrix, which one
-embed_batch call fills, and only when the buckets are more than one. Each
-block of rows is multiplied only with the rows from its own start on, the
-upper triangle the links i < j need. A product within TIE_BAND of the
+lemmatize each distinct token once, through the lexicon's lemma memo, which
+lives per lexicon instance and grows with the distinct tokens it has seen.
+One union-find over the pool's sorted labels starts with each label at its
+bucket's first label. Cosine links come from row-blocked products of the
+pool's embedding matrix, which one embed_batch call fills, and only when
+the buckets are more than one. Each block of rows is multiplied only with
+the rows from its own start on, the upper triangle the links i < j need. A product within TIE_BAND of the
 threshold is re-checked at one dot product against row norms kept per
 pool, with the bits the scalar cosine() that link_similarity uses gives,
 so a float tie falls on the same side for both. Every block's links join
@@ -31,9 +32,10 @@ whose fold_label equals the query's; else the nearest cluster, by lexical
 key, lexicon group or cosine at or above the map's threshold
 (nearest_canonical); else the query itself. The cosine side of the nearest
 cluster costs one float32 product of the query with the action pool's unit
-member rows, kept per provider, and a cosine() recheck of each member whose
-product comes within a band of the threshold that covers float32's
-rounding, so the answer is the one link_similarity gives member by member.
+member rows, kept per provider transposed (dim x members), one scan of the
+products, and a cosine() recheck of each member whose product comes within
+a band of the threshold that covers float32's rounding at that dim, so the
+answer is the one link_similarity gives member by member.
 """
 
 from __future__ import annotations
@@ -255,16 +257,18 @@ class NormalizationMap:
         vectors = None if provider is None else self._vectors[1]
         vec = None if vectors is None else _embed_or_none(provider, query)
         if vec is not None:
-            matrix, rows = vectors
+            matrix, rows_t = vectors
             vec = np.asarray(vec, dtype=np.float64)  # a provider may return a list
             norm = math.sqrt(vec.dot(vec))
             # a zero query stays zero: its products are 0.0, as cosine() gives
-            products = rows @ (vec / norm if norm > 0 else vec).astype(np.float32)
+            products = (vec / norm if norm > 0 else vec).astype(np.float32) @ rows_t
             # twice the error bound of a float32 dot product of two unit
-            # vectors, so every member cosine() links passes; rounding the
+            # vectors of rows_t.shape[0] = dim entries, in any summation
+            # order, so every member cosine() links passes; rounding the
             # cutoff to float32 takes at most 2**-24 of the spare half
-            band = (rows.shape[1] + 2) * 2.0**-23
-            for i in np.flatnonzero(products >= self.threshold - TIE_BAND - band).tolist():
+            band = (rows_t.shape[0] + 2) * 2.0**-23
+            # ndarray.nonzero: np.flatnonzero is a Python-level wrapper around it
+            for i in (products >= self.threshold - TIE_BAND - band).nonzero()[0].tolist():
                 if i in lexical:  # a lexical link scores 1.0, whatever the cosine
                     continue
                 sim = cosine(vec, matrix[i])
@@ -329,9 +333,11 @@ class NormalizationMap:
 
 
 def _embed_members(provider, members: list[str]):
-    """(matrix, float32 unit rows) for map members, or None when the provider
-    embeds none of them or fails as a whole. A member without a vector has a
-    zero matrix row and a NaN unit row, whose products pass no cutoff."""
+    """(matrix, float32 unit rows transposed) for map members, or None when
+    the provider embeds none of them or fails as a whole. The unit rows are
+    kept dim x members and C-contiguous, so a query's products are one
+    vector-matrix product. A member without a vector has a zero matrix row
+    and a NaN unit column, whose products pass no cutoff."""
     try:
         vectors = provider.embed_batch(members)
     except MissingLabel:  # one at a time, so the members it has vectors for still link
@@ -344,7 +350,7 @@ def _embed_members(provider, members: list[str]):
     matrix = np.array([np.zeros(dim) if vec is None else vec for vec in vectors])
     rows = unit_rows(matrix).astype(np.float32)
     rows[[vec is None for vec in vectors]] = np.nan
-    return matrix, rows
+    return matrix, np.ascontiguousarray(rows.T)
 
 
 def _embed_or_none(provider, label: str):

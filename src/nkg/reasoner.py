@@ -6,9 +6,13 @@ them work on raw and normalized graphs alike; only action retrieval
 changes behaviour with the normalization mode.
 On a frozen graph they read indexes built on first use through memo(): the
 actions by label, each order's panel positions and scopes, each character's
-trajectory, each event's dialogue entries and each macro-event's children.
+trajectory, each event's dialogue entries, and each event's and
+macro-event's labelled children.
 Every query is then a lookup, except the nearest-cluster fallback of a
-normalized action query, which costs one product over the map's member matrix.
+normalized action query, which costs one product of the query with the map's
+transposed member rows and one scan of the products. Its lexical key reads
+the lexicon's lemma memo, which lives per lexicon instance and grows with the
+distinct tokens that lexicon has seen.
 """
 
 from __future__ import annotations
@@ -33,6 +37,15 @@ ORDER_KINDS = tuple(PANEL_ORDERS)
 
 STORY_SCOPE = "story"
 
+# The kinds the queries and index builders test against, as module globals,
+# as graph.py keeps them: a NodeKind.X read costs about 15 times a global read.
+_PANEL = NodeKind.PANEL
+_CHARACTER = NodeKind.CHARACTER
+_ACTION = NodeKind.ACTION
+_DIALOGUE = NodeKind.DIALOGUE
+_EVENT = NodeKind.EVENT
+_MACRO_EVENT = NodeKind.MACRO_EVENT
+
 
 @slot_init
 @dataclass(frozen=True, slots=True, init=False)
@@ -53,8 +66,11 @@ class ActionHit:
         }
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True, init=False)
 class DialogueTrace:
+    """The dialogue entries of an event's panels that a dialogue query traced."""
+
     event_id: str
     # each entry: (panel_id, dialogue_id, speaker_entity_id or None, text)
     entries: tuple[tuple[str, str, str | None, str], ...] = field(default_factory=tuple)
@@ -69,8 +85,11 @@ class DialogueTrace:
         }
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True, init=False)
 class Trajectory:
+    """The panels, events and macro-events where a character appears."""
+
     entity_id: str
     panel_ids: tuple[str, ...]
     event_ids: tuple[str, ...]
@@ -85,8 +104,11 @@ class Trajectory:
         }
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True, init=False)
 class Timeline:
+    """The panels of a scope in one panel order."""
+
     scope_id: str
     order_kind: str
     panel_ids: tuple[str, ...]
@@ -99,8 +121,11 @@ class Timeline:
         }
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True, init=False)
 class EventSummary:
+    """The direct children of an event or macro-event, each with its label."""
+
     node_id: str
     children: tuple[tuple[str, str], ...]
 
@@ -117,7 +142,7 @@ def _positions(graph: NarrativeGraph, order_kind: str = "reading") -> dict[str, 
     attr = PANEL_ORDERS[order_kind][0]
     return graph.memo(
         ("positions", order_kind),
-        lambda: {panel.id: int(panel.attrs[attr]) for panel in graph.nodes(NodeKind.PANEL)},
+        lambda: {panel.id: int(panel.attrs[attr]) for panel in graph.nodes(_PANEL)},
     )
 
 
@@ -133,7 +158,7 @@ def _actions_by(graph: NarrativeGraph, name: str, key) -> dict[str, tuple[Action
         position = _positions(graph)
         groups: dict[str, list[ActionHit]] = {}
         for node in sorted(
-            graph.nodes(NodeKind.ACTION), key=lambda n: (position[n.attrs["panel"]], n.id)
+            graph.nodes(_ACTION), key=lambda n: (position[n.attrs["panel"]], n.id)
         ):
             hit = ActionHit(node.attrs["panel"], node.id, _surface(node), node.label())
             groups.setdefault(key(hit), []).append(hit)
@@ -150,7 +175,7 @@ def _canonical_by_fold(graph: NarrativeGraph) -> dict[str, str]:
     def build():
         by_surface: dict[str, str] = {}
         by_canonical: dict[str, str] = {}
-        for node in graph.nodes(NodeKind.ACTION):
+        for node in graph.nodes(_ACTION):
             by_canonical.setdefault(fold_label(node.label()), node.label())
             by_surface.setdefault(fold_label(_surface(node)), node.label())
         return {**by_surface, **by_canonical}
@@ -200,7 +225,7 @@ def _dialogues(graph: NarrativeGraph) -> dict[str, tuple[tuple[str, str, str | N
 
     def panel_entries(panel_id: str):
         grounded = map(graph.node, graph.neighbors(panel_id, EdgeKind.GROUNDED_IN, "in"))
-        dialogues = [node for node in grounded if node.kind is NodeKind.DIALOGUE]
+        dialogues = [node for node in grounded if node.kind is _DIALOGUE]
         for node in sorted(dialogues, key=lambda node: int(node.attrs["order"])):
             speaker = None
             instance = node.attrs.get("speaker")
@@ -215,7 +240,7 @@ def _dialogues(graph: NarrativeGraph) -> dict[str, tuple[tuple[str, str, str | N
         return {
             scope: tuple(entry for panel_id in panels for entry in by_panel[panel_id])
             for scope, panels in scopes.items()
-            if graph.node(scope).kind is NodeKind.EVENT
+            if graph.node(scope).kind is _EVENT
         }
 
     return graph.memo("dialogues", build)
@@ -223,7 +248,7 @@ def _dialogues(graph: NarrativeGraph) -> dict[str, tuple[tuple[str, str, str | N
 
 def trace_dialogue(graph: NarrativeGraph, event_id: str) -> DialogueTrace:
     """Dialogue spans grounded in an event's panels, with resolved speakers."""
-    if not graph.has_node(event_id) or graph.node(event_id).kind is not NodeKind.EVENT:
+    if not graph.has_node(event_id) or graph.node(event_id).kind is not _EVENT:
         raise UnknownEvent(f"unknown event: {event_id}")
     return DialogueTrace(event_id, _dialogues(graph).get(event_id, ()))
 
@@ -232,7 +257,7 @@ def character_trajectory(graph: NarrativeGraph, entity_id: str) -> Trajectory:
     """Panels, events, and macro-events where a character entity appears;
     built on the entity's first query."""
     node_id = entity_node_id(entity_id)
-    if not graph.has_node(node_id) or graph.node(node_id).kind is not NodeKind.CHARACTER:
+    if not graph.has_node(node_id) or graph.node(node_id).kind is not _CHARACTER:
         raise UnknownEntity(f"unknown entity: {entity_id}")
 
     def build():
@@ -277,7 +302,7 @@ def _scopes(
                     macros_of[event_id] = [
                         macro_id
                         for macro_id in graph.neighbors(event_id, EdgeKind.SUBEVENT_OF, "out")
-                        if graph.node(macro_id).kind is NodeKind.MACRO_EVENT
+                        if graph.node(macro_id).kind is _MACRO_EVENT
                     ]
                 for macro_id in macros_of[event_id]:
                     scopes.setdefault(macro_id, {})[panel_id] = None
@@ -296,7 +321,8 @@ def reconstruct_timeline(
         return Timeline(scope_id, order_kind, _scopes(graph, order_kind)[0])
     if not graph.has_node(scope_id):
         raise UnknownScope(f"unknown scope: {scope_id}")
-    if graph.node(scope_id).kind not in (NodeKind.EVENT, NodeKind.MACRO_EVENT):
+    kind = graph.node(scope_id).kind
+    if kind is not _EVENT and kind is not _MACRO_EVENT:
         raise UnknownScope(f"scope must be an event, macro-event, or {STORY_SCOPE!r}: {scope_id}")
     return Timeline(scope_id, order_kind, _scopes(graph, order_kind)[1].get(scope_id, ()))
 
@@ -316,32 +342,33 @@ def _sibling_order(graph: NarrativeGraph, children: list[str]) -> list[str]:
     return ordered
 
 
-def _macro_children(graph: NarrativeGraph) -> dict[str, tuple[str, ...]]:
-    """Macro-event id -> its direct children in narrative order. Built on the
-    first query."""
-    return graph.memo(
-        "macro_children",
-        lambda: {
-            macro.id: tuple(
-                _sibling_order(graph, list(graph.neighbors(macro.id, EdgeKind.SUBEVENT_OF, "in")))
+def _summaries(graph: NarrativeGraph) -> dict[str, tuple[tuple[str, str], ...]]:
+    """Event and macro-event id -> its direct children in narrative order, each
+    as (child id, its label or else its id): an event's panels in reading
+    order, a macro-event's children in precedes order. Built on the first
+    query."""
+
+    def build():
+        panels = _scopes(graph, "reading")[1]
+        children = {event.id: panels.get(event.id, ()) for event in graph.nodes(_EVENT)}
+        for macro in graph.nodes(_MACRO_EVENT):
+            children[macro.id] = _sibling_order(
+                graph, graph.neighbors(macro.id, EdgeKind.SUBEVENT_OF, "in")
             )
-            for macro in graph.nodes(NodeKind.MACRO_EVENT)
-        },
-    )
+        return {
+            node_id: tuple((cid, graph.node(cid).label() or cid) for cid in ids)
+            for node_id, ids in children.items()
+        }
+
+    return graph.memo("summaries", build)
 
 
 def summarize_event(graph: NarrativeGraph, node_id: str) -> EventSummary:
     """Direct children of an event or macro-event, in narrative order."""
     if not graph.has_node(node_id):
         raise UnknownNode(node_id)
-    node = graph.node(node_id)
-    if node.kind is NodeKind.MACRO_EVENT:
-        children = _macro_children(graph)[node_id]
-    elif node.kind is NodeKind.EVENT:
-        children = _scopes(graph, "reading")[1].get(node_id, ())
-    else:
-        raise NotAnEventNode(f"not an event node: {node_id} ({node.kind.value})")
-    return EventSummary(
-        node_id,
-        tuple((cid, graph.node(cid).label() or cid) for cid in children),
-    )
+    children = _summaries(graph).get(node_id)
+    if children is None:
+        kind = graph.node(node_id).kind
+        raise NotAnEventNode(f"not an event node: {node_id} ({kind.value})")
+    return EventSummary(node_id, children)

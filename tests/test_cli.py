@@ -464,6 +464,14 @@ def test_query_unknown_ids_exit_5(battle_files):
     assert main(["query", "timeline", "zzz", "--input", str(raw)]) == 5
 
 
+@pytest.mark.parametrize("label", ["", "  "])
+def test_query_with_a_blank_label_exits_2_and_says_why(battle_files, capsys, label):
+    _, raw, _ = battle_files
+    capsys.readouterr()
+    assert main(["query", "action", label, "--input", str(raw)]) == 2
+    assert capsys.readouterr().err == f"error: label has no token: {label!r}\n"
+
+
 def test_query_mode_mismatch_exits_6(battle_files):
     _, raw, _ = battle_files
     assert main(["query", "action", "fight", "--input", str(raw), "--mode", "normalized"]) == 6

@@ -3,6 +3,7 @@ import random
 import re
 import string
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -201,6 +202,44 @@ def test_lexical_keys_of_a_pool_equal_each_labels_key(labels, exceptions):
     want = [old_lexical_key(label, lexicon) for label in labels]
     assert lexical_keys(labels, lexicon) == want
     assert [lexical_key(label, lexicon) for label in labels] == want
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_lemma_memo_answers_for_its_own_lexicon_only(order):
+    lexicons = [SynonymLexicon.build([], {"went": "go"}), SynonymLexicon.build([], {"went": "walk"})]
+    want = ["go", "walk"]
+    for i in order + order:  # the second round reads each memo
+        assert lexical_key("went", lexicons[i]) == want[i]
+        assert lexical_keys(["went", "went_home"], lexicons[i]) == [want[i], f"{want[i]}_home"]
+
+
+def test_shared_empty_lexicon_never_answers_for_one_with_exceptions():
+    # each token is met first under one lexicon, then under the other
+    assert lexical_key("went", EMPTY) == "went"
+    lexicon = SynonymLexicon.build([], {"went": "go", "gone": "go"})
+    assert lexical_key("went", lexicon) == "go"
+    assert lexical_key("gone", lexicon) == "go"
+    assert lexical_key("gone", EMPTY) == "gone"
+    assert lexical_key("went", EMPTY) == "went"
+
+
+def test_replaced_lexicon_starts_with_an_empty_lemma_memo():
+    lexicon = SynonymLexicon.build([], {"went": "go"})
+    assert lexical_keys(["went", "walked"], lexicon) == ["go", "walk"]
+    assert lexicon._lemmas == {"went": "go", "walked": "walk"}
+    other = replace(lexicon, lemma_exceptions={"went": "wend"})
+    assert other._lemmas == {}
+    assert lexical_key("went", other) == "wend"
+    assert lexical_key("went", lexicon) == "go"
+
+
+def test_lemma_memo_takes_no_part_in_equality_or_repr():
+    used, fresh = SynonymLexicon.build([], {"went": "go"}), SynonymLexicon.build([], {"went": "go"})
+    lexical_key("went", used)
+    assert used._lemmas and not fresh._lemmas
+    assert used == fresh
+    assert repr(used) == repr(fresh)
+    assert "_lemmas" not in repr(used)
 
 
 def test_groups_fold_to_keys_and_merge_overlaps(caplog):

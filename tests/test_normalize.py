@@ -406,7 +406,11 @@ def pair_scan_nearest(norm_map, query, lexicon, provider):
 
 
 BAND_DIMS = (1, 2, 3, 256, MAX_HASHED_DIM)
-MEMBER_NAMES = tuple(f"m{i}" for i in range(12))
+MEMBER_NAMES = tuple(f"m{i}" for i in range(48))
+# far more members than dimensions at the small dims, far fewer at the large
+# ones, so the member rows are far from square either way; the band's width
+# is pinned by test_nearest_canonical_band_is_as_wide_as_the_dimension_asks
+SMALL_DIM_MEMBERS, LARGE_DIM_MEMBERS = 48, 12
 
 
 @st.composite
@@ -418,7 +422,8 @@ def band_cases(draw):
     dim = draw(st.sampled_from(BAND_DIMS))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     query = rng.standard_normal(dim) if draw(st.booleans()) else np.zeros(dim)
-    members = MEMBER_NAMES[: draw(st.integers(1, len(MEMBER_NAMES)))]
+    most = SMALL_DIM_MEMBERS if dim <= 3 else LARGE_DIM_MEMBERS
+    members = MEMBER_NAMES[: draw(st.integers(1, most))]
     vectors = {"q": query}
     for member in members:
         kind = draw(st.sampled_from(("random", "near", "near", "zero", "none")))
@@ -494,6 +499,26 @@ def test_nearest_canonical_links_a_member_whose_float32_product_falls_short(dim)
     provider = VectorFileProvider({"q": query, "m": member}, dim, source="short")
     norm_map = NormalizationMap([LabelCluster(("m",), "m")], tie, "test")
     assert norm_map.nearest_canonical("q", SynonymLexicon.empty(), provider) == "m"
+
+
+@pytest.mark.parametrize("dim,members,ulps_short,checked", [(256, 1, 100, 1), (2, 48, 20, 0)])
+def test_nearest_canonical_band_is_as_wide_as_the_dimension_asks(
+    monkeypatch, dim, members, ulps_short, checked
+):
+    """Members whose products fall ulps_short float32 ulps of 1.0 below the
+    threshold: inside a band of dim + 2 of them, which cosine() then checks,
+    and outside it. A band of members + 2 would check the opposite way."""
+    rng = np.random.default_rng(dim)
+    query, member = rng.standard_normal(dim), rng.standard_normal(dim)
+    names = [f"m{i}" for i in range(members)]
+    provider = VectorFileProvider({"q": query, **dict.fromkeys(names, member)}, dim, source="w")
+    product = float32_product(provider.embed("q"), provider.embed("m0"))
+    threshold = float(product) + ulps_short * 2.0**-23
+    norm_map = NormalizationMap([LabelCluster((m,), m) for m in names], threshold, "test")
+    calls = []
+    monkeypatch.setattr(normalize_module, "cosine", lambda a, b: calls.append(1) or cosine(a, b))
+    assert norm_map.nearest_canonical("q", SynonymLexicon.empty(), provider) is None
+    assert len(calls) == checked * members
 
 
 def test_nearest_canonical_zero_query_and_unembedded_members_at_threshold_0():

@@ -517,10 +517,29 @@ def test_normalized_summary_uses_canonical_labels():
 
 
 def test_summary_rejections():
-    with pytest.raises(UnknownNode):
-        summarize_event(BATTLE_RAW, "missing")
-    with pytest.raises(NotAnEventNode):
-        summarize_event(BATTLE_RAW, "0_0_0")
+    graph = deserialize(BATTLE_RAW.to_json_bytes())
+    for _ in range(2):  # before and after the summary index is built
+        for node_id, error, message in (
+            ("missing", UnknownNode, "missing"),
+            ("0_0_0", NotAnEventNode, "not an event node: 0_0_0 (panel)"),
+            ("entity:charA", NotAnEventNode, "not an event node: entity:charA (character)"),
+        ):
+            with pytest.raises(error) as info:
+                summarize_event(graph, node_id)
+            assert str(info.value) == message
+
+
+def test_summaries_are_read_from_the_index(monkeypatch):
+    graph = deserialize(build_all(generate_fixture("battle")).to_json_bytes())
+    node_ids = ids_of(graph, NodeKind.EVENT, NodeKind.MACRO_EVENT)
+    want = [summarize_event(graph, node_id) for node_id in node_ids]
+    calls = []
+    node = NarrativeGraph.node
+    monkeypatch.setattr(
+        NarrativeGraph, "node", lambda self, node_id: calls.append(node_id) or node(self, node_id)
+    )
+    assert [summarize_event(graph, node_id) for node_id in node_ids] == want
+    assert calls == []
 
 
 # --- global properties ------------------------------------------------------
@@ -654,10 +673,10 @@ def test_queries_on_an_unfrozen_graph_cache_nothing(memo_builds):
     "key,query,first,other",
     [
         ("dialogues", trace_dialogue, "e3_0", "e5_0"),
-        ("macro_children", summarize_event, "m0", "m3"),
+        ("summaries", summarize_event, "m0", "m3"),
     ],
 )
-def test_dialogue_and_macro_children_indexes_are_built_on_the_first_query_only(
+def test_dialogue_and_summary_indexes_are_built_on_the_first_query_only(
     memo_builds, key, query, first, other
 ):
     frozen = build_all(generate_fixture("battle"))
