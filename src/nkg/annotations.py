@@ -12,8 +12,9 @@ The records are slotted frozen dataclasses: a parse makes one per object
 of the document, and a slotted one costs less to build and to keep. Each
 sets its fields through its slots (graph.slot_init), which costs half what
 a frozen dataclass's own __init__ does.
-parse_annotations reads each field with one lookup and one type test, spells
-out a JSON path only on the way to raising, and runs with the cyclic
+parse_annotations reads each record class with a reader generated for it
+(_reader_source), in which a field costs one lookup and one class test; it
+spells out a JSON path only on the way to raising, and runs with the cyclic
 collector paused (graph.collector_paused), since what it allocates stays
 alive to the end of the call.
 
@@ -192,31 +193,61 @@ def _path(where: tuple | None) -> str:
     return "$" + "".join(reversed(steps))
 
 
-def _read(cls: type, obj: Any, where: tuple | None) -> Any:
-    """The `cls` that the JSON object `obj` at `where` holds, nested tiers
-    included; a missing or null field with a default reads as the default.
+def _field(obj: dict, where: tuple | None, key: str, kind: type, item, default: Any) -> Any:
+    """A field whose value is no `kind`: the default when it is missing or
+    null and has one, else require()'s error, its path spelled out."""
+    if obj.get(key) is None and default is not MISSING:
+        return default
+    return require(obj, key, kind, _path(where), default)
 
-    A valid field costs one lookup and one type test. require() runs only
-    for a wrong type or a missing required field, and a path is spelled out
-    only on the way to raising."""
-    if not isinstance(obj, dict):
-        raise SchemaViolation(_path(where), "expected object")
-    values = []
-    for key, kind, item, default in _WIRE[cls]:
-        value = obj.get(key)
-        if type(value) is not kind:
-            if value is None and default is not MISSING:
-                value = default
-            else:
-                value = require(obj, key, kind, _path(where), default)
+
+def _reader_source(cls: type) -> str:
+    """The source of read_<cls>(obj, where): the `cls` that the JSON object
+    `obj` at `where` holds, nested tiers included, in straight-line code. A
+    valid field costs one lookup and one class test; a missing or null field
+    with a default reads as the default."""
+    name = cls.__name__
+    lines = [
+        f"def read_{name}(obj, where):",
+        " if not isinstance(obj, dict):",
+        "  raise SchemaViolation(_path(where), 'expected object')",
+    ]
+    for i, (key, kind, item, _) in enumerate(_WIRE[cls]):
+        lines += [
+            f" v{i} = obj.get({key!r})",
+            f" if v{i}.__class__ is not {kind.__name__}:",
+            f"  v{i} = _field(obj, where, *_WIRE[{name}][{i}])",
+        ]
         if item is str:
-            if not all(isinstance(v, str) for v in value):
-                raise SchemaViolation(f"{_path(where)}.{key}", "expected list of strings")
-            value = tuple(value)
+            lines += [
+                f" if not all(isinstance(v, str) for v in v{i}):",
+                f"  raise SchemaViolation(_path(where) + '.{key}', 'expected list of strings')",
+                f" v{i} = tuple(v{i})",
+            ]
         elif item is not None:
-            value = tuple([_read(item, v, (where, key, i)) for i, v in enumerate(value)])
-        values.append(value)
-    return cls(*values)
+            lines.append(
+                f" v{i} = tuple([read_{item.__name__}(v, (where, {key!r}, i))"
+                f" for i, v in enumerate(v{i})])"
+            )
+    args = ", ".join(f"v{i}" for i in range(len(_WIRE[cls])))
+    return "\n".join([*lines, f" return {name}({args})"])
+
+
+def _make_readers() -> dict:
+    """read_<cls> of every wire class, by class, from one exec, as
+    graph.slot_init makes an __init__."""
+    scope = {"SchemaViolation": SchemaViolation, "_path": _path, "_field": _field, "_WIRE": _WIRE}
+    scope.update((cls.__name__, cls) for cls in _WIRE)
+    exec("\n".join(map(_reader_source, _WIRE)), scope)
+    return {cls: scope[f"read_{cls.__name__}"] for cls in _WIRE}
+
+
+_READERS = _make_readers()
+
+
+def _read(cls: type, obj: Any, where: tuple | None) -> Any:
+    """The `cls` that the JSON object `obj` at `where` holds."""
+    return _READERS[cls](obj, where)
 
 
 @collector_paused()

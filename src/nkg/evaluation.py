@@ -14,11 +14,12 @@ import logging
 import string
 from collections import Counter
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .annotations import AnnotationDoc
 from .errors import DuplicateElements, EmptyGold, SchemaViolation
 from .graph import NarrativeGraph
-from .jsonio import load_object, require
+from .jsonio import dump_list, load_object, require
 from .lexicon import is_label
 from .normalize import ACTION_POOL, EVENT_POOL, NormalizationMap
 from .reasoner import (
@@ -54,11 +55,15 @@ def set_f1(predicted: set, gold: set) -> tuple[float, float, float]:
     if not gold:
         log.warning("set_f1 called with empty gold set; scoring (0, 0, 0)")
         return (0.0, 0.0, 0.0)
-    overlap = len(predicted & gold)
-    precision = overlap / len(predicted) if predicted else 0.0
-    recall = overlap / len(gold)
+    return _tally_f1(len(predicted & gold), len(predicted), len(gold))
+
+
+def _tally_f1(overlap: int, predicted: int, gold: int) -> tuple[float, float, float]:
+    """set_f1 from the sizes of |P∩G|, |P| and a nonempty |G|."""
+    precision = overlap / predicted if predicted else 0.0
+    recall = overlap / gold
     # 2|P∩G| / (|P|+|G|) keeps rationals like 2/3 exact in floating point
-    f1 = 2 * overlap / (len(predicted) + len(gold)) if overlap else 0.0
+    f1 = 2 * overlap / (predicted + gold) if overlap else 0.0
     return (precision, recall, f1)
 
 
@@ -239,13 +244,42 @@ class EvalReport:
     metadata: dict = field(default_factory=dict)
 
     def to_json_bytes(self) -> bytes:
-        payload = {
-            "schema_version": 1,
-            "story_id": self.story_id,
-            "metadata": self.metadata,
-            "rows": [row.as_dict() for row in self.rows],
-        }
-        return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+        """The bytes of json.dumps(payload, sort_keys=True, indent=2) and a
+        newline, payload being schema_version, story_id, metadata and the
+        rows as dicts. Each row fills one template; the metadata goes
+        through json.dumps, indented one level in, since JSON text holds
+        no raw newline."""
+        rows = dump_list(
+            [
+                _ROW_TEMPLATE % tuple(map(_json_scalar, (
+                    row.f1, row.macro_event_id, row.precision, row.recall, row.task, row.variant
+                )))
+                for row in self.rows
+            ],
+            2,
+        )
+        metadata = json.dumps(self.metadata, sort_keys=True, indent=2).replace("\n", "\n  ")
+        return (
+            f'{{\n  "metadata": {metadata},\n  "rows": {rows},\n  "schema_version": 1,\n'
+            f'  "story_id": {_json_scalar(self.story_id)}\n}}\n'
+        ).encode()
+
+
+# one row as json.dumps(row.as_dict(), sort_keys=True, indent=2) lays it out
+# inside the report's list
+_ROW_TEMPLATE = (
+    '{\n      "f1": %s,\n      "macro_event_id": %s,\n      "precision": %s,\n'
+    '      "recall": %s,\n      "task": %s,\n      "variant": %s\n    }'
+)
+
+
+def _json_scalar(value) -> str:
+    """A str or a finite float as json.dumps writes it; else json.dumps."""
+    if value.__class__ is str:
+        return encode_basestring_ascii(value)
+    if value.__class__ is float and value - value == 0.0:
+        return float.__repr__(value)
+    return json.dumps(value)
 
 
 def _mean_triple(triples) -> tuple[float, float, float]:
@@ -256,39 +290,51 @@ def _mean_triple(triples) -> tuple[float, float, float]:
     return tuple(sum(t[i] for t in triples) / n for i in range(3))
 
 
-def _by_macro(pairs, macro_of: dict[str, str]) -> dict[str, set[str]]:
-    """(panel id, action instance id) pairs -> instance ids per macro-event."""
-    split: dict[str, set[str]] = {}
-    for panel_id, instance_id in pairs:
-        macro_id = macro_of.get(panel_id)
-        if macro_id is not None:
-            split.setdefault(macro_id, set()).add(instance_id)
-    return split
-
-
 def _score_t1(graph, variant, gold, macro_of, gold_by_macro, norm_map):
     """Per macro-event, the set P/R/F1 of each gold cluster with instances there.
 
     `gold_by_macro` maps a cluster to its gold instance ids per macro-event
     and `macro_of` a panel to its macro-event. Each cluster's queries run
-    once, story-wide, and the hits are split by macro-event like the gold.
+    once, story-wide. An action index's groups are disjoint, so a cluster's
+    hits are the hits of the distinct groups its queries return, each group
+    known by its first hit; they are tallied per macro-event, with the true
+    positives among them, and scored as set_f1 scores the sets.
     """
     per_macro: dict[str, list] = {}
     for canonical in sorted(gold.action_clusters):
         gold_split = gold_by_macro.get(canonical)
         if not gold_split:
             continue
-        found = []
+        groups = set()
+        found: dict[str, int] = {}
+        hits_gold: dict[str, int] = {}
         for query in sorted({canonical} | set(gold.action_clusters[canonical])):
             # raw retrieval ignores the map
             hits = retrieve_actions(graph, query, variant, norm_map=norm_map)
-            found.extend((h.panel_id, h.action_instance_id) for h in hits)
-        found_by_macro = _by_macro(found, macro_of)
+            if not hits or hits[0].action_instance_id in groups:
+                continue
+            groups.add(hits[0].action_instance_id)
+            for hit in hits:
+                macro_id = macro_of.get(hit.panel_id)
+                if macro_id is not None:
+                    found[macro_id] = found.get(macro_id, 0) + 1
+                    if hit.action_instance_id in gold_split.get(macro_id, ()):
+                        hits_gold[macro_id] = hits_gold.get(macro_id, 0) + 1
         for macro_id, gold_instances in gold_split.items():
             per_macro.setdefault(macro_id, []).append(
-                set_f1(found_by_macro.get(macro_id, set()), gold_instances)
+                _tally_f1(hits_gold.get(macro_id, 0), found.get(macro_id, 0), len(gold_instances))
             )
     return per_macro
+
+
+def _split(panel_ids, macro_of: dict[str, str]) -> dict[str, set[str]]:
+    """Panel ids -> those of each macro-event; a panel in none is dropped."""
+    split: dict[str, set[str]] = {}
+    for panel_id in panel_ids:
+        macro_id = macro_of.get(panel_id)
+        if macro_id is not None:
+            split.setdefault(macro_id, set()).add(panel_id)
+    return split
 
 
 def run_eval(
@@ -326,11 +372,17 @@ def run_eval(
         variant: _score_t1(graphs[variant], variant, gold, macro_of, gold_by_macro, norm_map)
         for variant in VARIANTS
     }
+    # the gold trajectories split by macro-event once, each macro-event's
+    # entities in id order, and each variant's trajectories on first use
+    gold_panels: dict[str, dict[str, set[str]]] = {}
+    for entity in sorted(gold.trajectory_gold):
+        for macro_id, panels in _split(gold.trajectory_gold[entity], macro_of).items():
+            gold_panels.setdefault(macro_id, {})[entity] = panels
+    found_panels = {variant: {} for variant in variants}
     rows: list[TaskScore] = []
     labels: dict[str, str] = {}
     for macro in doc.macro_events:
         labels[macro.id] = macro.label
-        macro_panel_ids = {p.id for e in macro.events for p in e.panels}
 
         for variant in VARIANTS:
             p, r, f1 = _mean_triple(t1[variant].get(macro.id, ()))
@@ -350,17 +402,12 @@ def run_eval(
                 )
             rows.append(TaskScore("T2", macro.id, variant, *_mean_triple(per_event)))
 
-            entities = sorted(
-                e
-                for e, panels in gold.trajectory_gold.items()
-                if panels & macro_panel_ids
-            )
             per_entity = []
-            for entity in entities:
-                score = coverage(
-                    macro_panel_ids.intersection(character_trajectory(graph, entity).panel_ids),
-                    gold.trajectory_gold[entity] & macro_panel_ids,
-                )
+            found = found_panels[variant]
+            for entity, panels in gold_panels.get(macro.id, {}).items():
+                if entity not in found:
+                    found[entity] = _split(character_trajectory(graph, entity).panel_ids, macro_of)
+                score = len(panels.intersection(found[entity].get(macro.id, ()))) / len(panels)
                 per_entity.append((score, score, score))
             rows.append(TaskScore("T3", macro.id, variant, *_mean_triple(per_entity)))
 

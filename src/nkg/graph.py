@@ -13,11 +13,11 @@ Most entries have one neighbour, and a one-element set costs 216 bytes
 where the bare id costs nothing more, so this more than halves a built
 graph's memory; a set, not a tuple, keeps appends and the duplicate check
 O(1) at any degree. Every read but the duplicate checks goes through
-_ends(entry). The shape follows from the degree alone, so equal graphs have
-equal tables. Each end is stored as the node's own id string, and the reader
-points each panel and speaker attribute that names a node at that string
-too, so a read graph keeps no copy of the file's endpoint strings or of
-those attributes.
+ends(entry), as must a reader of table(). The shape follows from the degree
+alone, so equal graphs have equal tables. Each end is stored as the node's
+own id string, and the reader points each panel and speaker attribute that
+names a node at that string too, so a read graph keeps no copy of the
+file's endpoint strings or of those attributes.
 The four order-bearing edge kinds must stay acyclic, and subevent_of must
 stay a forest; both are enforced on every add_edge. An edge closes a cycle
 exactly when dst reaches src, and a dst with no out-edge of its kind, or a
@@ -28,10 +28,12 @@ tasks read; after it the graph is immutable and safe to share. A frozen
 graph keeps its read-only views (nodes and edges in order, the reasoner's
 indexes) once built, each on its first read; memo() holds that rule. The
 nodes of one kind filter the id-sorted nodes(), so a frozen graph sorts
-its ids once.
+its ids once. Views that read no label live in a store of their own.
 relabeled() takes new labels by node id and swaps them in on a copy of a
 frozen graph; it can change no attribute but label and surface_label, and
 no kind or edge, so of what finalize() checked only the labels are checked.
+The copy shares the edge tables and the store of label-free views, so a
+view built on either graph serves both.
 
 The reader and the writer, like build_all and parse_annotations, run with
 Python's cyclic collector paused (collector_paused): what they allocate
@@ -272,8 +274,10 @@ class NarrativeGraph:
         self._out: dict[EdgeKind, dict[str, str | set[str]]] = {kind: {} for kind in EdgeKind}
         self._in: dict[EdgeKind, dict[str, str | set[str]]] = {kind: {} for kind in EdgeKind}
         self._frozen = False
-        # read-only views of a frozen graph, each built on its first read
+        # read-only views of a frozen graph, each built on its first read;
+        # those that read no label are kept apart, shared by relabeled copies
         self._memo: dict = {}
+        self._shared: dict = {}
 
     # --- mutation ------------------------------------------------------
 
@@ -317,7 +321,7 @@ class NarrativeGraph:
         adjacency = self._out[kind]
         queue, seen = deque([start]), {start}
         while queue:
-            for nxt in _ends(adjacency.get(queue.popleft())):
+            for nxt in ends(adjacency.get(queue.popleft())):
                 if nxt == goal:
                     return True
                 if nxt not in seen:
@@ -342,7 +346,7 @@ class NarrativeGraph:
             if kind is _PANEL:
                 panels.append(node)
             elif kind is _CHARACTER_INSTANCE:
-                refs = _ends(refers_to.get(node.id))
+                refs = ends(refers_to.get(node.id))
                 if len(refs) != 1:
                     problem = (
                         "character instance must have exactly one refers_to edge, "
@@ -368,7 +372,7 @@ class NarrativeGraph:
                 raise SchemaViolation(f"node {node.id}", problem)
         for edge_kind, (src_kind, dst_kind) in EDGE_ENDPOINTS.items():
             for src, dsts in self._out[edge_kind].items():
-                for dst in _ends(dsts):
+                for dst in ends(dsts):
                     if nodes[src].kind is not src_kind or nodes[dst].kind is not dst_kind:
                         raise SchemaViolation(
                             f"edge {src} -> {dst}",
@@ -383,7 +387,7 @@ class NarrativeGraph:
                 if a == b:
                     raise SchemaViolation(f"panels {a_id} and {b_id}", f"share {attr} {a}")
                 want.add((a_id, b_id))
-            have = {(s, d) for s, ds in self._out[edge_kind].items() for d in _ends(ds)}
+            have = {(s, d) for s, ds in self._out[edge_kind].items() for d in ends(ds)}
             if have != want:
                 src, dst = min(have ^ want)
                 state = "lacks" if (src, dst) in want else "has an extra"
@@ -399,7 +403,8 @@ class NarrativeGraph:
 
     def relabeled(self, labels: Mapping[str, str]) -> "NarrativeGraph":
         """A frozen, normalized copy of this frozen graph with the new labels
-        given by node id; it shares the edge tables, since neither graph can change.
+        given by node id; it shares the edge tables and the label-free views,
+        since neither graph can change.
 
         A relabeled node keeps its id, kind and other attributes, and its old
         label as surface_label unless it has one. Only labels change, so of
@@ -421,7 +426,7 @@ class NarrativeGraph:
             nodes[node_id] = Node(node_id, old.kind, attrs)
         out = NarrativeGraph(self.story_id, normalized=True)
         out._nodes = nodes
-        out._out, out._in = self._out, self._in
+        out._out, out._in, out._shared = self._out, self._in, self._shared
         out._frozen = True
         return out
 
@@ -436,16 +441,25 @@ class NarrativeGraph:
         except KeyError:
             raise UnknownNode(node_id) from None
 
-    def memo(self, key, build: Callable[[], T]) -> T:
+    def memo(self, key, build: Callable[[], T], shared: bool = False) -> T:
         """build() once per frozen graph, kept under `key`; on a graph that
-        can still change, build() on every call and nothing kept."""
+        can still change, build() on every call and nothing kept. A view
+        that reads no label or surface_label may be `shared`: it is then kept
+        once for this graph and every relabeled() copy of it."""
         if not self._frozen:
             return build()
+        store = self._shared if shared else self._memo
         try:
-            return self._memo[key]
+            return store[key]
         except KeyError:
-            value = self._memo[key] = build()
+            value = store[key] = build()
             return value
+
+    def table(self, kind: EdgeKind, direction: str = "out") -> Mapping[str, str | set[str]]:
+        """The edge table of one kind, which no caller may change: node id ->
+        the entry of its neighbours by `direction`, read with ends(). A node
+        with none has no entry, and a set's order follows string hashes."""
+        return {"out": self._out, "in": self._in}[direction][kind]
 
     def nodes(self, kind: NodeKind | None = None) -> tuple[Node, ...]:
         """Nodes of one kind, or all, in id order; a kind filters all of them."""
@@ -468,14 +482,14 @@ class NarrativeGraph:
         out = self._out
         kinds = out if kind is None else (kind,)
         return sorted(
-            (s, d, k._value_) for k in kinds for s, ds in out[k].items() for d in _ends(ds)
+            (s, d, k._value_) for k in kinds for s, ds in out[k].items() for d in ends(ds)
         )
 
     def node_count(self) -> int:
         return len(self._nodes)
 
     def edge_count(self) -> int:
-        return sum(len(_ends(dsts)) for table in self._out.values() for dsts in table.values())
+        return sum(len(ends(dsts)) for table in self._out.values() for dsts in table.values())
 
     def neighbors(self, node_id: str, kind: EdgeKind, direction: str = "out") -> list[str]:
         """Ids joined to the node by edges of one kind, ascending."""
@@ -484,7 +498,7 @@ class NarrativeGraph:
         if direction not in ("out", "in"):
             raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
         table = self._out if direction == "out" else self._in
-        return sorted(_ends(table[kind].get(node_id)))
+        return sorted(ends(table[kind].get(node_id)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NarrativeGraph):
@@ -661,7 +675,7 @@ class NarrativeGraph:
             self.add_edge(src, dst, kind)
 
 
-def _ends(entry: str | set[str] | None) -> tuple[str, ...] | set[str]:
+def ends(entry: str | set[str] | None) -> tuple[str, ...] | set[str]:
     """The neighbour ids of an edge-table entry, or of a missing one (None)."""
     if entry is None:
         return ()
@@ -689,10 +703,10 @@ def _acyclic(out: dict[str, str | set[str]], into: dict[str, str | set[str]]) ->
     """Whether the edges of one kind, given as its two tables, close no
     cycle: Kahn's algorithm, which takes every node off exactly when none
     lies on a cycle."""
-    waiting = {node: len(_ends(entry)) for node, entry in into.items()}
+    waiting = {node: len(ends(entry)) for node, entry in into.items()}
     ready = [node for node in out if node not in into]
     while ready:
-        for nxt in _ends(out.get(ready.pop())):
+        for nxt in ends(out.get(ready.pop())):
             left = waiting[nxt] - 1
             if left:
                 waiting[nxt] = left

@@ -5,7 +5,7 @@ only knows how to fold surface variation (case, separators, inflection).
 The lemmatizer is a small suffix-rule cascade run to a fixed point, with an
 exception table consulted before the rules on every pass, so irregular and
 silent-e forms can be pinned explicitly. Each lexicon instance memoizes the
-lemma of every token lexical_keys meets under it; the memo lives as long as
+lemma of every token a lexical key meets under it; the memo lives as long as
 the lexicon and grows with the distinct tokens it has seen.
 
 Labels split on '_' and on whitespace, with str methods: str.split()
@@ -55,7 +55,7 @@ class SynonymLexicon:
     groups: tuple[frozenset[str], ...] = ()
     lemma_exceptions: dict[str, str] = field(default_factory=dict)
     _group_of: dict[str, int] = field(default_factory=dict, repr=False)
-    # token -> lemma under this lexicon, filled by lexical_keys; an instance's
+    # token -> lemma under this lexicon, filled by each lexical key; an instance's
     # own, so dataclasses.replace, which may change the exceptions, starts empty
     _lemmas: dict[str, str] = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -166,20 +166,26 @@ def lemmatize_token(token: str, lexicon: SynonymLexicon) -> str:
         token = nxt
 
 
-def lexical_key(label: str, lexicon: SynonymLexicon) -> str:
-    """Lowercase, split on separators, lemmatize each token, rejoin with '_'."""
-    return lexical_keys([label], lexicon)[0]
+def lexical_key(label: str, lexicon: SynonymLexicon, folded: str | None = None) -> str:
+    """Lowercase, split on separators, lemmatize each token, rejoin with '_'.
+    A caller that has folded = fold_label(label) already passes it, and the
+    label is not folded again."""
+    if folded is None:
+        folded = fold_label(label)
+    return _key_of_folded(folded, lexicon)
 
 
 def lexical_keys(labels: list[str], lexicon: SynonymLexicon) -> list[str]:
-    """lexical_key of each label, lemmatizing each distinct token once per
-    lexicon: the lexicon's memo keeps every lemma made under it."""
+    """lexical_key of each label."""
+    return [_key_of_folded(fold_label(label), lexicon) for label in labels]
+
+
+def _key_of_folded(folded: str, lexicon: SynonymLexicon) -> str:
+    """The lexical key of a folded label, lemmatizing each distinct token once
+    per lexicon: the lexicon's memo keeps every lemma made under it."""
     lemmas = lexicon._lemmas
-    keys = []
-    for label in labels:
-        tokens = fold_label(label).split("_")
-        for token in tokens:
-            if token not in lemmas:
-                lemmas[token] = lemmatize_token(token, lexicon)
-        keys.append("_".join([lemmas[token] for token in tokens]))
-    return keys
+    tokens = folded.split("_")
+    for token in tokens:
+        if token not in lemmas:
+            lemmas[token] = lemmatize_token(token, lexicon)
+    return "_".join([lemmas[token] for token in tokens])

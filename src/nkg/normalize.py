@@ -229,10 +229,12 @@ class NormalizationMap:
             return self._by_fold[folded]
         if lexicon is None:
             lexicon = SynonymLexicon.empty()
-        nearest = self.nearest_canonical(query, lexicon, provider)
+        nearest = self.nearest_canonical(query, lexicon, provider, folded)
         return query if nearest is None else nearest
 
-    def nearest_canonical(self, query: str, lexicon: SynonymLexicon, provider) -> str | None:
+    def nearest_canonical(
+        self, query: str, lexicon: SynonymLexicon, provider, folded: str | None = None
+    ) -> str | None:
         """Canonical of the action member that links best to the query under
         the map's threshold: the highest link similarity wins, then the
         smallest canonical; None when no member links.
@@ -241,8 +243,10 @@ class NormalizationMap:
         map, when the id can rebuild one. Members or a query the provider
         cannot embed link lexically only. One float32 product with the
         member rows picks the members within a band of the threshold wide
-        enough for float32's error; cosine() decides each of them."""
-        query_bucket = lexicon.link_bucket(lexical_key(query, lexicon))
+        enough for float32's error; cosine() decides each of them.
+        A caller that has folded = fold_label(query) passes it, so that the
+        query's lexical key does not fold it again."""
+        query_bucket = lexicon.link_bucket(lexical_key(query, lexicon, folded))
         if self._buckets is None or self._buckets[0] is not lexicon:
             buckets: dict[int | str, list[int]] = {}  # link bucket -> member positions
             for i, member in enumerate(self._by_pool[ACTION_POOL]):

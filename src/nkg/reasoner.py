@@ -4,10 +4,13 @@ Five read-only queries: action retrieval, dialogue tracing, character
 trajectories, timeline reconstruction, and event summarization. All of
 them work on raw and normalized graphs alike; only action retrieval
 changes behaviour with the normalization mode.
-On a frozen graph they read indexes built on first use through memo(): the
-actions by label, each order's panel positions and scopes, each character's
-trajectory, each event's dialogue entries, and each event's and
-macro-event's labelled children.
+On a frozen graph they read indexes built on first use through memo().
+Those that read no label are built in one pass over the edge tables
+(graph.table) and shared with relabeled copies: each order's scopes, the
+actions in reading order, each event's dialogue entries, every character's
+trajectory, and each event's and macro-event's children. A normalized graph
+builds only what reads its labels: the actions by canonical label, regrouped
+from the shared order, and each child's label in a summary.
 Every query is then a lookup, except the nearest-cluster fallback of a
 normalized action query, which costs one product of the query with the map's
 transposed member rows and one scan of the products. Its lexical key reads
@@ -18,6 +21,7 @@ distinct tokens that lexicon has seen.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 
 from .builder import entity_node_id
 from .errors import (
@@ -28,7 +32,7 @@ from .errors import (
     UnknownNode,
     UnknownScope,
 )
-from .graph import PANEL_ORDERS, EdgeKind, NarrativeGraph, Node, NodeKind, slot_init
+from .graph import PANEL_ORDERS, EdgeKind, NarrativeGraph, NodeKind, ends, slot_init
 from .lexicon import SynonymLexicon, fold_label
 from .normalize import NormalizationMap
 
@@ -45,6 +49,13 @@ _ACTION = NodeKind.ACTION
 _DIALOGUE = NodeKind.DIALOGUE
 _EVENT = NodeKind.EVENT
 _MACRO_EVENT = NodeKind.MACRO_EVENT
+_REFERS_TO = EdgeKind.REFERS_TO
+_GROUNDED_IN = EdgeKind.GROUNDED_IN
+_INSTANTIATES = EdgeKind.INSTANTIATES
+_SUBEVENT_OF = EdgeKind.SUBEVENT_OF
+_PRECEDES = EdgeKind.PRECEDES
+
+_ENTITY_PREFIX = entity_node_id("")
 
 
 @slot_init
@@ -136,33 +147,41 @@ class EventSummary:
         }
 
 
-def _positions(graph: NarrativeGraph, order_kind: str = "reading") -> dict[str, int]:
-    """Panel id -> position in one order, each checked against that order's
-    chain by finalize(). Built on the first query."""
-    attr = PANEL_ORDERS[order_kind][0]
-    return graph.memo(
-        ("positions", order_kind),
-        lambda: {panel.id: int(panel.attrs[attr]) for panel in graph.nodes(_PANEL)},
-    )
-
-
-def _surface(node: Node) -> str:
-    return node.attrs.get("surface_label", node.label())
-
-
-def _actions_by(graph: NarrativeGraph, name: str, key) -> dict[str, tuple[ActionHit, ...]]:
-    """The action index `name`: every action as a hit, grouped by key(hit),
-    each group in (reading position, id) order. Built on the first query."""
+def _action_order(graph: NarrativeGraph) -> tuple[tuple[str, str], ...]:
+    """(panel id, action id) of every action in reading order, a panel's
+    actions by id. Reads no label, so it serves relabeled copies too."""
 
     def build():
-        position = _positions(graph)
+        in_panel: dict[str, list[str]] = {}
+        for node in graph.nodes(_ACTION):  # in id order
+            in_panel.setdefault(node.attrs["panel"], []).append(node.id)
+        story = _scopes(graph, "reading")[0]
+        return tuple((panel_id, a) for panel_id in story for a in in_panel.get(panel_id, ()))
+
+    return graph.memo("action_order", build, shared=True)
+
+
+def _actions_by(graph: NarrativeGraph, name: str) -> dict[str, tuple[ActionHit, ...]]:
+    """The action index `name`: every action as a hit, grouped by its
+    canonical label or by the fold of its surface label, each group in the
+    shared reading order. Built on the first query."""
+
+    def build():
+        node = graph.node
+        folds: dict[str, str] = {}  # each distinct surface label folded once
         groups: dict[str, list[ActionHit]] = {}
-        for node in sorted(
-            graph.nodes(_ACTION), key=lambda n: (position[n.attrs["panel"]], n.id)
-        ):
-            hit = ActionHit(node.attrs["panel"], node.id, _surface(node), node.label())
-            groups.setdefault(key(hit), []).append(hit)
-        return {k: tuple(hits) for k, hits in groups.items()}
+        for panel_id, action_id in _action_order(graph):
+            attrs = node(action_id).attrs
+            label = attrs.get("label", "")
+            surface = attrs.get("surface_label", label)
+            if name == "canonical":
+                key = label
+            else:
+                key = folds.get(surface)
+                if key is None:
+                    key = folds[surface] = fold_label(surface)
+            groups.setdefault(key, []).append(ActionHit(panel_id, action_id, surface, label))
+        return {key: tuple(hits) for key, hits in groups.items()}
 
     return graph.memo(("actions_by", name), build)
 
@@ -176,8 +195,9 @@ def _canonical_by_fold(graph: NarrativeGraph) -> dict[str, str]:
         by_surface: dict[str, str] = {}
         by_canonical: dict[str, str] = {}
         for node in graph.nodes(_ACTION):
-            by_canonical.setdefault(fold_label(node.label()), node.label())
-            by_surface.setdefault(fold_label(_surface(node)), node.label())
+            label = node.label()
+            by_canonical.setdefault(fold_label(label), label)
+            by_surface.setdefault(fold_label(node.attrs.get("surface_label", label)), label)
         return {**by_surface, **by_canonical}
 
     return graph.memo("canonical_by_fold", build)
@@ -207,43 +227,49 @@ def retrieve_actions(
         raise NotNormalized("normalized-mode retrieval requires a normalized graph")
 
     if mode == "raw":
-        index = _actions_by(graph, "surface_fold", lambda hit: fold_label(hit.surface_label))
-        return list(index.get(folded, ()))
+        return list(_actions_by(graph, "surface_fold").get(folded, ()))
     if norm_map is None:
         target = _canonical_by_fold(graph).get(folded, query_label)
     else:
         target = norm_map.resolve(query_label, folded, lexicon, provider)
-    index = _actions_by(graph, "canonical", lambda hit: hit.canonical_label)
-    return list(index.get(target, ()))
+    return list(_actions_by(graph, "canonical").get(target, ()))
 
 
 def _dialogues(graph: NarrativeGraph) -> dict[str, tuple[tuple[str, str, str | None, str], ...]]:
     """Event id -> the dialogue entries of its panels in reading order, each
-    panel's by dialogue order; events without panels are absent. Built on the
-    first query from the reading-order scopes, each panel's dialogues and
-    speakers resolved once."""
-
-    def panel_entries(panel_id: str):
-        grounded = map(graph.node, graph.neighbors(panel_id, EdgeKind.GROUNDED_IN, "in"))
-        dialogues = [node for node in grounded if node.kind is _DIALOGUE]
-        for node in sorted(dialogues, key=lambda node: int(node.attrs["order"])):
-            speaker = None
-            instance = node.attrs.get("speaker")
-            if instance:  # finalize() checked it refers to exactly one character
-                (entity,) = graph.neighbors(instance, EdgeKind.REFERS_TO, "out")
-                speaker = graph.node(entity).attrs["entity_id"]
-            yield panel_id, node.id, speaker, node.attrs["text"]
+    panel's by dialogue order, then id; events without panels are absent.
+    Built on the first query from the reading-order scopes and the
+    grounded_in table, each speaker resolved once per character instance."""
 
     def build():
         story, scopes = _scopes(graph, "reading")
-        by_panel = {panel_id: tuple(panel_entries(panel_id)) for panel_id in story}
+        node = graph.node
+        grounded, refers_to = graph.table(_GROUNDED_IN, "in"), graph.table(_REFERS_TO)
+        speakers: dict[str, str] = {}  # character instance -> entity id
+        by_panel = {}
+        for panel_id in story:
+            dialogues = [n for n in map(node, ends(grounded.get(panel_id))) if n.kind is _DIALOGUE]
+            dialogues.sort(key=lambda n: (int(n.attrs["order"]), n.id))
+            entries = []
+            for dialogue in dialogues:
+                attrs = dialogue.attrs
+                speaker = None
+                instance = attrs.get("speaker")
+                if instance:
+                    speaker = speakers.get(instance)
+                    if speaker is None:
+                        # finalize() checked it refers to exactly one character
+                        entity = node(refers_to[instance]).attrs["entity_id"]
+                        speaker = speakers[instance] = entity
+                entries.append((panel_id, dialogue.id, speaker, attrs["text"]))
+            by_panel[panel_id] = entries
         return {
             scope: tuple(entry for panel_id in panels for entry in by_panel[panel_id])
             for scope, panels in scopes.items()
-            if graph.node(scope).kind is _EVENT
+            if node(scope).kind is _EVENT
         }
 
-    return graph.memo("dialogues", build)
+    return graph.memo("dialogues", build, shared=True)
 
 
 def trace_dialogue(graph: NarrativeGraph, event_id: str) -> DialogueTrace:
@@ -253,33 +279,49 @@ def trace_dialogue(graph: NarrativeGraph, event_id: str) -> DialogueTrace:
     return DialogueTrace(event_id, _dialogues(graph).get(event_id, ()))
 
 
+def _trajectories(graph: NarrativeGraph) -> dict[str, Trajectory]:
+    """Character node id -> the trajectory of each character with an
+    instance, from one pass over the story's panels in reading order. Built
+    on the first trajectory query."""
+
+    def build():
+        node = graph.node
+        present: dict[str, dict[str, None]] = {}  # panel -> its characters, each once
+        for instance, entity in graph.table(_REFERS_TO).items():
+            present.setdefault(node(instance).attrs["panel"], {})[entity] = None
+        events_of, parent_of = graph.table(_INSTANTIATES), graph.table(_SUBEVENT_OF)
+        seen: dict[str, tuple[list[str], dict[str, None]]] = {}
+        for panel_id in _scopes(graph, "reading")[0]:
+            here = present.get(panel_id)
+            if here is None:
+                continue
+            events = sorted(ends(events_of.get(panel_id)))
+            for entity in here:
+                panels, event_ids = seen.setdefault(entity, ([], {}))
+                panels.append(panel_id)
+                for event_id in events:  # a dict keeps the first-seen order
+                    event_ids[event_id] = None
+        return {
+            entity: Trajectory(
+                entity[len(_ENTITY_PREFIX):],
+                tuple(panels),
+                tuple(event_ids),
+                # subevent_of is a forest: an event's entry is its one parent
+                tuple(dict.fromkeys(parent_of[e] for e in event_ids if e in parent_of)),
+            )
+            for entity, (panels, event_ids) in seen.items()
+        }
+
+    return graph.memo("trajectories", build, shared=True)
+
+
 def character_trajectory(graph: NarrativeGraph, entity_id: str) -> Trajectory:
-    """Panels, events, and macro-events where a character entity appears;
-    built on the entity's first query."""
+    """Panels, events, and macro-events where a character entity appears."""
     node_id = entity_node_id(entity_id)
     if not graph.has_node(node_id) or graph.node(node_id).kind is not _CHARACTER:
         raise UnknownEntity(f"unknown entity: {entity_id}")
-
-    def build():
-        panel_ids = {
-            graph.node(instance).attrs["panel"]
-            for instance in graph.neighbors(node_id, EdgeKind.REFERS_TO, "in")
-        }
-        ordered_panels = sorted(panel_ids, key=_positions(graph).__getitem__)
-        # dict.fromkeys drops repeats and keeps the first-seen order
-        event_ids = dict.fromkeys(
-            event_id
-            for panel_id in ordered_panels
-            for event_id in graph.neighbors(panel_id, EdgeKind.INSTANTIATES, "out")
-        )
-        macro_ids = dict.fromkeys(
-            macro_id
-            for event_id in event_ids
-            for macro_id in graph.neighbors(event_id, EdgeKind.SUBEVENT_OF, "out")
-        )
-        return Trajectory(entity_id, tuple(ordered_panels), tuple(event_ids), tuple(macro_ids))
-
-    return graph.memo(("trajectory", node_id), build)
+    trajectory = _trajectories(graph).get(node_id)
+    return Trajectory(entity_id, (), (), ()) if trajectory is None else trajectory
 
 
 def _scopes(
@@ -290,25 +332,27 @@ def _scopes(
     query; the story is kept apart so that no node id can stand for it."""
 
     def build():
-        position = _positions(graph, order_kind)
-        story = sorted(position, key=position.__getitem__)
+        attr = PANEL_ORDERS[order_kind][0]
+        # finalize() checked that no two panels share a position
+        story = [p for _, p in sorted((int(p.attrs[attr]), p.id) for p in graph.nodes(_PANEL))]
+        node = graph.node
+        events_of, parent_of = graph.table(_INSTANTIATES), graph.table(_SUBEVENT_OF)
         # dict keys drop repeats: a panel under two events of one macro-event
         scopes: dict[str, dict[str, None]] = {}
-        macros_of: dict[str, list[str]] = {}  # each event's parents, looked up once
+        macro_of: dict[str, str | None] = {}  # each event's parent, looked up once
         for panel_id in story:
-            for event_id in graph.neighbors(panel_id, EdgeKind.INSTANTIATES, "out"):
+            for event_id in ends(events_of.get(panel_id)):
                 scopes.setdefault(event_id, {})[panel_id] = None
-                if event_id not in macros_of:
-                    macros_of[event_id] = [
-                        macro_id
-                        for macro_id in graph.neighbors(event_id, EdgeKind.SUBEVENT_OF, "out")
-                        if graph.node(macro_id).kind is _MACRO_EVENT
-                    ]
-                for macro_id in macros_of[event_id]:
+                if event_id not in macro_of:
+                    parent = parent_of.get(event_id)  # one at most: a forest
+                    is_macro = parent is not None and node(parent).kind is _MACRO_EVENT
+                    macro_of[event_id] = parent if is_macro else None
+                macro_id = macro_of[event_id]
+                if macro_id is not None:
                     scopes.setdefault(macro_id, {})[panel_id] = None
         return tuple(story), {scope: tuple(panels) for scope, panels in scopes.items()}
 
-    return graph.memo(("scopes", order_kind), build)
+    return graph.memo(("scopes", order_kind), build, shared=True)
 
 
 def reconstruct_timeline(
@@ -327,37 +371,56 @@ def reconstruct_timeline(
     return Timeline(scope_id, order_kind, _scopes(graph, order_kind)[1].get(scope_id, ()))
 
 
-def _sibling_order(graph: NarrativeGraph, children: list[str]) -> list[str]:
-    """Order siblings by the precedes chain among them; ids break any ties."""
-    remaining = set(children)
-    ordered: list[str] = []
-    while remaining:
-        first = min(
-            child
-            for child in remaining
-            if remaining.isdisjoint(graph.neighbors(child, EdgeKind.PRECEDES, "in"))
-        )
-        ordered.append(first)
-        remaining.remove(first)
-    return ordered
+def _precedes_order(graph: NarrativeGraph, children) -> tuple[str, ...]:
+    """Siblings in the order of the precedes chain among them, ids breaking
+    ties: one topological pass (Kahn's) that always takes the least ready id."""
+    siblings = set(children)
+    before, after = graph.table(_PRECEDES, "in"), graph.table(_PRECEDES)
+    waiting = {}  # sibling -> its siblings not yet placed before it
+    for child in siblings:
+        count = len(siblings.intersection(ends(before.get(child))))
+        if count:
+            waiting[child] = count
+    ready = [child for child in siblings if child not in waiting]
+    heapify(ready)
+    ordered = []
+    while ready:
+        child = heappop(ready)
+        ordered.append(child)
+        for nxt in ends(after.get(child)):
+            if nxt in waiting:
+                waiting[nxt] -= 1
+                if not waiting[nxt]:
+                    del waiting[nxt]
+                    heappush(ready, nxt)
+    return tuple(ordered)
 
 
-def _summaries(graph: NarrativeGraph) -> dict[str, tuple[tuple[str, str], ...]]:
-    """Event and macro-event id -> its direct children in narrative order, each
-    as (child id, its label or else its id): an event's panels in reading
-    order, a macro-event's children in precedes order. Built on the first
-    query."""
+def _children(graph: NarrativeGraph) -> dict[str, tuple[str, ...]]:
+    """Event and macro-event id -> its direct children in narrative order: an
+    event's panels in reading order, a macro-event's children in precedes
+    order. Reads no label, so it serves relabeled copies too."""
 
     def build():
         panels = _scopes(graph, "reading")[1]
         children = {event.id: panels.get(event.id, ()) for event in graph.nodes(_EVENT)}
+        members = graph.table(_SUBEVENT_OF, "in")
         for macro in graph.nodes(_MACRO_EVENT):
-            children[macro.id] = _sibling_order(
-                graph, graph.neighbors(macro.id, EdgeKind.SUBEVENT_OF, "in")
-            )
+            children[macro.id] = _precedes_order(graph, ends(members.get(macro.id)))
+        return children
+
+    return graph.memo("children", build, shared=True)
+
+
+def _summaries(graph: NarrativeGraph) -> dict[str, tuple[tuple[str, str], ...]]:
+    """Event and macro-event id -> its direct children in narrative order, each
+    as (child id, its label or else its id). Built on the first query."""
+
+    def build():
+        node = graph.node
         return {
-            node_id: tuple((cid, graph.node(cid).label() or cid) for cid in ids)
-            for node_id, ids in children.items()
+            node_id: tuple((cid, node(cid).label() or cid) for cid in ids)
+            for node_id, ids in _children(graph).items()
         }
 
     return graph.memo("summaries", build)

@@ -404,6 +404,7 @@ def test_report_metadata_echo():
 # --- rendering ----------------------------------------------------------------
 
 
+
 def test_json_csv_round_trip_exact():
     doc, raw, norm, norm_map, gold = eval_bundle("romance", SynonymLexicon.empty())
     report = run_eval(doc, raw, norm, gold, norm_map=norm_map)
@@ -559,3 +560,55 @@ def test_eval_report_bytes_match_pinned_digest(
     key = (kind, seed, variance, with_gold, normalized_all)
     digest = eval_report_digest(tmp_path, *key)
     assert digest == EVAL_REPORT_DIGESTS[key]
+
+
+# --- the report writer against json.dumps ------------------------------------
+
+
+def dumped_report(report):
+    """The report's bytes as json.dumps lays them out: the writer's oracle."""
+    payload = {
+        "schema_version": 1,
+        "story_id": report.story_id,
+        "metadata": report.metadata,
+        "rows": [row.as_dict() for row in report.rows],
+    }
+    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize("kind,seed,variance", EVAL_STORIES)
+def test_report_writer_bytes_equal_json_dumps(kind, seed, variance):
+    doc = generate_fixture(kind, seed=seed, variance=variance)
+    raw = build_all(doc)
+    norm_map = build_normalization_map(doc, HASHED, COMBAT, 0.75)
+    norm = apply_normalization(raw, norm_map)
+    gold = build_gold(doc, normalization_map=norm_map)
+    for normalized_all in (False, True):
+        report = run_eval(doc, raw, norm, gold, norm_map=norm_map, normalized_all=normalized_all)
+        assert report.to_json_bytes() == dumped_report(report)
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        EvalReport("s", ()),
+        EvalReport("", (), {}),
+        EvalReport(
+            'st\u00f6ry "\\ 1\n',
+            (
+                TaskScore("T1", "m\u00e9\t0", "raw", 0.1 + 0.2, 2 / 3, 1e-17),
+                TaskScore("T2", "m1", "normalized", float("nan"), float("inf"), -float("inf")),
+                TaskScore("T3", "m2", "raw", 1, True, None),
+                TaskScore("T4", "m3", "raw", -0.0, 1e300, 5e-324),
+            ),
+            {
+                "macro_event_labels": {"m\u00e9\t0": 'a "b"\n\u2713', "m1": ""},
+                "nested": [[], {}, [1, {"k": [2.5]}]],
+                "threshold": 0.75,
+            },
+        ),
+    ],
+    ids=["empty", "no-story-id", "escapes-and-odd-values"],
+)
+def test_report_writer_bytes_equal_json_dumps_on_odd_reports(report):
+    assert report.to_json_bytes() == dumped_report(report)

@@ -37,7 +37,6 @@ from nkg.reasoner import (
     EventSummary,
     Timeline,
     Trajectory,
-    _sibling_order,
     character_trajectory,
     reconstruct_timeline,
     retrieve_actions,
@@ -563,8 +562,8 @@ def memo_builds(monkeypatch):
     built = []
     memo = NarrativeGraph.memo
 
-    def spy(self, key, build):
-        return memo(self, key, lambda: built.append(key) or build())
+    def spy(self, key, build, shared=False):
+        return memo(self, key, lambda: built.append(key) or build(), shared)
 
     monkeypatch.setattr(NarrativeGraph, "memo", spy)
     return built
@@ -590,14 +589,15 @@ def test_trajectory_index_is_built_on_the_first_query_only(memo_builds):
     graph = deserialize(data)
     assert memo_builds == []  # loading builds no index
     first = character_trajectory(graph, "charA")
-    assert ("positions", "reading") in memo_builds
-    assert ("trajectory", entity_node_id("charA")) in memo_builds
-    assert ("positions", "storytime") not in memo_builds
+    assert ("scopes", "reading") in memo_builds
+    assert "trajectories" in memo_builds
+    assert ("scopes", "storytime") not in memo_builds
     built = list(memo_builds)
     assert character_trajectory(graph, "charA") is first
-    assert memo_builds == built  # a repeat reads the index
+    assert character_trajectory(graph, "charB").entity_id == "charB"
+    assert memo_builds == built  # a repeat, or another character, reads the index
     reconstruct_timeline(graph, "story", "storytime")
-    assert memo_builds[len(built):] == [("scopes", "storytime"), ("positions", "storytime")]
+    assert memo_builds[len(built):] == [("scopes", "storytime")]
 
 
 def unfrozen_copy(graph, keep=lambda edge: True):
@@ -660,8 +660,8 @@ def test_queries_on_an_unfrozen_graph_cache_nothing(memo_builds):
     memo_builds.clear()
     assert character_trajectory(graph, "charA") == want_trajectory
     assert character_trajectory(graph, "charA") == want_trajectory
-    assert memo_builds.count(("trajectory", entity_node_id("charA"))) == 2
-    assert memo_builds.count(("positions", "reading")) == 2
+    assert memo_builds.count("trajectories") == 2
+    assert memo_builds.count(("scopes", "reading")) == 2
     graph.finalize()
     memo_builds.clear()
     assert retrieve_actions(graph, "fight", "raw") == want
@@ -697,18 +697,36 @@ def test_dialogue_and_summary_indexes_are_built_on_the_first_query_only(
     assert memo_builds.count(key) == 2  # nothing kept
 
 
+class CountingTable(dict):
+    """An edge table that counts the keys looked up in it."""
+
+    def __init__(self, table, calls):
+        super().__init__(table)
+        self.calls = calls
+
+    def get(self, key, default=None):
+        self.calls[key] += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.calls[key] += 1
+        return super().__getitem__(key)
+
+
 def test_scope_index_looks_up_each_events_parents_once(monkeypatch):
     graph = deserialize(build_all(generate_fixture("battle")).to_json_bytes())
     calls = Counter()
-    neighbors = NarrativeGraph.neighbors
+    table = NarrativeGraph.table
 
-    def counting(self, node_id, kind, direction="out"):
-        calls[kind] += 1
-        return neighbors(self, node_id, kind, direction)
+    def counting(self, kind, direction="out"):
+        found = table(self, kind, direction)
+        return CountingTable(found, calls) if kind is EdgeKind.SUBEVENT_OF else found
 
-    monkeypatch.setattr(NarrativeGraph, "neighbors", counting)
+    monkeypatch.setattr(NarrativeGraph, "table", counting)
     reconstruct_timeline(graph, STORY_SCOPE, "reading")
-    assert calls[EdgeKind.SUBEVENT_OF] == len(graph.nodes(NodeKind.EVENT)) == 11
+    events = ids_of(graph, NodeKind.EVENT)
+    assert len(events) == 11 and len(graph.nodes(NodeKind.PANEL)) > len(events)
+    assert calls == Counter(events)
 
 
 def test_normalized_retrieval_folds_the_query_once(monkeypatch):
@@ -720,6 +738,27 @@ def test_normalized_retrieval_folds_the_query_once(monkeypatch):
         assert folds == [query]
 
 
+def test_fallback_query_is_folded_once(monkeypatch):
+    from nkg import lexicon
+
+    folds = Counter()
+
+    def counting_fold(label):
+        folds[label] += 1
+        return fold_label(label)
+
+    # none is a member or folds to one, so each falls back to the nearest cluster
+    warm, *queries = ("cartwheel", "kick_cart", "Shout Out", "somersaults")
+    members = {fold_label(m) for m in BATTLE_MAP.pool_labels("action")}
+    assert not members & {fold_label(q) for q in (warm, *queries)}
+    retrieve_actions(BATTLE_NORM, warm, "normalized", norm_map=BATTLE_MAP)  # the map's tables
+    monkeypatch.setattr(lexicon, "fold_label", counting_fold)
+    monkeypatch.setattr(reasoner, "fold_label", counting_fold)
+    for query in queries:
+        retrieve_actions(BATTLE_NORM, query, "normalized", norm_map=BATTLE_MAP)
+    assert folds == Counter(queries)  # by retrieve_actions; lexical_key reuses its fold
+
+
 def test_fallback_buckets_map_members_once_per_lexicon(monkeypatch):
     doc = generate_fixture("noise", seed=3, variance=0.6)
     norm_map = build_normalization_map(doc, HASHED, SynonymLexicon.empty(), 0.75)
@@ -727,9 +766,9 @@ def test_fallback_buckets_map_members_once_per_lexicon(monkeypatch):
     members = norm_map.pool_labels("action")
     keyed = Counter()
 
-    def counting_key(label, lexicon):
+    def counting_key(label, lexicon, folded=None):
         keyed[label] += 1
-        return lexical_key(label, lexicon)
+        return lexical_key(label, lexicon, folded)
 
     monkeypatch.setattr(normalize, "lexical_key", counting_key)
     for query in ("shoved", "jumpin", "grabbers"):  # none is a map member
@@ -849,6 +888,22 @@ def oracle_reconstruct_timeline(graph, scope_id, order_kind):
     scope = set(_scope_panels(graph, scope_id))
     ordered = sorted(scope, key=lambda panel_id: _position(graph, panel_id, order_kind))
     return Timeline(scope_id, order_kind, tuple(ordered))
+
+
+def _sibling_order(graph, children):
+    """Order siblings by the precedes chain among them; ids break any ties:
+    the least child none of whose predecessors is left, again and again."""
+    remaining = set(children)
+    ordered = []
+    while remaining:
+        first = min(
+            child
+            for child in remaining
+            if remaining.isdisjoint(graph.neighbors(child, EdgeKind.PRECEDES, "in"))
+        )
+        ordered.append(first)
+        remaining.remove(first)
+    return ordered
 
 
 def oracle_summarize_event(graph, node_id):
