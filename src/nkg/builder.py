@@ -32,26 +32,12 @@ import json
 from operator import attrgetter
 
 from .annotations import AnnotationDoc, PanelAnn, entity_node_id
-from .graph import PANEL_ORDERS, EdgeKind, NarrativeGraph, Node, NodeKind, collector_paused
-
-# The kinds as module globals: the loops below read one or two per item, and
-# on Python 3.10 and 3.11 a NodeKind.X read costs about 15 times a global read.
-_PANEL = NodeKind.PANEL
-_CHARACTER = NodeKind.CHARACTER
-_CHARACTER_INSTANCE = NodeKind.CHARACTER_INSTANCE
-_OBJECT = NodeKind.OBJECT
-_ACTION = NodeKind.ACTION
-_DIALOGUE = NodeKind.DIALOGUE
-_EVENT = NodeKind.EVENT
-_MACRO_EVENT = NodeKind.MACRO_EVENT
-_REFERS_TO = EdgeKind.REFERS_TO
-_CO_OCCURS_WITH = EdgeKind.CO_OCCURS_WITH
-_HAS_AGENT = EdgeKind.HAS_AGENT
-_ACTS_ON = EdgeKind.ACTS_ON
-_GROUNDED_IN = EdgeKind.GROUNDED_IN
-_SUBEVENT_OF = EdgeKind.SUBEVENT_OF
-_INSTANTIATES = EdgeKind.INSTANTIATES
-_PRECEDES = EdgeKind.PRECEDES
+from .graph import (
+    PANEL_ORDERS, NarrativeGraph, Node, collector_paused,
+    _ACTION, _ACTS_ON, _CHARACTER, _CHARACTER_INSTANCE, _CO_OCCURS_WITH, _DIALOGUE, _EVENT,
+    _GROUNDED_IN, _HAS_AGENT, _INSTANTIATES, _MACRO_EVENT, _OBJECT, _PANEL, _PRECEDES,
+    _REFERS_TO, _SUBEVENT_OF,
+)
 
 
 def _add_panel_content(g: NarrativeGraph, panel: PanelAnn, entities_seen: set[str]) -> None:

@@ -129,7 +129,9 @@ def _emit(payload: bytes, output: str | None) -> None:
         Path(output).write_bytes(payload)
         log.info("wrote %s", output)
     else:
-        sys.stdout.write(payload.decode())
+        # the payload's own bytes, whatever encoding the text stream has
+        sys.stdout.flush()
+        sys.stdout.buffer.write(payload)
 
 
 # --- subcommands ------------------------------------------------------------

@@ -13,8 +13,9 @@ import json
 import logging
 import string
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 
 from .annotations import AnnotationDoc
 from .errors import DuplicateElements, EmptyGold, SchemaViolation
@@ -59,7 +60,8 @@ def set_f1(predicted: set, gold: set) -> tuple[float, float, float]:
 
 
 def _tally_f1(overlap: int, predicted: int, gold: int) -> tuple[float, float, float]:
-    """set_f1 from the sizes of |P∩G|, |P| and a nonempty |G|."""
+    """P/R/F1 from the sizes of |P∩G|, |P| and a nonempty |G|, for sets and
+    for multisets alike."""
     precision = overlap / predicted if predicted else 0.0
     recall = overlap / gold
     # 2|P∩G| / (|P|+|G|) keeps rationals like 2/3 exact in floating point
@@ -77,15 +79,10 @@ def token_f1(predicted_spans, gold_spans) -> tuple[float, float, float]:
     pred = Counter(t for span in predicted_spans for t in tokenize(span))
     gold = Counter(t for span in gold_spans for t in tokenize(span))
     total_pred, total_gold = sum(pred.values()), sum(gold.values())
-    if total_pred == 0 and total_gold == 0:
-        return (1.0, 1.0, 1.0)
-    if total_pred == 0 or total_gold == 0:
-        return (0.0, 0.0, 0.0)
+    if total_gold == 0:
+        return (0.0, 0.0, 0.0) if total_pred else (1.0, 1.0, 1.0)
     overlap = sum(min(count, gold[token]) for token, count in pred.items())
-    precision = overlap / total_pred
-    recall = overlap / total_gold
-    f1 = 2 * overlap / (total_pred + total_gold) if overlap else 0.0
-    return (precision, recall, f1)
+    return _tally_f1(overlap, total_pred, total_gold)
 
 
 def coverage(predicted: set, gold: set) -> float:
@@ -227,14 +224,18 @@ class TaskScore:
     f1: float
 
     def as_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "macro_event_id": self.macro_event_id,
-            "variant": self.variant,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-        }
+        return dict(zip(_SCORE_FIELDS, _score_values(self)))
+
+
+# the field names, which are a report row's keys in the JSON and its CSV header
+_SCORE_FIELDS = tuple(f.name for f in fields(TaskScore))
+_score_values = attrgetter(*_SCORE_FIELDS)
+_sorted_values = attrgetter(*sorted(_SCORE_FIELDS))
+# one row as json.dumps(row.as_dict(), sort_keys=True, indent=2) lays it out
+# inside the report's list, filled with _sorted_values
+_ROW_TEMPLATE = (
+    "{\n" + ",\n".join(f'      "{name}": %s' for name in sorted(_SCORE_FIELDS)) + "\n    }"
+)
 
 
 @dataclass(frozen=True)
@@ -251,9 +252,7 @@ class EvalReport:
         no raw newline."""
         rows = dump_list(
             [
-                _ROW_TEMPLATE % tuple(map(_json_scalar, (
-                    row.f1, row.macro_event_id, row.precision, row.recall, row.task, row.variant
-                )))
+                _ROW_TEMPLATE % tuple(map(_json_scalar, _sorted_values(row)))
                 for row in self.rows
             ],
             2,
@@ -263,14 +262,6 @@ class EvalReport:
             f'{{\n  "metadata": {metadata},\n  "rows": {rows},\n  "schema_version": 1,\n'
             f'  "story_id": {_json_scalar(self.story_id)}\n}}\n'
         ).encode()
-
-
-# one row as json.dumps(row.as_dict(), sort_keys=True, indent=2) lays it out
-# inside the report's list
-_ROW_TEMPLATE = (
-    '{\n      "f1": %s,\n      "macro_event_id": %s,\n      "precision": %s,\n'
-    '      "recall": %s,\n      "task": %s,\n      "variant": %s\n    }'
-)
 
 
 def _json_scalar(value) -> str:
@@ -441,7 +432,7 @@ def run_eval(
 # --- rendering --------------------------------------------------------------
 
 
-def _csv_bytes(header: list[str], rows) -> bytes:
+def _csv_bytes(header, rows) -> bytes:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -450,13 +441,8 @@ def _csv_bytes(header: list[str], rows) -> bytes:
 
 
 def _render_csv(report: EvalReport) -> bytes:
-    return _csv_bytes(
-        ["task", "macro_event_id", "variant", "precision", "recall", "f1"],
-        (
-            [r.task, r.macro_event_id, r.variant, repr(r.precision), repr(r.recall), repr(r.f1)]
-            for r in report.rows
-        ),
-    )
+    # csv writes a float as its repr
+    return _csv_bytes(_SCORE_FIELDS, map(_score_values, report.rows))
 
 
 def _render_plotdata(report: EvalReport) -> bytes:

@@ -179,15 +179,26 @@ class Layer(Enum):
     EVENT = "event"
 
 
-# The members that the per-node and per-edge loops test against, as module
-# globals: on Python 3.10 and 3.11 every NodeKind.X read runs through
-# EnumType's attribute hook and costs about 15 times a global read.
+# The members that the per-node and per-edge loops test against, here and in
+# builder and reasoner, which import them: as module globals, since on Python
+# 3.10 and 3.11 every NodeKind.X read runs through EnumType's attribute hook
+# and costs about 15 times a global read.
 _PANEL = NodeKind.PANEL
 _CHARACTER = NodeKind.CHARACTER
 _CHARACTER_INSTANCE = NodeKind.CHARACTER_INSTANCE
+_OBJECT = NodeKind.OBJECT
 _ACTION = NodeKind.ACTION
 _DIALOGUE = NodeKind.DIALOGUE
+_EVENT = NodeKind.EVENT
+_MACRO_EVENT = NodeKind.MACRO_EVENT
+_REFERS_TO = EdgeKind.REFERS_TO
+_CO_OCCURS_WITH = EdgeKind.CO_OCCURS_WITH
+_HAS_AGENT = EdgeKind.HAS_AGENT
+_ACTS_ON = EdgeKind.ACTS_ON
+_GROUNDED_IN = EdgeKind.GROUNDED_IN
 _SUBEVENT_OF = EdgeKind.SUBEVENT_OF
+_INSTANTIATES = EdgeKind.INSTANTIATES
+_PRECEDES = EdgeKind.PRECEDES
 
 # value -> member, for the reader: a dict lookup costs less than an Enum call
 _NODE_KINDS = {kind.value: kind for kind in NodeKind}

@@ -169,20 +169,10 @@ def lemmatize_token(token: str, lexicon: SynonymLexicon) -> str:
 def lexical_key(label: str, lexicon: SynonymLexicon, folded: str | None = None) -> str:
     """Lowercase, split on separators, lemmatize each token, rejoin with '_'.
     A caller that has folded = fold_label(label) already passes it, and the
-    label is not folded again."""
+    label is not folded again. Each distinct token is lemmatized once per
+    lexicon: the lexicon's memo keeps every lemma made under it."""
     if folded is None:
         folded = fold_label(label)
-    return _key_of_folded(folded, lexicon)
-
-
-def lexical_keys(labels: list[str], lexicon: SynonymLexicon) -> list[str]:
-    """lexical_key of each label."""
-    return [_key_of_folded(fold_label(label), lexicon) for label in labels]
-
-
-def _key_of_folded(folded: str, lexicon: SynonymLexicon) -> str:
-    """The lexical key of a folded label, lemmatizing each distinct token once
-    per lexicon: the lexicon's memo keeps every lemma made under it."""
     lemmas = lexicon._lemmas
     tokens = folded.split("_")
     for token in tokens:

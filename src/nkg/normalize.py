@@ -52,7 +52,7 @@ from .annotations import AnnotationDoc
 from .errors import AlreadyNormalized, MissingLabel, ProviderError, SchemaViolation
 from .graph import NarrativeGraph, NodeKind
 from .jsonio import dump_list, load_object, require
-from .lexicon import SynonymLexicon, fold_label, is_label, lexical_key, lexical_keys
+from .lexicon import SynonymLexicon, fold_label, is_label, lexical_key
 from .embedding import (
     DEFAULT_DIM,
     HashedNgramProvider,
@@ -116,7 +116,7 @@ def cluster_labels(
     # each label points at its link bucket's first position: a forest as
     # _union keeps it, already joined along every lexical link
     first: dict[int | str, int] = {}
-    buckets = map(lexicon.link_bucket, lexical_keys(ordered, lexicon))
+    buckets = (lexicon.link_bucket(lexical_key(label, lexicon)) for label in ordered)
     root = np.array([first.setdefault(b, i) for i, b in enumerate(buckets)], dtype=np.intp)
     if provider is not None and len(first) > 1:
         vectors = np.array(provider.embed_batch(ordered), dtype=np.float64)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
-from .builder import entity_node_id
+from .annotations import entity_node_id
 from .errors import (
     NotAnEventNode,
     NotNormalized,
@@ -32,7 +32,11 @@ from .errors import (
     UnknownNode,
     UnknownScope,
 )
-from .graph import PANEL_ORDERS, EdgeKind, NarrativeGraph, NodeKind, ends, slot_init
+from .graph import (
+    PANEL_ORDERS, NarrativeGraph, ends, slot_init,
+    _ACTION, _CHARACTER, _DIALOGUE, _EVENT, _GROUNDED_IN, _INSTANTIATES, _MACRO_EVENT, _PANEL,
+    _PRECEDES, _REFERS_TO, _SUBEVENT_OF,
+)
 from .lexicon import SynonymLexicon, fold_label
 from .normalize import NormalizationMap
 
@@ -41,21 +45,13 @@ ORDER_KINDS = tuple(PANEL_ORDERS)
 
 STORY_SCOPE = "story"
 
-# The kinds the queries and index builders test against, as module globals,
-# as graph.py keeps them: a NodeKind.X read costs about 15 times a global read.
-_PANEL = NodeKind.PANEL
-_CHARACTER = NodeKind.CHARACTER
-_ACTION = NodeKind.ACTION
-_DIALOGUE = NodeKind.DIALOGUE
-_EVENT = NodeKind.EVENT
-_MACRO_EVENT = NodeKind.MACRO_EVENT
-_REFERS_TO = EdgeKind.REFERS_TO
-_GROUNDED_IN = EdgeKind.GROUNDED_IN
-_INSTANTIATES = EdgeKind.INSTANTIATES
-_SUBEVENT_OF = EdgeKind.SUBEVENT_OF
-_PRECEDES = EdgeKind.PRECEDES
-
 _ENTITY_PREFIX = entity_node_id("")
+
+
+def _fields_as_dict(record) -> dict:
+    """A record's fields by name in declaration order, each tuple as a list."""
+    values = {name: getattr(record, name) for name in record.__slots__}
+    return {name: list(v) if v.__class__ is tuple else v for name, v in values.items()}
 
 
 @slot_init
@@ -68,13 +64,7 @@ class ActionHit:
     surface_label: str
     canonical_label: str
 
-    def as_dict(self) -> dict:
-        return {
-            "panel_id": self.panel_id,
-            "action_instance_id": self.action_instance_id,
-            "surface_label": self.surface_label,
-            "canonical_label": self.canonical_label,
-        }
+    as_dict = _fields_as_dict
 
 
 @slot_init
@@ -106,13 +96,7 @@ class Trajectory:
     event_ids: tuple[str, ...]
     macro_event_ids: tuple[str, ...]
 
-    def as_dict(self) -> dict:
-        return {
-            "entity_id": self.entity_id,
-            "panel_ids": list(self.panel_ids),
-            "event_ids": list(self.event_ids),
-            "macro_event_ids": list(self.macro_event_ids),
-        }
+    as_dict = _fields_as_dict
 
 
 @slot_init
@@ -124,12 +108,7 @@ class Timeline:
     order_kind: str
     panel_ids: tuple[str, ...]
 
-    def as_dict(self) -> dict:
-        return {
-            "scope_id": self.scope_id,
-            "order_kind": self.order_kind,
-            "panel_ids": list(self.panel_ids),
-        }
+    as_dict = _fields_as_dict
 
 
 @slot_init

@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 from collections import Counter
 
 import pytest
@@ -752,6 +754,22 @@ def test_eval_output_file_keeps_stdout_clean(tmp_path, capsys):
     )
     assert capsys.readouterr().out == ""
     assert out.read_text().startswith("task,macro_event_id,variant")
+
+
+def test_eval_to_an_ascii_stdout_writes_the_output_files_bytes(tmp_path, monkeypatch):
+    doc = tmp_path / "b.json"
+    out = tmp_path / "report.md"
+    assert main(["fixture", "battle", "--output", str(doc)]) == 0
+    obj = json.loads(doc.read_bytes())
+    obj["macro_events"][0]["label"] = "Intro caf\u00e9"
+    doc.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["eval", "--input", str(doc), "--format", "md", "--output", str(out)]) == 0
+    assert "| Intro caf\u00e9 |".encode() in out.read_bytes()
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["eval", "--input", str(doc), "--format", "md"]) == 0
+    stdout.flush()
+    assert stdout.buffer.getvalue() == out.read_bytes()
 
 
 def test_eval_normalized_all_adds_rows(tmp_path, capsys):

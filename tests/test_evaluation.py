@@ -5,7 +5,7 @@ import json
 import logging
 import random
 import string
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -418,6 +418,18 @@ def test_json_csv_round_trip_exact():
         assert got["variant"] == want["variant"]
         for field in ("precision", "recall", "f1"):
             assert float(got[field]) == want[field]
+
+
+def test_csv_header_and_row_keys_are_the_task_score_fields():
+    doc, raw, norm, norm_map, gold = eval_bundle("romance", SynonymLexicon.empty())
+    report = run_eval(doc, raw, norm, gold, norm_map=norm_map)
+    names = [f.name for f in fields(TaskScore)]
+    header = render_report(report, "csv").decode().splitlines()[0]
+    assert header.split(",") == names == [
+        "task", "macro_event_id", "variant", "precision", "recall", "f1"
+    ]
+    assert list(report.rows[0].as_dict()) == names
+    assert sorted(json.loads(render_report(report, "json"))["rows"][0]) == sorted(names)
 
 
 def test_markdown_layout():

@@ -17,7 +17,6 @@ from nkg.lexicon import (
     is_label,
     lemmatize_token,
     lexical_key,
-    lexical_keys,
     load_lexicon,
 )
 
@@ -191,7 +190,7 @@ KEY_EXCEPTIONS = st.sampled_from((
 
 
 def old_lexical_key(label, lexicon):
-    """lexical_key as it was before keys were taken a pool at a time."""
+    """lexical_key without the lexicon's lemma memo."""
     return "_".join(lemmatize_token(t, lexicon) for t in fold_label(label).split("_"))
 
 
@@ -199,8 +198,8 @@ def old_lexical_key(label, lexicon):
 @given(st.lists(KEY_LABELS, max_size=12), KEY_EXCEPTIONS)
 def test_lexical_keys_of_a_pool_equal_each_labels_key(labels, exceptions):
     lexicon = SynonymLexicon.build([], exceptions)
+    # the labels of a pool share one memo, as cluster_labels keys them
     want = [old_lexical_key(label, lexicon) for label in labels]
-    assert lexical_keys(labels, lexicon) == want
     assert [lexical_key(label, lexicon) for label in labels] == want
 
 
@@ -210,7 +209,7 @@ def test_lemma_memo_answers_for_its_own_lexicon_only(order):
     want = ["go", "walk"]
     for i in order + order:  # the second round reads each memo
         assert lexical_key("went", lexicons[i]) == want[i]
-        assert lexical_keys(["went", "went_home"], lexicons[i]) == [want[i], f"{want[i]}_home"]
+        assert lexical_key("went_home", lexicons[i]) == f"{want[i]}_home"
 
 
 def test_shared_empty_lexicon_never_answers_for_one_with_exceptions():
@@ -225,7 +224,7 @@ def test_shared_empty_lexicon_never_answers_for_one_with_exceptions():
 
 def test_replaced_lexicon_starts_with_an_empty_lemma_memo():
     lexicon = SynonymLexicon.build([], {"went": "go"})
-    assert lexical_keys(["went", "walked"], lexicon) == ["go", "walk"]
+    assert [lexical_key(label, lexicon) for label in ("went", "walked")] == ["go", "walk"]
     assert lexicon._lemmas == {"went": "go", "walked": "walk"}
     other = replace(lexicon, lemma_exceptions={"went": "wend"})
     assert other._lemmas == {}

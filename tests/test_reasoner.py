@@ -1043,3 +1043,38 @@ def test_reasoner_oracle_orders_differ_from_id_order():
             panels = ids_of(graph, NodeKind.PANEL)
             for order in ORDER_KINDS:
                 assert list(reconstruct_timeline(graph, STORY_SCOPE, order).panel_ids) != panels
+
+
+# --- record shapes ----------------------------------------------------------
+
+
+def test_record_dicts_have_their_wire_shapes():
+    assert [hit.as_dict() for hit in retrieve_actions(BATTLE_RAW, "walk")] == [
+        {"panel_id": "0_0_0", "action_instance_id": "a:0_0_0:0",
+         "surface_label": "walk", "canonical_label": "walk"},
+        {"panel_id": "1_1_0", "action_instance_id": "a:1_1_0:0",
+         "surface_label": "walk", "canonical_label": "walk"},
+    ]
+    assert trace_dialogue(BATTLE_RAW, "e0_0").as_dict() == {
+        "event_id": "e0_0",
+        "entries": [{"panel_id": "0_0_0", "dialogue_id": "d:0_0_0:0", "speaker": "charB",
+                     "text": "A quiet morning in the village."}],
+    }
+    assert character_trajectory(BATTLE_RAW, "charA").as_dict() == {
+        "entity_id": "charA",
+        "panel_ids": ["1_0_0", "1_0_1", "1_0_2", "1_1_0", "1_1_1", "1_1_2",
+                      "3_0_0", "3_0_1", "3_0_2", "3_1_0", "3_1_1", "3_1_2"],
+        "event_ids": ["e1_0", "e1_1", "e3_0", "e3_1"],
+        "macro_event_ids": ["m1", "m3"],
+    }
+    assert reconstruct_timeline(BATTLE_RAW, "m0").as_dict() == {
+        "scope_id": "m0",
+        "order_kind": "reading",
+        "panel_ids": ["0_0_0", "0_0_1", "0_1_0", "0_1_1", "0_2_0", "0_2_1", "0_2_2", "0_2_3"],
+    }
+    assert summarize_event(BATTLE_RAW, "m0").as_dict() == {
+        "node_id": "m0",
+        "children": [{"id": "e0_0", "label": "Village dawn"},
+                     {"id": "e0_1", "label": "Road to market"},
+                     {"id": "e0_2", "label": "Along the river"}],
+    }
