@@ -11,15 +11,17 @@ Clustering finds the links in one batched pass per pool. Lexical links
 bucket the labels by lexical key or lexicon group; the pool's keys
 lemmatize each distinct token once, through the lexicon's lemma memo, which
 lives per lexicon instance and grows with the distinct tokens it has seen.
-One union-find over the pool's sorted labels starts with each label at its
-bucket's first label. Cosine links come from row-blocked products of the
-pool's embedding matrix, which one embed_batch call fills, and only when
-the buckets are more than one. Each block of rows is multiplied only with
-the rows from its own start on, the upper triangle the links i < j need. A product within TIE_BAND of the
-threshold is re-checked at one dot product against row norms kept per
-pool, with the bits the scalar cosine() that link_similarity uses gives,
-so a float tie falls on the same side for both. Every block's links join
-the same union-find, whose roots give the clusters in sorted order.
+A union-find over the pool's sorted labels starts with each label at its
+bucket's first label, and its roots give the clusters in sorted order.
+Cosine links, needed only when the buckets are more than one, come from
+the pool's embedding matrix, which one embed_batch call fills, one block of
+rows at a time, each multiplied with the rows from its own start on.
+
+Both cosine screens, a pool's and an unseen query's, follow one rule. A
+float32 product of unit rows at or above threshold + float32_band(dim)
+links, one below threshold - float32_band(dim) does not, and cosine()'s
+own value decides each pair in between, so a float tie falls on the side
+link_similarity puts it.
 
 Canonical selection prefers gold labels (highest annotation frequency first),
 otherwise the shortest member; remaining ties break lexicographically. A
@@ -32,10 +34,8 @@ whose fold_label equals the query's; else the nearest cluster, by lexical
 key, lexicon group or cosine at or above the map's threshold
 (nearest_canonical); else the query itself. The cosine side of the nearest
 cluster costs one float32 product of the query with the action pool's unit
-member rows, kept per provider transposed (dim x members), one scan of the
-products, and a cosine() recheck of each member whose product comes within
-a band of the threshold that covers float32's rounding at that dim, so the
-answer is the one link_similarity gives member by member.
+member rows, kept per provider transposed (dim x members); every member
+that passes the lower cutoff gets cosine(), whose value ranks it.
 """
 
 from __future__ import annotations
@@ -68,9 +68,6 @@ DEFAULT_THRESHOLD = 0.75
 # the largest hashed dimension a map file may name: a fallback query embeds
 # at the map's dimension, so the file would otherwise set its memory
 MAX_HASHED_DIM = 16 * DEFAULT_DIM
-# a product this close to the threshold may fall on the other side of it
-# than cosine() does, so cosine()'s value (from pair_cosines) decides those pairs
-TIE_BAND = 1e-9
 _BLOCK_ROWS = 256  # rows per product block: memory stays O(block x pool)
 
 _POOL_KINDS = {
@@ -102,6 +99,14 @@ def linked(a: str, b: str, provider, lexicon: SynonymLexicon, threshold: float) 
     return link_similarity(a, key_a, b, key_b, provider, lexicon) >= threshold
 
 
+def float32_band(dim: int) -> float:
+    """Twice the error bound of a float32 product of two unit rows of dim
+    entries, in any summation order: cosine() decides each pair whose product
+    comes this close to the threshold. Rounding a cutoff to float32 takes at
+    most 2**-24 of the spare half."""
+    return (dim + 2) * 2.0**-23
+
+
 def cluster_labels(
     labels, provider, lexicon: SynonymLexicon, threshold: float, pool: str = ACTION_POOL
 ) -> list[LabelCluster]:
@@ -113,50 +118,45 @@ def cluster_labels(
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     ordered = sorted(set(labels))
-    # each label points at its link bucket's first position: a forest as
-    # _union keeps it, already joined along every lexical link
+    # a union-find forest over positions, seeded with each label at its link
+    # bucket's first position; every entry points at itself or a smaller one
     first: dict[int | str, int] = {}
     buckets = (lexicon.link_bucket(lexical_key(label, lexicon)) for label in ordered)
-    root = np.array([first.setdefault(b, i) for i, b in enumerate(buckets)], dtype=np.intp)
+    parent = [first.setdefault(b, i) for i, b in enumerate(buckets)]
     if provider is not None and len(first) > 1:
         vectors = np.array(provider.embed_batch(ordered), dtype=np.float64)
         for rows, cols in _cosine_links(vectors, threshold):
-            _union(root, rows, cols)
-    # roots are the smallest positions, so clusters come out in sorted order
+            for i, j in zip(rows.tolist(), cols.tolist()):
+                if parent[i] != parent[j]:  # equal parents share a root
+                    i, j = _find(parent, i), _find(parent, j)
+                    parent[max(i, j)] = min(i, j)
+    # each cluster first appears at its smallest position: sorted order
     clusters: dict[int, list[str]] = {}
-    for r, label in zip(root.tolist(), ordered):
-        clusters.setdefault(r, []).append(label)
+    for i, label in enumerate(ordered):
+        clusters.setdefault(_find(parent, i), []).append(label)
     return [LabelCluster(tuple(members), "", pool) for members in clusters.values()]
 
 
-def _union(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    """Joins the trees of a[k] and b[k] for every k, in place.
-
-    root is a union-find forest in which each entry points at itself or a
-    smaller entry, and every entry at its tree's smallest one; both stay
-    true. Each round hooks the larger root of every pair still apart under
-    the smallest root paired with it, then jumps pointers to the roots."""
-    while True:
-        ra, rb = root[a], root[b]
-        apart = ra != rb
-        if not apart.any():
-            return
-        ra, rb = ra[apart], rb[apart]
-        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
-        while ((up := root[root]) != root).any():
-            root[:] = up
+def _find(parent: list[int], i: int) -> int:
+    """The root of i's tree, halving the path to it on the way."""
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
 
 
 def _cosine_links(vectors: np.ndarray, threshold: float):
     """Yields, one block of rows at a time, the index pairs i < j whose
-    cosine(vectors[i], vectors[j]) is at or above the threshold. A block is
-    multiplied only with the rows from its own start on."""
-    unit = unit_rows(vectors)
+    cosine(vectors[i], vectors[j]) is at or above the threshold. A block
+    takes float32 products of unit rows with the rows from its own start
+    on; pair_cosines decides each pair within float32_band of the threshold."""
     norms = row_norms(vectors)
+    unit = (vectors / np.where(norms > 0, norms, 1.0)[:, None]).astype(np.float32)
+    band = float32_band(vectors.shape[1])
     for start in range(0, len(unit), _BLOCK_ROWS):
         sims = unit[start : start + _BLOCK_ROWS] @ unit[start:].T
-        rows, cols = np.nonzero(np.triu(sims >= threshold - TIE_BAND, 1))
-        near = sims[rows, cols] < threshold + TIE_BAND
+        rows, cols = np.nonzero(np.triu(sims >= threshold - band, 1))
+        near = sims[rows, cols] < threshold + band
         rows += start
         cols += start
         keep = ~near
@@ -266,13 +266,9 @@ class NormalizationMap:
             norm = math.sqrt(vec.dot(vec))
             # a zero query stays zero: its products are 0.0, as cosine() gives
             products = (vec / norm if norm > 0 else vec).astype(np.float32) @ rows_t
-            # twice the error bound of a float32 dot product of two unit
-            # vectors of rows_t.shape[0] = dim entries, in any summation
-            # order, so every member cosine() links passes; rounding the
-            # cutoff to float32 takes at most 2**-24 of the spare half
-            band = (rows_t.shape[0] + 2) * 2.0**-23
+            band = float32_band(rows_t.shape[0])  # rows_t is dim x members
             # ndarray.nonzero: np.flatnonzero is a Python-level wrapper around it
-            for i in (products >= self.threshold - TIE_BAND - band).nonzero()[0].tolist():
+            for i in (products >= self.threshold - band).nonzero()[0].tolist():
                 if i in lexical:  # a lexical link scores 1.0, whatever the cosine
                     continue
                 sim = cosine(vec, matrix[i])

@@ -14,7 +14,14 @@ from hypothesis import strategies as st
 from nkg import normalize as normalize_module
 from nkg import resources
 from nkg.builder import build_all
-from nkg.embedding import HashedNgramProvider, VectorFileProvider, cosine, unit_rows
+from nkg.embedding import (
+    HashedNgramProvider,
+    VectorFileProvider,
+    cosine,
+    pair_cosines,
+    row_norms,
+    unit_rows,
+)
 from nkg.errors import AlreadyNormalized, GraphFrozen, MissingLabel, SchemaViolation
 from nkg.evaluation import load_gold_labels
 from nkg.fixtures import generate_fixture
@@ -25,13 +32,13 @@ from nkg.normalize import (
     ACTION_POOL,
     EVENT_POOL,
     MAX_HASHED_DIM,
-    TIE_BAND,
     LabelCluster,
     NormalizationMap,
     apply_normalization,
     assign_canonical,
     build_normalization_map,
     cluster_labels,
+    float32_band,
     link_similarity,
     linked,
 )
@@ -214,6 +221,31 @@ def test_batched_clusters_equal_greedy_at_pair_cosine_thresholds():
         assert got == greedy_cluster_labels(labels, HASHED, lexicon, threshold), threshold
 
 
+# (cluster count, SHA-256 of json.dumps of the member lists) of the pool
+# verb_noun_labels(random.Random(29), 2000) under the hashed provider and
+# the default lexicon, recorded while pools were screened on float64
+# products; the last threshold is cosine() of call_boat_2 and call_book_2,
+# the pair nearest 0.75
+POOL_2000_PINS = {
+    0.7: (5, "5322774cb09dea839ac274ea4c7771372c7cf4afb63934ed678969635b98dc3b"),
+    0.75: (36, "c978439fe4b2cbc860c3b538d94d975a53844e8338c2ac1d538cca16dd96daa9"),
+    0.8: (162, "84f86344ed316c7d64d96c0b8a9b4421c82d3966bbbe35e6ecfa4419e83b5ae9"),
+    0.7500000000000001: (41, "3ca045a2dff4d002c61a522cb2cf146679825dc685ef4c4c11d7859de655da37"),
+}
+
+
+@pytest.mark.parametrize("block_rows", [256, 7])
+def test_a_2000_label_pool_keeps_its_pinned_clusters(block_rows, monkeypatch):
+    monkeypatch.setattr(normalize_module, "_BLOCK_ROWS", block_rows)
+    labels = verb_noun_labels(random.Random(29), 2000)
+    assert cosine(HASHED.embed("call_boat_2"), HASHED.embed("call_book_2")) == 0.7500000000000001
+    lexicon = resources.default_lexicon()
+    for threshold, pin in POOL_2000_PINS.items():
+        members = [list(c.members) for c in cluster_labels(labels, HASHED, lexicon, threshold)]
+        digest = hashlib.sha256(json.dumps(members).encode()).hexdigest()
+        assert (len(members), digest) == pin, threshold
+
+
 @pytest.mark.parametrize("block_rows", [1, 2, 7])
 def test_block_seams_keep_the_bfs_and_greedy_oracles(block_rows, monkeypatch):
     """Both oracle tests again with blocks so small that most links and
@@ -224,33 +256,12 @@ def test_block_seams_keep_the_bfs_and_greedy_oracles(block_rows, monkeypatch):
     test_batched_clusters_equal_greedy_at_pair_cosine_thresholds()
 
 
-@st.composite
-def link_blocks(draw):
-    n = draw(st.integers(1, 12))
-    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    return n, draw(st.lists(st.lists(pair, max_size=10), max_size=4))
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(link_blocks())
-def test_union_of_link_blocks_gives_each_entry_its_components_smallest(case):
-    n, blocks = case
-    root = np.arange(n)
-    for block in blocks:
-        a, b = (np.array([p[k] for p in block], dtype=np.intp) for k in (0, 1))
-        normalize_module._union(root, a, b)
-    components = [{g} for g in range(n)]
-    for x, y in (p for block in blocks for p in block):
-        joined = [c for c in components if x in c or y in c]
-        components = [c for c in components if c not in joined] + [set().union(*joined)]
-    assert root.tolist() == [min(c) for g in range(n) for c in components if g in c]
-
-
 def test_product_tie_at_the_threshold_follows_cosine():
     a, b = HASHED.embed("mark_bag"), HASHED.embed("work_bag")
     tie = cosine(a, b)
     assert tie == 0.7500000000000001
-    assert abs(float(a @ b) - 0.75) < TIE_BAND  # the product sits in the re-check band
+    # the product sits in the band where cosine() decides
+    assert abs(float32_product(a, b) - 0.75) < float32_band(HASHED.dim)
     empty = SynonymLexicon.empty()
     pair = {"mark_bag", "work_bag"}
     for threshold, merged in ((0.75, True), (tie, True), (np.nextafter(tie, 1.0), False)):
@@ -490,12 +501,14 @@ def test_nearest_canonical_links_a_member_whose_float32_product_falls_short(dim)
         query = rng.standard_normal(dim)
         member = query + rng.standard_normal(dim) * 1e-2
         tie = cosine(query, member)
-        # below the threshold less TIE_BAND, as float32 compares them: a
-        # filter without the band would drop the member before cosine() links it
-        if float32_product(query, member) < np.float32(tie - TIE_BAND):
+        product = float32_product(query, member)
+        # short of the threshold, as float32 compares them: a filter without
+        # the band would drop the member before cosine() links it
+        if product < np.float32(tie):
             break
     else:
         pytest.fail("no float32 product fell short of its cosine")
+    assert product >= tie - float32_band(dim)
     provider = VectorFileProvider({"q": query, "m": member}, dim, source="short")
     norm_map = NormalizationMap([LabelCluster(("m",), "m")], tie, "test")
     assert norm_map.nearest_canonical("q", SynonymLexicon.empty(), provider) == "m"
@@ -519,6 +532,60 @@ def test_nearest_canonical_band_is_as_wide_as_the_dimension_asks(
     monkeypatch.setattr(normalize_module, "cosine", lambda a, b: calls.append(1) or cosine(a, b))
     assert norm_map.nearest_canonical("q", SynonymLexicon.empty(), provider) is None
     assert len(calls) == checked * members
+
+
+def pool_float32_product(a, b):
+    """The product cluster_labels screens a two-label pool on, given the
+    labels' vectors in sorted label order."""
+    vectors = np.array([a, b], dtype=np.float64)
+    unit = (vectors / row_norms(vectors)[:, None]).astype(np.float32)
+    return (unit @ unit.T)[0, 1]
+
+
+@pytest.mark.parametrize("dim", (3, 256, MAX_HASHED_DIM))
+def test_cluster_labels_links_a_pair_whose_float32_product_falls_short(dim):
+    rng = np.random.default_rng(7)
+    for _ in range(1000):
+        query = rng.standard_normal(dim)
+        member = query + rng.standard_normal(dim) * 1e-2
+        tie = cosine(query, member)
+        product = pool_float32_product(member, query)
+        # short of the threshold, as float32 compares them: a screen without
+        # the band would drop the pair before pair_cosines links it
+        if product < np.float32(tie):
+            break
+    else:
+        pytest.fail("no float32 product fell short of its cosine")
+    assert product >= tie - float32_band(dim)
+    provider = VectorFileProvider({"q": query, "m": member}, dim, source="short")
+    clusters = cluster_labels({"q", "m"}, provider, SynonymLexicon.empty(), tie)
+    assert [c.members for c in clusters] == [("m", "q")]
+
+
+@pytest.mark.parametrize("dim,members,ulps_short,checked", [(256, 1, 100, 1), (2, 48, 20, 0)])
+def test_cluster_labels_band_is_as_wide_as_the_dimension_asks(
+    monkeypatch, dim, members, ulps_short, checked
+):
+    """Pairs of the query and a member whose products fall ulps_short
+    float32 ulps of 1.0 below the threshold: inside a band of dim + 2 of
+    them, which pair_cosines then checks, and outside it. A band of pool
+    size + 2 would check the opposite way."""
+    rng = np.random.default_rng(dim)
+    query = rng.standard_normal(dim)
+    member = query + rng.standard_normal(dim)
+    names = [f"m{i}" for i in range(members)]
+    provider = VectorFileProvider({"q": query, **dict.fromkeys(names, member)}, dim, source="w")
+    threshold = float(pool_float32_product(member, query)) + ulps_short * 2.0**-23
+    pairs = []
+
+    def counted(vectors, norms, rows, cols):
+        pairs.append(len(rows))
+        return pair_cosines(vectors, norms, rows, cols)
+
+    monkeypatch.setattr(normalize_module, "pair_cosines", counted)
+    clusters = cluster_labels(["q", *names], provider, SynonymLexicon.empty(), threshold)
+    assert [c.members for c in clusters] == [tuple(sorted(names)), ("q",)]
+    assert sum(pairs) == checked * members
 
 
 def test_nearest_canonical_zero_query_and_unembedded_members_at_threshold_0():
