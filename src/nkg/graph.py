@@ -2,13 +2,15 @@
 
 Each node kind belongs to one of three layers (panel content, temporal
 sequence, event hierarchy); nodes carry string attributes and edges are
-(src, dst, kind) triples, each stored once, in the adjacency tables _out and
-_in; edges(), edge_count(), equality and the writer derive from them. Node
-and Edge are slotted frozen dataclasses: a graph holds a Node per node, and
-edges() makes an Edge per edge. Node sets its fields through its slots
-(slot_init), as do the annotation records and the reasoner's ActionHit.
-An entry of _out[kind] or _in[kind] is the neighbour's id itself while its
-node has one neighbour of that kind, and a set of ids from the second on.
+(src, dst, kind) triples, each stored once, in the out-tables _out (kind ->
+src -> dsts); edges(), edge_count(), equality and the writer read them, and
+an in-table (kind -> dst -> srcs) is a view, built from the out-table on
+the first read of table(kind, "in"). Node and Edge are slotted frozen
+dataclasses: a graph holds a Node per node, and edges() makes an Edge per
+edge. Node sets its fields through its slots (slot_init), as do the
+annotation records and the reasoner's ActionHit.
+An entry of a table is the neighbour's id itself while its node has one
+neighbour of that kind, and a set of ids from the second on (_attach).
 Most entries have one neighbour, and a one-element set costs 216 bytes
 where the bare id costs nothing more, so this more than halves a built
 graph's memory; a set, not a tuple, keeps appends and the duplicate check
@@ -20,20 +22,19 @@ names a node at that string too, so a read graph keeps no copy of the
 file's endpoint strings or of those attributes.
 The four order-bearing edge kinds must stay acyclic, and subevent_of must
 stay a forest; both are enforced on every add_edge. An edge closes a cycle
-exactly when dst reaches src, and a dst with no out-edge of its kind, or a
-src with no in-edge, leaves src == dst as the only way; so add_edge searches
-only when both ends already have edges of the kind. finalize() checks each
-panel order attribute against its chain and every attribute the reasoning
-tasks read; after it the graph is immutable and safe to share. A frozen
-graph keeps its read-only views (nodes and edges in order, the reasoner's
-indexes) once built, each on its first read; memo() holds that rule. The
-nodes of one kind filter the id-sorted nodes(), so a frozen graph sorts
-its ids once. Views that read no label live in a store of their own.
-relabeled() takes new labels by node id and swaps them in on a copy of a
-frozen graph; it can change no attribute but label and surface_label, and
-no kind or edge, so of what finalize() checked only the labels are checked.
-The copy shares the edge tables and the store of label-free views, so a
-view built on either graph serves both.
+exactly when dst reaches src, and a dst with no out-edge of its kind
+reaches only itself, so add_edge searches only when dst has one. finalize()
+checks each panel order attribute against its chain and every attribute
+the reasoning tasks read; after it the graph is immutable and safe to
+share. A frozen graph keeps its read-only views (nodes and edges in order,
+in-tables, the reasoner's indexes) once built, each on its first read;
+memo() holds that rule. The nodes of one kind filter the id-sorted
+nodes(), so a frozen graph sorts its ids once. Views that read no label
+live in a store of their own. relabeled() takes new labels by node id and
+swaps them in on a copy of a frozen graph; it can change no attribute but
+label and surface_label, and no kind or edge, so of what finalize()
+checked only the labels are checked. The copy shares the out-tables and
+the store of label-free views, so a view built on either graph serves both.
 
 The reader and the writer, like build_all and parse_annotations, run with
 Python's cyclic collector paused (collector_paused): what they allocate
@@ -56,7 +57,7 @@ from __future__ import annotations
 
 import gc
 import json
-from collections import deque
+from collections import Counter, deque
 from contextlib import contextmanager
 from dataclasses import _HAS_DEFAULT_FACTORY, MISSING, dataclass, field, fields
 from enum import Enum
@@ -281,9 +282,8 @@ class NarrativeGraph:
         self.story_id = story_id
         self.normalized = normalized
         self._nodes: dict[str, Node] = {}
-        # kind -> src -> dst id or set, and its mirror; the graph's only record of its edges
+        # kind -> src -> dst id or set; the graph's only record of its edges
         self._out: dict[EdgeKind, dict[str, str | set[str]]] = {kind: {} for kind in EdgeKind}
-        self._in: dict[EdgeKind, dict[str, str | set[str]]] = {kind: {} for kind in EdgeKind}
         self._frozen = False
         # read-only views of a frozen graph, each built on its first read;
         # those that read no label are kept apart, shared by relabeled copies
@@ -316,16 +316,11 @@ class NarrativeGraph:
             raise DuplicateEdge(str((src, dst, kind._value_)))
         if kind is _SUBEVENT_OF and dsts is not None:
             raise ForestViolation(src)
-        into = self._in[kind]
         # the edge closes a cycle iff dst reaches src; a dst with no out-edge
-        # of this kind reaches only itself, and only src reaches a src with no
-        # in-edge, so without both the answer is src == dst and no search runs
-        if kind in ACYCLIC_KINDS and (
-            src == dst or (dst in out and src in into and self._reaches(kind, dst, src))
-        ):
+        # of this kind reaches only itself, and then no search runs
+        if kind in ACYCLIC_KINDS and (src == dst or (dst in out and self._reaches(kind, dst, src))):
             raise CycleIntroduced(kind.value, f"{src} -> {dst}")
         _attach(out, src, dst)
-        _attach(into, dst, src)
 
     def _reaches(self, kind: EdgeKind, start: str, goal: str) -> bool:
         """Whether a path of one or more `kind` edges leads from start to goal."""
@@ -437,7 +432,7 @@ class NarrativeGraph:
             nodes[node_id] = Node(node_id, old.kind, attrs)
         out = NarrativeGraph(self.story_id, normalized=True)
         out._nodes = nodes
-        out._out, out._in, out._shared = self._out, self._in, self._shared
+        out._out, out._shared = self._out, self._shared
         out._frozen = True
         return out
 
@@ -469,8 +464,14 @@ class NarrativeGraph:
     def table(self, kind: EdgeKind, direction: str = "out") -> Mapping[str, str | set[str]]:
         """The edge table of one kind, which no caller may change: node id ->
         the entry of its neighbours by `direction`, read with ends(). A node
-        with none has no entry, and a set's order follows string hashes."""
-        return {"out": self._out, "in": self._in}[direction][kind]
+        with none has no entry, and a set's order follows string hashes. An
+        in-table is built from the out-table on its first read and shared
+        with relabeled() copies; a graph not yet frozen builds it per read."""
+        if direction == "out":
+            return self._out[kind]
+        if direction == "in":
+            return self.memo(("in", kind), lambda: _inverse(self._out[kind]), shared=True)
+        raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
 
     def nodes(self, kind: NodeKind | None = None) -> tuple[Node, ...]:
         """Nodes of one kind, or all, in id order; a kind filters all of them."""
@@ -506,10 +507,7 @@ class NarrativeGraph:
         """Ids joined to the node by edges of one kind, ascending."""
         if node_id not in self._nodes:
             raise UnknownNode(node_id)
-        if direction not in ("out", "in"):
-            raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
-        table = self._out if direction == "out" else self._in
-        return sorted(ends(table[kind].get(node_id)))
+        return sorted(ends(self.table(kind, direction).get(node_id)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NarrativeGraph):
@@ -592,10 +590,10 @@ class NarrativeGraph:
         the edge kinds and both ends, looked up as nodes. A `panel`
         attribute that names a node, and the `speaker` beside it, are pointed
         at the node's own id string, as build_all's panels are. One loop
-        fills the tables, each end the node's own id string, and finds
-        duplicates. Last come one check that subevent_of is a forest and, per
-        order-bearing kind, one topological pass in place of a search per
-        edge."""
+        fills the out-tables through _attach, each end the node's own id
+        string, and finds duplicates. Last come one check that subevent_of is
+        a forest and, per order-bearing kind, one topological pass in place
+        of a search per edge."""
         try:
             # AttributeError: an item that is no object; KeyError: a missing
             # field, or a kind, layer or end that names nothing; TypeError: an
@@ -629,24 +627,13 @@ class NarrativeGraph:
                     named = table.get(placed["speaker"])
                     if named is not None:
                         placed["speaker"] = named.id
-        out_tables, in_tables = self._out, self._in
+        out_tables = self._out
         for src, dst, kind in zip(srcs, dsts, edge_kinds):
-            out = out_tables[kind]
-            entry = out.get(src)
-            if entry is None:
-                out[src] = dst
-            elif entry.__class__ is set:
-                if dst in entry:
-                    return False
-                entry.add(dst)
-            elif entry == dst:
+            if not _attach(out_tables[kind], src, dst):  # a duplicate edge
                 return False
-            else:
-                out[src] = {entry, dst}
-            _attach(in_tables[kind], dst, src)
         if any(entry.__class__ is set for entry in out_tables[_SUBEVENT_OF].values()):
             return False
-        return all(_acyclic(out_tables[kind], in_tables[kind]) for kind in _ORDER_KINDS)
+        return all(_acyclic(out_tables[kind]) for kind in _ORDER_KINDS)
 
     def _add_items(self, nodes: list, edges: list) -> None:
         """Add a file's decoded nodes, then its edges, one by one through
@@ -693,15 +680,29 @@ def ends(entry: str | set[str] | None) -> tuple[str, ...] | set[str]:
     return entry if entry.__class__ is set else (entry,)
 
 
-def _attach(table: dict[str, str | set[str]], key: str, end: str) -> None:
-    """Add `end` to the entry under `key`: a bare id first, a set from the second."""
+def _attach(table: dict[str, str | set[str]], key: str, end: str) -> bool:
+    """Add `end` to `key`'s entry, a bare id then a set; False if it holds `end`."""
     entry = table.get(key)
     if entry is None:
         table[key] = end
     elif entry.__class__ is set:
+        if end in entry:
+            return False
         entry.add(end)
+    elif entry == end:
+        return False
     else:
         table[key] = {entry, end}
+    return True
+
+
+def _inverse(out: dict[str, str | set[str]]) -> dict[str, str | set[str]]:
+    """The in-table of one kind: dst -> its sources, from the out-table."""
+    into: dict[str, str | set[str]] = {}
+    for src, entry in out.items():
+        for dst in ends(entry):
+            _attach(into, dst, src)
+    return into
 
 
 def _all_of(cls: type, values) -> bool:
@@ -710,12 +711,11 @@ def _all_of(cls: type, values) -> bool:
     return set(map(type, values)) <= {cls}
 
 
-def _acyclic(out: dict[str, str | set[str]], into: dict[str, str | set[str]]) -> bool:
-    """Whether the edges of one kind, given as its two tables, close no
-    cycle: Kahn's algorithm, which takes every node off exactly when none
-    lies on a cycle."""
-    waiting = {node: len(ends(entry)) for node, entry in into.items()}
-    ready = [node for node in out if node not in into]
+def _acyclic(out: dict[str, str | set[str]]) -> bool:
+    """Whether the edges of one kind's out-table close no cycle: Kahn's
+    algorithm, which takes every node off exactly when none lies on one."""
+    waiting = Counter(chain.from_iterable(map(ends, out.values())))  # node -> in-degree
+    ready = [node for node in out if node not in waiting]
     while ready:
         for nxt in ends(out.get(ready.pop())):
             left = waiting[nxt] - 1

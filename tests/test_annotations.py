@@ -241,6 +241,12 @@ def test_parse_rejects_unknown_schema_version():
         parse_annotations(json.dumps(obj).encode())
 
 
+def test_a_document_of_another_schema_version_has_one_violation():
+    violations = validate_annotations(replace(make_doc(), schema_version=2))
+    assert violations == [Violation("$.schema_version", "must be 1")]
+    assert str(violations[0]) == "$.schema_version: must be 1"
+
+
 def test_missing_content_lists_default_to_empty():
     for absent in (lambda panel, key: panel.pop(key), lambda panel, key: panel.update({key: None})):
         obj = json.loads(make_doc().to_json_bytes())

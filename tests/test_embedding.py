@@ -369,6 +369,16 @@ def test_remote_embed_batch(embed_server):
         assert abs(np.linalg.norm(vec) - 1.0) < 1e-6
 
 
+def test_remote_embed_rejects_a_blank_label_before_posting(embed_server):
+    with pytest.raises(EmptyLabel):
+        remote_embed(embed_server, ["walk", ""])
+    assert _EmbedHandler.posts == 0
+
+
+def test_remote_embed_of_no_labels_is_empty(embed_server):
+    assert remote_embed(embed_server, []) == []
+
+
 def test_remote_provider_contract(embed_server):
     provider = RemoteProvider(embed_server)
     a = provider.embed("walk")

@@ -161,6 +161,28 @@ def test_neighbors_filtering_and_order():
         g.neighbors("p0", EdgeKind.PRECEDES_READING, direction="sideways")
 
 
+@pytest.mark.parametrize("frozen", [False, True], ids=["building", "frozen"])
+def test_table_and_neighbors_reject_an_unknown_direction_alike(frozen):
+    g = small_graph()
+    if frozen:
+        g.finalize()
+    message = "direction must be 'out' or 'in', got 'sideways'"
+    for read in (
+        lambda: g.table(EdgeKind.PRECEDES_READING, "sideways"),
+        lambda: g.neighbors("p0", EdgeKind.PRECEDES_READING, "sideways"),
+    ):
+        with pytest.raises(ValueError) as raised:
+            read()
+        assert str(raised.value) == message
+
+
+def test_node_lookup_of_a_missing_id_raises_unknown_node():
+    g = small_graph().finalize()
+    assert g.node("p0").id == "p0"
+    with pytest.raises(UnknownNode):
+        g.node("ghost")
+
+
 def test_neighbors_matches_edge_scan():
     rng = random.Random(7)
     g = NarrativeGraph("rand")
@@ -525,6 +547,55 @@ def read_outcome(read, raw):
     return g, g.to_json_bytes()
 
 
+def wide_graph():
+    """An object with three co-occurring objects and an event that precedes
+    three others: table entries grown to a set of three ends."""
+    g = NarrativeGraph("wide")
+    for i in range(4):
+        g.add_node(Node(f"o{i}", NodeKind.OBJECT, {"label": "rock"}))
+        g.add_node(Node(f"e{i}", NodeKind.EVENT, {"label": "fight"}))
+    for i in (1, 2, 3):
+        g.add_edge("o0", f"o{i}", EdgeKind.CO_OCCURS_WITH)
+        g.add_edge("e0", f"e{i}", EdgeKind.PRECEDES)
+    return g
+
+
+def test_reader_paths_agree_on_entries_of_three_ends():
+    built = wide_graph().finalize()
+    raw = built.to_json_bytes()
+    assert read_outcome(deserialize, raw) == read_outcome(read_item_by_item, raw) == (built, raw)
+    # the same file with an edge of a three-end entry repeated
+    doc = json.loads(raw)
+    doc["edges"].append({"dst": "o2", "kind": "co_occurs_with", "src": "o0"})
+    repeated = json.dumps(doc).encode()
+    with pytest.raises(DuplicateEdge) as want:
+        wide_graph().add_edge("o0", "o2", EdgeKind.CO_OCCURS_WITH)
+    for read in (deserialize, read_item_by_item):
+        assert read_outcome(read, repeated) == (DuplicateEdge, str(want.value))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.sampled_from("abcde"), st.sampled_from("abcde")), max_size=12))
+@example([("a", "c"), ("b", "c")])  # a node with two predecessors and no cycle
+def test_kahn_pass_finds_a_cycle_exactly_when_a_search_does(pairs):
+    out = {}
+    for src, dst in pairs:
+        graph_module._attach(out, src, dst)
+
+    def reaches(start, goal):
+        seen, frontier = {start}, [start]
+        while frontier:
+            for nxt in graph_module.ends(out.get(frontier.pop())):
+                if nxt == goal:
+                    return True
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        return False
+
+    assert graph_module._acyclic(out) is not any(reaches(dst, src) for src, dst in pairs)
+
+
 @pytest.mark.parametrize("case", sorted(CORRUPT_GRAPH_FILES))
 def test_reader_paths_raise_alike_on_corrupt_files(battle_bytes, case):
     raw = corrupt_battle_file(battle_bytes, case)
@@ -814,7 +885,6 @@ class AlwaysSearchGraph(NarrativeGraph):
         if kind in ACYCLIC_KINDS and self.always_search(kind, dst, src):
             raise CycleIntroduced(kind.value, f"{src} -> {dst}")
         out.setdefault(src, set()).add(dst)
-        self._in[kind].setdefault(dst, set()).add(src)
 
     def always_search(self, kind, start, goal):
         if start == goal:
@@ -846,6 +916,11 @@ def table_triples(table):
     )
 
 
+def in_tables(graph):
+    """The graph's in-tables by kind, as table(kind, "in") gives them."""
+    return {kind: graph.table(kind, "in") for kind in EdgeKind}
+
+
 def add_edge_outcomes(graph, edges):
     """Each add_edge's result, None or the class and message it raised, and
     the graph's edge tables after the last."""
@@ -858,7 +933,7 @@ def add_edge_outcomes(graph, edges):
             outcomes.append(None)
         except (CycleIntroduced, DuplicateEdge, ForestViolation) as exc:
             outcomes.append((type(exc), str(exc)))
-    return outcomes, table_triples(graph._out), table_triples(graph._in)
+    return outcomes, table_triples(graph._out), table_triples(in_tables(graph))
 
 
 def assert_add_edge_matches_the_oracle(edges):
@@ -961,7 +1036,7 @@ def test_edge_tables_match_a_set_of_triples_model(edges):
         except (CycleIntroduced, DuplicateEdge, ForestViolation) as exc:
             got = exc
         assert (type(got), str(got)) == (type(want), str(want))
-    for table in (g._out, g._in):
+    for table in (g._out, in_tables(g)):
         for entries in table.values():
             for entry in entries.values():
                 assert isinstance(entry, str) or (type(entry) is set and len(entry) >= 2)
@@ -990,7 +1065,7 @@ def assert_edge_tables_hold_node_ids(g, named_attrs=()):
     """Every end in the edge tables, and every attribute under one of the
     named_attrs keys, is the node's own id string; returns how many such
     attributes there are."""
-    for table in (g._out, g._in):
+    for table in (g._out, in_tables(g)):
         for _, key, end in table_triples(table):
             assert key is g.node(key).id and end is g.node(end).id
     named = [(n.id, k, n.attrs[k]) for n in g.nodes() for k in named_attrs if k in n.attrs]

@@ -38,6 +38,7 @@ from nkg.normalize import (
     assign_canonical,
     build_normalization_map,
     cluster_labels,
+    collect_label_pools,
     float32_band,
     link_similarity,
     linked,
@@ -1012,3 +1013,8 @@ def test_map_determinism():
     a = build_normalization_map(doc, HashedNgramProvider(), COMBAT, 0.75)
     b = build_normalization_map(doc, HashedNgramProvider(), COMBAT, 0.75)
     assert a.to_json_bytes() == b.to_json_bytes()
+
+
+def test_label_pools_of_neither_a_document_nor_a_graph_raise_type_error():
+    with pytest.raises(TypeError, match="expected AnnotationDoc or NarrativeGraph, got object"):
+        collect_label_pools(object())

@@ -222,7 +222,7 @@ def finalize_relabeled(graph, labels):
             raise UnknownNode(node_id)
         attrs = {"surface_label": old.label(), **old.attrs, "label": label}
         out.add_node(Node(node_id, old.kind, attrs))
-    out._out, out._in = graph._out, graph._in
+    out._out = graph._out
     return out.finalize()
 
 
