@@ -24,7 +24,6 @@ from .evaluation import (
     GoldReference,
     TaskScore,
     build_gold,
-    coverage,
     load_gold_labels,
     ordering_accuracy,
     render_report,
@@ -98,7 +97,6 @@ __all__ = [
     "character_trajectory",
     "cluster_labels",
     "cosine",
-    "coverage",
     "deserialize",
     "embed_hashed",
     "fold_label",

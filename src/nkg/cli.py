@@ -236,14 +236,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     graph_norm = apply_normalization(graph_raw, norm_map)
     if gold is None:
         gold = build_gold(doc, normalization_map=norm_map)
-    report = run_eval(
-        doc,
-        graph_raw,
-        graph_norm,
-        gold,
-        norm_map=norm_map,
-        normalized_all=args.normalized_all,
-    )
+    report = run_eval(doc, graph_raw, graph_norm, gold, norm_map=norm_map)
     _emit(render_report(report, args.format), args.output)
     return 0
 
@@ -304,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--format", choices=("json", "csv", "md", "plotdata"), default="json"
     )
-    p.add_argument("--normalized-all", action="store_true", dest="normalized_all")
     _add_config_flags(p)
     p.set_defaults(func=cmd_eval)
 

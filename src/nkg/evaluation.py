@@ -1,8 +1,9 @@
 """Scoring harness: metrics, gold references, and raw-vs-normalized reports.
 
 The five reasoning tasks are scored per macro-event. Action retrieval is
-always scored on both the raw and the normalized graph; the remaining
-tasks run on the raw graph unless the caller asks for both variants.
+scored on both the raw and the normalized graph. The other four tasks read
+only label-free views, which a normalized graph shares with its raw source,
+so they are scored once, on the raw graph.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 
 from .annotations import AnnotationDoc
-from .errors import DuplicateElements, EmptyGold, SchemaViolation
+from .errors import DuplicateElements, SchemaViolation
 from .graph import NarrativeGraph
 from .jsonio import dump_list, load_object, require
 from .lexicon import is_label
@@ -83,14 +84,6 @@ def token_f1(predicted_spans, gold_spans) -> tuple[float, float, float]:
         return (0.0, 0.0, 0.0) if total_pred else (1.0, 1.0, 1.0)
     overlap = sum(min(count, gold[token]) for token, count in pred.items())
     return _tally_f1(overlap, total_pred, total_gold)
-
-
-def coverage(predicted: set, gold: set) -> float:
-    """Fraction of gold items retrieved."""
-    predicted, gold = set(predicted), set(gold)
-    if not gold:
-        raise EmptyGold("coverage needs a nonempty gold set")
-    return len(predicted & gold) / len(gold)
 
 
 def ordering_accuracy(predicted, gold) -> float:
@@ -335,12 +328,12 @@ def run_eval(
     gold: GoldReference,
     *,
     norm_map: NormalizationMap | None = None,
-    normalized_all: bool = False,
 ) -> EvalReport:
-    """Score the five tasks per macro-event on raw and normalized graphs.
+    """Score the five tasks per macro-event.
 
-    Action retrieval always runs on both variants; the other tasks add a
-    normalized variant only when normalized_all is set.
+    Action retrieval runs on both the raw and the normalized graph. The
+    other four tasks read only label-free views, which the normalized graph
+    shares with the raw one, so they run once, on the raw graph.
     """
     member_to_canonical = {
         member: canonical
@@ -357,19 +350,17 @@ def run_eval(
             split = gold_by_macro.setdefault(canonical, {})
             split.setdefault(macro.id, set()).add(action.instance_id)
 
-    graphs = {"raw": graph_raw, "normalized": graph_norm}
-    variants = VARIANTS if normalized_all else ("raw",)
     t1 = {
-        variant: _score_t1(graphs[variant], variant, gold, macro_of, gold_by_macro, norm_map)
-        for variant in VARIANTS
+        variant: _score_t1(graph, variant, gold, macro_of, gold_by_macro, norm_map)
+        for variant, graph in zip(VARIANTS, (graph_raw, graph_norm))
     }
     # the gold trajectories split by macro-event once, each macro-event's
-    # entities in id order, and each variant's trajectories on first use
+    # entities in id order, and each found trajectory on first use
     gold_panels: dict[str, dict[str, set[str]]] = {}
     for entity in sorted(gold.trajectory_gold):
         for macro_id, panels in _split(gold.trajectory_gold[entity], macro_of).items():
             gold_panels.setdefault(macro_id, {})[entity] = panels
-    found_panels = {variant: {} for variant in variants}
+    found: dict[str, dict[str, set[str]]] = {}
     rows: list[TaskScore] = []
     labels: dict[str, str] = {}
     for macro in doc.macro_events:
@@ -379,43 +370,35 @@ def run_eval(
             p, r, f1 = _mean_triple(t1[variant].get(macro.id, ()))
             rows.append(TaskScore("T1", macro.id, variant, p, r, f1))
 
-        for variant in variants:
-            graph = graphs[variant]
+        per_event = []
+        for event in macro.events:
+            gold_texts = [text for _, _, text in gold.dialogue_gold[event.id]]
+            if not gold_texts:
+                continue
+            trace = trace_dialogue(graph_raw, event.id)
+            per_event.append(token_f1([text for _, _, _, text in trace.entries], gold_texts))
+        rows.append(TaskScore("T2", macro.id, "raw", *_mean_triple(per_event)))
 
-            per_event = []
-            for event in macro.events:
-                gold_texts = [text for _, _, text in gold.dialogue_gold[event.id]]
-                if not gold_texts:
-                    continue
-                trace = trace_dialogue(graph, event.id)
-                per_event.append(
-                    token_f1([text for _, _, _, text in trace.entries], gold_texts)
-                )
-            rows.append(TaskScore("T2", macro.id, variant, *_mean_triple(per_event)))
+        per_entity = []
+        for entity, panels in gold_panels.get(macro.id, {}).items():
+            if entity not in found:
+                found[entity] = _split(character_trajectory(graph_raw, entity).panel_ids, macro_of)
+            score = len(panels.intersection(found[entity].get(macro.id, ()))) / len(panels)
+            per_entity.append((score, score, score))
+        rows.append(TaskScore("T3", macro.id, "raw", *_mean_triple(per_entity)))
 
-            per_entity = []
-            found = found_panels[variant]
-            for entity, panels in gold_panels.get(macro.id, {}).items():
-                if entity not in found:
-                    found[entity] = _split(character_trajectory(graph, entity).panel_ids, macro_of)
-                score = len(panels.intersection(found[entity].get(macro.id, ()))) / len(panels)
-                per_entity.append((score, score, score))
-            rows.append(TaskScore("T3", macro.id, variant, *_mean_triple(per_entity)))
+        timeline = reconstruct_timeline(graph_raw, macro.id, "reading")
+        score = ordering_accuracy(timeline.panel_ids, gold.order_gold[macro.id])
+        rows.append(TaskScore("T4", macro.id, "raw", score, score, score))
 
-            timeline = reconstruct_timeline(graph, macro.id, "reading")
-            score = ordering_accuracy(timeline.panel_ids, gold.order_gold[macro.id])
-            rows.append(TaskScore("T4", macro.id, variant, score, score, score))
-
-            summary = summarize_event(graph, macro.id)
-            p, r, f1 = set_f1(
-                {cid for cid, _ in summary.children}, gold.summary_gold[macro.id]
-            )
-            rows.append(TaskScore("T5", macro.id, variant, p, r, f1))
+        summary = summarize_event(graph_raw, macro.id)
+        p, r, f1 = set_f1({cid for cid, _ in summary.children}, gold.summary_gold[macro.id])
+        rows.append(TaskScore("T5", macro.id, "raw", p, r, f1))
 
     metadata = {
         "macro_event_labels": labels,
         "ordering_metric": "pairwise_concordance",
-        "tasks_normalized": "all" if normalized_all else "T1",
+        "tasks_normalized": "T1",
     }
     if norm_map is not None:
         metadata["threshold"] = norm_map.threshold

@@ -27,7 +27,6 @@ from nkg.builder import build_all
 from nkg.embedding import HashedNgramProvider, VectorFileProvider
 from nkg.evaluation import (
     build_gold,
-    coverage,
     ordering_accuracy,
     run_eval,
     set_f1,
@@ -50,6 +49,7 @@ from nkg.reasoner import (
     summarize_event,
     trace_dialogue,
 )
+from test_shared_views import coverage
 
 HASHED = HashedNgramProvider()
 
@@ -305,9 +305,7 @@ def test_criterion_8_perfect_information_sanity():
         norm_map = build_normalization_map(doc, HASHED, lexicon, 0.75)
         norm = apply_normalization(raw, norm_map)
         gold = build_gold(doc)
-        report = run_eval(
-            doc, raw, norm, gold, norm_map=norm_map, normalized_all=True
-        )
+        report = run_eval(doc, raw, norm, gold, norm_map=norm_map)
         for row in report.rows:
             if row.task in ("T3", "T4"):
                 assert row.f1 == 1.0, (name, row)

@@ -772,13 +772,11 @@ def test_eval_to_an_ascii_stdout_writes_the_output_files_bytes(tmp_path, monkeyp
     assert stdout.buffer.getvalue() == out.read_bytes()
 
 
-def test_eval_normalized_all_adds_rows(tmp_path, capsys):
+def test_eval_normalized_all_is_an_unknown_argument(tmp_path, capsys):
     doc = tmp_path / "b.json"
     assert main(["fixture", "battle", "--output", str(doc)]) == 0
-    assert main(["eval", "--input", str(doc), "--format", "json"]) == 0
-    base = len(read_stdout(capsys)["rows"])
-    assert main(["eval", "--input", str(doc), "--format", "json", "--normalized-all"]) == 0
-    assert len(read_stdout(capsys)["rows"]) > base
+    assert main(["eval", "--input", str(doc), "--normalized-all"]) == 2
+    assert "unrecognized arguments: --normalized-all" in capsys.readouterr().err
 
 
 # --- configuration -----------------------------------------------------------

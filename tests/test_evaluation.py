@@ -19,7 +19,6 @@ from nkg.evaluation import (
     GoldReference,
     TaskScore,
     build_gold,
-    coverage,
     load_gold_labels,
     ordering_accuracy,
     render_report,
@@ -32,6 +31,7 @@ from nkg.fixtures import generate_fixture
 from nkg.lexicon import SynonymLexicon
 from nkg.normalize import apply_normalization, build_normalization_map
 from nkg.reasoner import character_trajectory
+from test_shared_views import coverage
 
 HASHED = HashedNgramProvider()
 COMBAT = SynonymLexicon.build([["attack", "strike", "fight", "hit"]], {})
@@ -386,9 +386,6 @@ def test_report_shape_and_determinism():
     assert len(report.rows) == n_macros * 6
     again = run_eval(doc, raw, norm, gold, norm_map=norm_map)
     assert report.to_json_bytes() == again.to_json_bytes()
-    both = run_eval(doc, raw, norm, gold, norm_map=norm_map, normalized_all=True)
-    assert len(both.rows) == n_macros * 10
-    assert both.metadata["tasks_normalized"] == "all"
 
 
 def test_report_metadata_echo():
@@ -496,57 +493,37 @@ def noise_gold_bytes(doc) -> bytes:
 
 
 # SHA-256 of the `nkg eval` json report, keyed by (fixture, seed, variance,
-# with a gold file, --normalized-all); recorded before the reasoner's action
-# index replaced the per-query scans, so report bytes must not change
-# without a reason on record
+# with a gold file); recorded before the reasoner's action index replaced
+# the per-query scans, so report bytes must not change without a reason on
+# record
 EVAL_REPORT_DIGESTS = {
-    ("battle", 0, 0.0, False, False): "0d8370a6fb8df438d27b6247a24fb125f080151ce371fccaa0ac4d424f1ca094",
-    ("battle", 0, 0.0, False, True): "54fb03f04e3808d7995c101cc452d4da94bc5fba369e2d02eeed79ba8c2f3463",
-    ("battle", 0, 0.0, True, False): "0d8370a6fb8df438d27b6247a24fb125f080151ce371fccaa0ac4d424f1ca094",
-    ("battle", 0, 0.0, True, True): "54fb03f04e3808d7995c101cc452d4da94bc5fba369e2d02eeed79ba8c2f3463",
-    ("romance", 0, 0.0, False, False): "9d7393f1da978aaf9dae46f013afd9e55f878de124ee218eef22344364e29dea",
-    ("romance", 0, 0.0, False, True): "177010d5cf19b243b998bee2b33d6d40fdb88525a703830f9207bb35d7b90d42",
-    ("romance", 0, 0.0, True, False): "c140693d37f4a5dfcb14c1ecb2e8c623142ff50a3da1bf6e88187d0e5cb9f1b2",
-    ("romance", 0, 0.0, True, True): "7b1fb72eb0ae03e6290c7185b443ffd0b438fa665386cdc8c993f8962b1aa09d",
-    ("noise", 0, 0.0, False, False): "13105206de0ffa2f3140047a2c81d889cbc3c580c3b974e66e0f8ee7ecccfbe8",
-    ("noise", 0, 0.0, False, True): "26a44b41a06cb2b80faa7fdeb233165f630037a043321da6e4f8c58e8ae75ca5",
-    ("noise", 0, 0.0, True, False): "13105206de0ffa2f3140047a2c81d889cbc3c580c3b974e66e0f8ee7ecccfbe8",
-    ("noise", 0, 0.0, True, True): "26a44b41a06cb2b80faa7fdeb233165f630037a043321da6e4f8c58e8ae75ca5",
-    ("noise", 0, 0.6, False, False): "09caa5ff8241badd8b3fee8a3b6b0df4e80805dae5ead975342fefc75c8050fa",
-    ("noise", 0, 0.6, False, True): "58309320c1920cefaa0594f706e29cee8e17d62e64bc6556ccf7c4da92b7ae0f",
-    ("noise", 0, 0.6, True, False): "09caa5ff8241badd8b3fee8a3b6b0df4e80805dae5ead975342fefc75c8050fa",
-    ("noise", 0, 0.6, True, True): "58309320c1920cefaa0594f706e29cee8e17d62e64bc6556ccf7c4da92b7ae0f",
-    ("noise", 1, 0.0, False, False): "5fc02c6dfa8e13b0b9952dafbb461adf82e609bbfde9cf4b4580eb1d6aebcd0a",
-    ("noise", 1, 0.0, False, True): "b8513d7200bd8420d0c1d455e5893d4ae657451d4494298f29562c7077609079",
-    ("noise", 1, 0.0, True, False): "5fc02c6dfa8e13b0b9952dafbb461adf82e609bbfde9cf4b4580eb1d6aebcd0a",
-    ("noise", 1, 0.0, True, True): "b8513d7200bd8420d0c1d455e5893d4ae657451d4494298f29562c7077609079",
-    ("noise", 1, 0.6, False, False): "d6caf9b760aa61954732a88eaa4299f435bdc653f99e142c2a505e9610e31b6b",
-    ("noise", 1, 0.6, False, True): "c63815bb7d5bff374a826c76ddf86f334c8880e86ca09abfce46478223c8a9a8",
-    ("noise", 1, 0.6, True, False): "8b844351daf273d4b03f67a8b89ff589545b2978137f8a9f480534b736d29fa3",
-    ("noise", 1, 0.6, True, True): "cd5aef58befa4c9cb51d1e0a0eb5d94e7f08f43229a379f829ca8252fdda96a1",
-    ("noise", 2, 0.0, False, False): "80ceb30d0be45c5f67563c96f9a4b6cc91dfa8ed940b9bb9c08d202c3ab9b66d",
-    ("noise", 2, 0.0, False, True): "06f199fa57680118fff384ed316703d948bb110d76878cd4b3f112604c88c372",
-    ("noise", 2, 0.0, True, False): "80ceb30d0be45c5f67563c96f9a4b6cc91dfa8ed940b9bb9c08d202c3ab9b66d",
-    ("noise", 2, 0.0, True, True): "06f199fa57680118fff384ed316703d948bb110d76878cd4b3f112604c88c372",
-    ("noise", 2, 0.6, False, False): "80ceb30d0be45c5f67563c96f9a4b6cc91dfa8ed940b9bb9c08d202c3ab9b66d",
-    ("noise", 2, 0.6, False, True): "06f199fa57680118fff384ed316703d948bb110d76878cd4b3f112604c88c372",
-    ("noise", 2, 0.6, True, False): "80ceb30d0be45c5f67563c96f9a4b6cc91dfa8ed940b9bb9c08d202c3ab9b66d",
-    ("noise", 2, 0.6, True, True): "06f199fa57680118fff384ed316703d948bb110d76878cd4b3f112604c88c372",
-    ("noise", 3, 0.0, False, False): "16d727ed69cadc97f126863b0007a105cc24c66faaac075496599efb705d26b2",
-    ("noise", 3, 0.0, False, True): "5bd2fd6515a3ca8c1096d2c38bf4c405e56262b0b250a30f83b96079f98265fc",
-    ("noise", 3, 0.0, True, False): "16d727ed69cadc97f126863b0007a105cc24c66faaac075496599efb705d26b2",
-    ("noise", 3, 0.0, True, True): "5bd2fd6515a3ca8c1096d2c38bf4c405e56262b0b250a30f83b96079f98265fc",
-    ("noise", 3, 0.6, False, False): "e8083cfe7aa91c1b8963ca0f17ee664e4e5a6d87c05d33e6cde4046c5732a6ab",
-    ("noise", 3, 0.6, False, True): "e708d22b73cc0e25edd498b67d56ed388c7b6bb66822207e6371c5d47391f827",
-    ("noise", 3, 0.6, True, False): "1161ead953548c4ba76a431af8f75dfe66ef41fbb65dd5ce12cc14c387e869c3",
-    ("noise", 3, 0.6, True, True): "b2439be52e29c86ca8a2be0af409acf97312ac776bf9419e71541e1a77428b68",
+    ("battle", 0, 0.0, False): "0d8370a6fb8df438d27b6247a24fb125f080151ce371fccaa0ac4d424f1ca094",
+    ("battle", 0, 0.0, True): "0d8370a6fb8df438d27b6247a24fb125f080151ce371fccaa0ac4d424f1ca094",
+    ("romance", 0, 0.0, False): "9d7393f1da978aaf9dae46f013afd9e55f878de124ee218eef22344364e29dea",
+    ("romance", 0, 0.0, True): "c140693d37f4a5dfcb14c1ecb2e8c623142ff50a3da1bf6e88187d0e5cb9f1b2",
+    ("noise", 0, 0.0, False): "13105206de0ffa2f3140047a2c81d889cbc3c580c3b974e66e0f8ee7ecccfbe8",
+    ("noise", 0, 0.0, True): "13105206de0ffa2f3140047a2c81d889cbc3c580c3b974e66e0f8ee7ecccfbe8",
+    ("noise", 0, 0.6, False): "09caa5ff8241badd8b3fee8a3b6b0df4e80805dae5ead975342fefc75c8050fa",
+    ("noise", 0, 0.6, True): "09caa5ff8241badd8b3fee8a3b6b0df4e80805dae5ead975342fefc75c8050fa",
+    ("noise", 1, 0.0, False): "5fc02c6dfa8e13b0b9952dafbb461adf82e609bbfde9cf4b4580eb1d6aebcd0a",
+    ("noise", 1, 0.0, True): "5fc02c6dfa8e13b0b9952dafbb461adf82e609bbfde9cf4b4580eb1d6aebcd0a",
+    ("noise", 1, 0.6, False): "d6caf9b760aa61954732a88eaa4299f435bdc653f99e142c2a505e9610e31b6b",
+    ("noise", 1, 0.6, True): "8b844351daf273d4b03f67a8b89ff589545b2978137f8a9f480534b736d29fa3",
+    ("noise", 2, 0.0, False): "80ceb30d0be45c5f67563c96f9a4b6cc91dfa8ed940b9bb9c08d202c3ab9b66d",
+    ("noise", 2, 0.0, True): "80ceb30d0be45c5f67563c96f9a4b6cc91dfa8ed940b9bb9c08d202c3ab9b66d",
+    ("noise", 2, 0.6, False): "80ceb30d0be45c5f67563c96f9a4b6cc91dfa8ed940b9bb9c08d202c3ab9b66d",
+    ("noise", 2, 0.6, True): "80ceb30d0be45c5f67563c96f9a4b6cc91dfa8ed940b9bb9c08d202c3ab9b66d",
+    ("noise", 3, 0.0, False): "16d727ed69cadc97f126863b0007a105cc24c66faaac075496599efb705d26b2",
+    ("noise", 3, 0.0, True): "16d727ed69cadc97f126863b0007a105cc24c66faaac075496599efb705d26b2",
+    ("noise", 3, 0.6, False): "e8083cfe7aa91c1b8963ca0f17ee664e4e5a6d87c05d33e6cde4046c5732a6ab",
+    ("noise", 3, 0.6, True): "1161ead953548c4ba76a431af8f75dfe66ef41fbb65dd5ce12cc14c387e869c3",
 }
 EVAL_STORIES = [("battle", 0, 0.0), ("romance", 0, 0.0)] + [
     ("noise", seed, variance) for seed in range(4) for variance in (0.0, 0.6)
 ]
 
 
-def eval_report_digest(tmp_path, kind, seed, variance, with_gold, normalized_all):
+def eval_report_digest(tmp_path, kind, seed, variance, with_gold):
     doc = generate_fixture(kind, seed=seed, variance=variance)
     doc_path = tmp_path / "doc.json"
     doc_path.write_bytes(doc.to_json_bytes())
@@ -557,19 +534,15 @@ def eval_report_digest(tmp_path, kind, seed, variance, with_gold, normalized_all
             resources.gold_labels_bytes(kind) if kind != "noise" else noise_gold_bytes(doc)
         )
         argv += ["--gold", str(gold_path)]
-    if normalized_all:
-        argv.append("--normalized-all")
     assert main(argv) == 0
     return hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("kind,seed,variance", EVAL_STORIES)
-@pytest.mark.parametrize("with_gold", (False, True))
-@pytest.mark.parametrize("normalized_all", (False, True))
-def test_eval_report_bytes_match_pinned_digest(
-    tmp_path, kind, seed, variance, with_gold, normalized_all
-):
-    key = (kind, seed, variance, with_gold, normalized_all)
+# each id keeps the leading "False-" it had when a second bool led the key
+@pytest.mark.parametrize("with_gold", (False, True), ids=lambda with_gold: f"False-{with_gold}")
+def test_eval_report_bytes_match_pinned_digest(tmp_path, kind, seed, variance, with_gold):
+    key = (kind, seed, variance, with_gold)
     digest = eval_report_digest(tmp_path, *key)
     assert digest == EVAL_REPORT_DIGESTS[key]
 
@@ -595,9 +568,8 @@ def test_report_writer_bytes_equal_json_dumps(kind, seed, variance):
     norm_map = build_normalization_map(doc, HASHED, COMBAT, 0.75)
     norm = apply_normalization(raw, norm_map)
     gold = build_gold(doc, normalization_map=norm_map)
-    for normalized_all in (False, True):
-        report = run_eval(doc, raw, norm, gold, norm_map=norm_map, normalized_all=normalized_all)
-        assert report.to_json_bytes() == dumped_report(report)
+    report = run_eval(doc, raw, norm, gold, norm_map=norm_map)
+    assert report.to_json_bytes() == dumped_report(report)
 
 
 @pytest.mark.parametrize(

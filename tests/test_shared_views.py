@@ -1,5 +1,6 @@
 """The label-free views a relabeled graph shares with its source, and T1 and
-T3 scored from tallies, each against its oracle.
+T3 scored from tallies, each against its oracle; and T2 to T5, which read
+only those views, scoring the same on a normalized graph as on its source.
 
 The view oracles are test_reasoner's per-call references and
 test_properties' scanning action retrieval. The scorer oracles are the
@@ -18,12 +19,12 @@ from hypothesis import given
 
 from nkg import reasoner, resources
 from nkg.builder import build_all
+from nkg.errors import EmptyGold
 from nkg.evaluation import (
     VARIANTS,
     _mean_triple,
     _score_t1,
     build_gold,
-    coverage,
     run_eval,
     set_f1,
 )
@@ -216,6 +217,14 @@ def oracle_score_t1(graph, variant, gold, macro_of, gold_by_macro, norm_map):
     return per_macro
 
 
+def coverage(predicted: set, gold: set) -> float:
+    """Fraction of gold items retrieved."""
+    predicted, gold = set(predicted), set(gold)
+    if not gold:
+        raise EmptyGold("coverage needs a nonempty gold set")
+    return len(predicted & gold) / len(gold)
+
+
 def oracle_t3(doc, graph, gold):
     """Macro-event id -> its T3 triple."""
     scores = {}
@@ -267,14 +276,13 @@ def assert_tallies_match_oracles(doc, gold_files):
         for variant, graph in zip(VARIANTS, (raw, norm)):
             args = (graph, variant, gold, macro_of, gold_by_macro, norm_map)
             assert _score_t1(*args) == oracle_score_t1(*args)
-        report = run_eval(doc, raw, norm, gold, norm_map=norm_map, normalized_all=True)
-        t3 = {(r.macro_event_id, r.variant): (r.precision, r.recall, r.f1) for r in report.rows
-              if r.task == "T3"}
-        assert t3 == {
-            (macro_id, variant): triple
-            for variant, graph in zip(VARIANTS, (raw, norm))
-            for macro_id, triple in oracle_t3(doc, graph, gold).items()
-        }
+        # T3 runs on the raw graph only, so the normalized graph's rows come
+        # from a report that passes it as the raw one
+        for graph in (raw, norm):
+            report = run_eval(doc, graph, norm, gold, norm_map=norm_map)
+            t3 = {r.macro_event_id: (r.precision, r.recall, r.f1) for r in report.rows
+                  if r.task == "T3"}
+            assert t3 == oracle_t3(doc, graph, gold)
 
 
 @pytest.mark.parametrize("name", sorted(STORIES))
@@ -290,3 +298,36 @@ def test_tally_scores_match_the_set_oracles(name):
 @given(documents())
 def test_tally_scores_match_the_set_oracles_on_generated_documents(doc):
     assert_tallies_match_oracles(doc, [own_cluster_gold(doc)])
+
+
+# --- T2 to T5 on either graph ---------------------------------------------------
+
+
+def later_task_rows(report):
+    return [row for row in report.rows if row.task != "T1"]
+
+
+def assert_later_tasks_read_no_labels(doc):
+    """T2 to T5 score a normalized graph, and a copy of it that builds its own
+    views, as they score the raw graph, at a threshold that merges every
+    cosine pair, the default, and one that leaves only lexical links."""
+    raw = build_all(doc)
+    for threshold in (0.0, 0.75, 1.0):
+        norm_map = build_normalization_map(doc, HASHED, LEXICON, threshold)
+        norm = apply_normalization(raw, norm_map)
+        gold = build_gold(doc, normalization_map=norm_map)
+        want = later_task_rows(run_eval(doc, raw, norm, gold, norm_map=norm_map))
+        for graph in (norm, deserialize(norm.to_json_bytes())):
+            got = run_eval(doc, graph, norm, gold, norm_map=norm_map)
+            assert later_task_rows(got) == want, threshold
+
+
+@pytest.mark.parametrize("name", sorted(STORIES))
+def test_later_tasks_score_alike_on_both_graphs(name):
+    assert_later_tasks_read_no_labels(STORIES[name]())
+
+
+@PROPERTY_SETTINGS
+@given(documents())
+def test_later_tasks_score_alike_on_both_graphs_on_generated_documents(doc):
+    assert_later_tasks_read_no_labels(doc)
