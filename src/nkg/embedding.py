@@ -40,6 +40,7 @@ from .lexicon import fold_label
 
 DEFAULT_DIM = 256
 DEFAULT_TIMEOUT = 10.0
+HASHED_ID_PREFIX = "hashed:fnv1a-trigram:"  # a hashed provider's id: this and its dim
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
@@ -136,14 +137,6 @@ def pair_cosines(vectors: np.ndarray, norms: np.ndarray, rows, cols) -> np.ndarr
     return np.divide(dots, norms[rows] * norms[cols], out=np.zeros_like(dots), where=nonzero)
 
 
-def unit_rows(vectors) -> np.ndarray:
-    """Each row (or a single vector) scaled to unit length; zero rows stay
-    zero, so their products are exactly 0.0, as cosine() gives."""
-    vectors = np.asarray(vectors, dtype=np.float64)
-    norms = np.linalg.norm(vectors, axis=-1, keepdims=True)
-    return np.divide(vectors, norms, out=np.zeros_like(vectors), where=norms > 0)
-
-
 def _normalized(values, dim: int, context: str) -> np.ndarray:
     try:
         vec = np.asarray(values, dtype=np.float64)
@@ -170,7 +163,7 @@ class HashedNgramProvider:
         if dim < 1:
             raise ValueError(f"dim must be a positive integer, got {dim}")
         self.dim = dim
-        self.provider_id = f"hashed:fnv1a-trigram:{dim}"
+        self.provider_id = f"{HASHED_ID_PREFIX}{dim}"
         self._cache: dict[str, np.ndarray] = {}
 
     def embed(self, label: str) -> np.ndarray:
@@ -183,6 +176,16 @@ class HashedNgramProvider:
         if missing:
             self._cache.update(zip(missing, _hashed_rows(missing, self.dim)))
         return [self._cache[label] for label in labels]
+
+
+def provider_from_id(provider_id: str):
+    """A provider rebuilt from its id alone; only the hashed one can be."""
+    if not provider_id.startswith(HASHED_ID_PREFIX):
+        return None
+    try:
+        return HashedNgramProvider(int(provider_id[len(HASHED_ID_PREFIX):]))
+    except ValueError:  # no number, or not a positive one
+        return None
 
 
 class VectorFileProvider:

@@ -7,21 +7,23 @@ threshold; link_similarity holds that rule, pair by pair. Clusters are the
 connected components of the link relation. Action labels and event labels
 form separate pools so the two vocabularies never merge with each other.
 
-Clustering finds the links in one batched pass per pool. Lexical links
-bucket the labels by lexical key or lexicon group; the pool's keys
-lemmatize each distinct token once, through the lexicon's lemma memo, which
-lives per lexicon instance and grows with the distinct tokens it has seen.
-A union-find over the pool's sorted labels starts with each label at its
-bucket's first label, and its roots give the clusters in sorted order.
-Cosine links, needed only when the buckets are more than one, come from
-the pool's embedding matrix, which one embed_batch call fills, one block of
-rows at a time, each multiplied with the rows from its own start on.
+One LabelIndex holds the link rule over a list of labels, for both of its
+uses: clustering a pool and resolving an unseen query against a map. It
+buckets the labels by lexical key or lexicon group; the keys lemmatize each
+distinct token once, through the lexicon's lemma memo, which lives per
+lexicon instance and grows with the distinct tokens it has seen. Once
+embedded, it keeps the float64 rows and their float32 unit rows, stored
+dim x labels. Its two cosine screens follow one rule: a float32 product of
+unit rows at or above the threshold plus float32_band links, one below the
+threshold minus that band does not, and cosine()'s own value decides each
+pair in between, so a float tie falls on the side link_similarity puts it.
 
-Both cosine screens, a pool's and an unseen query's, follow one rule. A
-float32 product of unit rows at or above threshold + float32_band(dim)
-links, one below threshold - float32_band(dim) does not, and cosine()'s
-own value decides each pair in between, so a float tie falls on the side
-link_similarity puts it.
+Clustering finds the links in one batched pass per pool. A union-find over
+the pool's sorted labels starts with each label at its bucket's first
+label, and its roots give the clusters in sorted order. Cosine links,
+needed only when the buckets are more than one, come from the index's
+links(): one embed_batch call fills the rows, and one block of labels at a
+time is multiplied with the labels from its own start on.
 
 Canonical selection prefers gold labels (highest annotation frequency first),
 otherwise the shortest member; remaining ties break lexicographically. A
@@ -32,10 +34,10 @@ A map resolves an action query label in one place (NormalizationMap.resolve),
 in this order: an exact member; else the first member, in sorted order,
 whose fold_label equals the query's; else the nearest cluster, by lexical
 key, lexicon group or cosine at or above the map's threshold
-(nearest_canonical); else the query itself. The cosine side of the nearest
-cluster costs one float32 product of the query with the action pool's unit
-member rows, kept per provider transposed (dim x members); every member
-that passes the lower cutoff gets cosine(), whose value ranks it.
+(nearest_canonical); else the query itself. The map keeps one LabelIndex
+of its action members per lexicon and provider, and the nearest cluster
+costs one float32 product of the query with its unit rows (within()); every
+member that passes the lower cutoff gets cosine(), whose value ranks it.
 """
 
 from __future__ import annotations
@@ -53,14 +55,7 @@ from .errors import AlreadyNormalized, MissingLabel, ProviderError, SchemaViolat
 from .graph import NarrativeGraph, NodeKind
 from .jsonio import dump_list, load_object, require
 from .lexicon import SynonymLexicon, fold_label, is_label, lexical_key
-from .embedding import (
-    DEFAULT_DIM,
-    HashedNgramProvider,
-    cosine,
-    pair_cosines,
-    row_norms,
-    unit_rows,
-)
+from .embedding import DEFAULT_DIM, cosine, pair_cosines, provider_from_id, row_norms
 
 ACTION_POOL = "action"
 EVENT_POOL = "event"
@@ -118,14 +113,13 @@ def cluster_labels(
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     ordered = sorted(set(labels))
+    index = LabelIndex(ordered, lexicon)
     # a union-find forest over positions, seeded with each label at its link
     # bucket's first position; every entry points at itself or a smaller one
-    first: dict[int | str, int] = {}
-    buckets = (lexicon.link_bucket(lexical_key(label, lexicon)) for label in ordered)
-    parent = [first.setdefault(b, i) for i, b in enumerate(buckets)]
-    if provider is not None and len(first) > 1:
-        vectors = np.array(provider.embed_batch(ordered), dtype=np.float64)
-        for rows, cols in _cosine_links(vectors, threshold):
+    parent = [index.positions[bucket][0] for bucket in index.buckets]
+    if provider is not None and len(index.positions) > 1:
+        index.embed(provider.embed_batch(ordered))
+        for rows, cols in index.links(threshold):
             for i, j in zip(rows.tolist(), cols.tolist()):
                 if parent[i] != parent[j]:  # equal parents share a root
                     i, j = _find(parent, i), _find(parent, j)
@@ -145,23 +139,72 @@ def _find(parent: list[int], i: int) -> int:
     return i
 
 
-def _cosine_links(vectors: np.ndarray, threshold: float):
-    """Yields, one block of rows at a time, the index pairs i < j whose
-    cosine(vectors[i], vectors[j]) is at or above the threshold. A block
-    takes float32 products of unit rows with the rows from its own start
-    on; pair_cosines decides each pair within float32_band of the threshold."""
-    norms = row_norms(vectors)
-    unit = (vectors / np.where(norms > 0, norms, 1.0)[:, None]).astype(np.float32)
-    band = float32_band(vectors.shape[1])
-    for start in range(0, len(unit), _BLOCK_ROWS):
-        sims = unit[start : start + _BLOCK_ROWS] @ unit[start:].T
-        rows, cols = np.nonzero(np.triu(sims >= threshold - band, 1))
-        near = sims[rows, cols] < threshold + band
-        rows += start
-        cols += start
-        keep = ~near
-        keep[near] = pair_cosines(vectors, norms, rows[near], cols[near]) >= threshold
-        yield rows[keep], cols[keep]
+class LabelIndex:
+    """The link rule over a list of labels, by position: each label's link
+    bucket, and after embed() its vectors as float64 rows and as float32 unit
+    rows. Both cosine screens, a pool's links() and a query's within(), take
+    float32 products of unit rows and let cosine()'s bits decide each one
+    that comes within float32_band of the threshold."""
+
+    def __init__(self, labels, lexicon: SynonymLexicon):
+        self.lexicon = lexicon
+        self.buckets = [lexicon.link_bucket(lexical_key(label, lexicon)) for label in labels]
+        self.positions: dict[int | str, list[int]] = {}  # link bucket -> positions
+        for i, bucket in enumerate(self.buckets):
+            self.positions.setdefault(bucket, []).append(i)
+        self.rows = None  # float64, one row a label; None until embed() finds a vector
+
+    def embed(self, vectors) -> None:
+        """Takes one vector a label, None for a label without one. The unit
+        rows are kept dim x labels and C-contiguous, so a query's products are
+        one vector-matrix product. A label without a vector has a zero row
+        and a NaN unit column, whose products pass no cutoff."""
+        dim = next((len(vec) for vec in vectors if vec is not None), None)
+        if dim is None:
+            return
+        self.rows = np.array([np.zeros(dim) if vec is None else vec for vec in vectors], np.float64)
+        self.norms = row_norms(self.rows)
+        unit = (self.rows / np.where(self.norms > 0, self.norms, 1.0)[:, None]).astype(np.float32)
+        unit[[vec is None for vec in vectors]] = np.nan
+        self.unit = np.ascontiguousarray(unit.T)  # transposed in float32: half the bytes
+        self.band = float32_band(dim)
+
+    def links(self, threshold: float):
+        """Yields, one block of positions at a time, the pairs i < j whose
+        cosine(rows[i], rows[j]) is at or above the threshold. A block takes
+        the products of its unit rows with those from its own start on;
+        pair_cosines decides each pair within the band."""
+        unit, band = self.unit, self.band
+        for start in range(0, unit.shape[1], _BLOCK_ROWS):
+            sims = unit[:, start : start + _BLOCK_ROWS].T @ unit[:, start:]
+            rows, cols = np.nonzero(np.triu(sims >= threshold - band, 1))
+            near = sims[rows, cols] < threshold + band
+            rows += start
+            cols += start
+            keep = ~near
+            keep[near] = pair_cosines(self.rows, self.norms, rows[near], cols[near]) >= threshold
+            yield rows[keep], cols[keep]
+
+    def within(self, query: str, vec, threshold: float, folded: str | None = None):
+        """(similarity, position) of each label that links to the query: 1.0
+        for those in its link bucket, else cosine(vec, row) at or above the
+        threshold. vec is the query's vector, None for lexical links only;
+        folded, when given, is fold_label(query)."""
+        bucket = self.lexicon.link_bucket(lexical_key(query, self.lexicon, folded))
+        lexical = self.positions.get(bucket, [])
+        found = [(1.0, i) for i in lexical]
+        if vec is not None and self.rows is not None:
+            vec = np.asarray(vec, dtype=np.float64)  # a provider may return a list
+            norm = math.sqrt(vec.dot(vec))
+            # a zero query stays zero: its products are 0.0, as cosine() gives
+            products = (vec / norm if norm > 0 else vec).astype(np.float32) @ self.unit
+            # ndarray.nonzero: np.flatnonzero is a Python-level wrapper around it
+            for i in (products >= threshold - self.band).nonzero()[0].tolist():
+                if i not in lexical:  # a lexical link scores 1.0, whatever the cosine
+                    sim = cosine(vec, self.rows[i])
+                    if sim >= threshold:
+                        found.append((sim, i))
+        return found
 
 
 def assign_canonical(
@@ -199,8 +242,7 @@ class NormalizationMap:
         self._canonicals = tuple(self._by_pool[ACTION_POOL].values())
         # query-time tables, each built on its first use
         self._by_fold: dict[str, str] | None = None
-        self._buckets: tuple[SynonymLexicon, dict] | None = None  # kept per lexicon
-        self._vectors: tuple | None = None  # kept per provider
+        self._index: tuple | None = None  # (lexicon, provider, LabelIndex of members)
         self._own_provider = provider_from_id(provider_id)  # for queries given none
 
     def lookup(self, label: str, pool: str = ACTION_POOL) -> str:
@@ -241,40 +283,22 @@ class NormalizationMap:
 
         provider=None uses the provider the map's id names, built once per
         map, when the id can rebuild one. Members or a query the provider
-        cannot embed link lexically only. One float32 product with the
-        member rows picks the members within a band of the threshold wide
-        enough for float32's error; cosine() decides each of them.
-        A caller that has folded = fold_label(query) passes it, so that the
-        query's lexical key does not fold it again."""
-        query_bucket = lexicon.link_bucket(lexical_key(query, lexicon, folded))
-        if self._buckets is None or self._buckets[0] is not lexicon:
-            buckets: dict[int | str, list[int]] = {}  # link bucket -> member positions
-            for i, member in enumerate(self._by_pool[ACTION_POOL]):
-                buckets.setdefault(lexicon.link_bucket(lexical_key(member, lexicon)), []).append(i)
-            self._buckets = (lexicon, buckets)
-        lexical = self._buckets[1].get(query_bucket, [])
-        linked_to = [(-1.0, self._canonicals[i]) for i in lexical]
+        cannot embed link lexically only. The members' LabelIndex is built
+        on the first query and kept while the lexicon and provider stay the
+        same objects. A caller that has folded = fold_label(query) passes
+        it, so that the query's lexical key does not fold it again."""
         if provider is None:
             provider = self._own_provider
-        if provider is not None and (self._vectors is None or self._vectors[0] is not provider):
-            self._vectors = (provider, _embed_members(provider, list(self._by_pool[ACTION_POOL])))
-        vectors = None if provider is None else self._vectors[1]
-        vec = None if vectors is None else _embed_or_none(provider, query)
-        if vec is not None:
-            matrix, rows_t = vectors
-            vec = np.asarray(vec, dtype=np.float64)  # a provider may return a list
-            norm = math.sqrt(vec.dot(vec))
-            # a zero query stays zero: its products are 0.0, as cosine() gives
-            products = (vec / norm if norm > 0 else vec).astype(np.float32) @ rows_t
-            band = float32_band(rows_t.shape[0])  # rows_t is dim x members
-            # ndarray.nonzero: np.flatnonzero is a Python-level wrapper around it
-            for i in (products >= self.threshold - band).nonzero()[0].tolist():
-                if i in lexical:  # a lexical link scores 1.0, whatever the cosine
-                    continue
-                sim = cosine(vec, matrix[i])
-                if sim >= self.threshold:
-                    linked_to.append((-sim, self._canonicals[i]))
-        return min(linked_to)[1] if linked_to else None
+        if self._index is None or self._index[0] is not lexicon or self._index[1] is not provider:
+            members = list(self._by_pool[ACTION_POOL])
+            index = LabelIndex(members, lexicon)
+            if provider is not None:
+                index.embed(_embed_members(provider, members))
+            self._index = (lexicon, provider, index)
+        index = self._index[2]
+        vec = None if index.rows is None else _embed_or_none(provider, query)
+        found = index.within(query, vec, self.threshold, folded)
+        return min((-sim, self._canonicals[i]) for sim, i in found)[1] if found else None
 
     def __eq__(self, other):
         if not isinstance(other, NormalizationMap):
@@ -310,8 +334,6 @@ class NormalizationMap:
         if type(threshold) not in (int, float) or not 0.0 <= threshold <= 1.0:
             raise SchemaViolation("$.threshold", "must be a number in [0, 1]")
         provider_id = require(obj, "provider_id", str, "$")
-        if getattr(provider_from_id(provider_id), "dim", 0) > MAX_HASHED_DIM:
-            raise SchemaViolation("$.provider_id", f"hashed dimension above {MAX_HASHED_DIM}")
         clusters = []
         for i, c in enumerate(require(obj, "clusters", list, "$", default=[])):
             path = f"$.clusters[{i}]"
@@ -329,28 +351,20 @@ class NormalizationMap:
             if pool not in (ACTION_POOL, EVENT_POOL):
                 raise SchemaViolation(f"{path}.pool", "must be 'action' or 'event'")
             clusters.append(LabelCluster(tuple(sorted(members)), canonical, pool))
-        return cls(clusters, float(threshold), provider_id)
+        norm_map = cls(clusters, float(threshold), provider_id)
+        if getattr(norm_map._own_provider, "dim", 0) > MAX_HASHED_DIM:
+            raise SchemaViolation("$.provider_id", f"hashed dimension above {MAX_HASHED_DIM}")
+        return norm_map
 
 
-def _embed_members(provider, members: list[str]):
-    """(matrix, float32 unit rows transposed) for map members, or None when
-    the provider embeds none of them or fails as a whole. The unit rows are
-    kept dim x members and C-contiguous, so a query's products are one
-    vector-matrix product. A member without a vector has a zero matrix row
-    and a NaN unit column, whose products pass no cutoff."""
+def _embed_members(provider, members: list[str]) -> list:
+    """Each member's vector, None for one the provider has none for."""
     try:
-        vectors = provider.embed_batch(members)
+        return provider.embed_batch(members)
     except MissingLabel:  # one at a time, so the members it has vectors for still link
-        vectors = [_embed_or_none(provider, member) for member in members]
+        return [_embed_or_none(provider, member) for member in members]
     except ProviderError:  # a failed provider, say a dead endpoint: lexical links only
-        return None
-    dim = next((len(vec) for vec in vectors if vec is not None), None)
-    if dim is None:
-        return None
-    matrix = np.array([np.zeros(dim) if vec is None else vec for vec in vectors])
-    rows = unit_rows(matrix).astype(np.float32)
-    rows[[vec is None for vec in vectors]] = np.nan
-    return matrix, np.ascontiguousarray(rows.T)
+        return [None] * len(members)
 
 
 def _embed_or_none(provider, label: str):
@@ -358,17 +372,6 @@ def _embed_or_none(provider, label: str):
         return provider.embed(label)
     except ProviderError:
         return None
-
-
-def provider_from_id(provider_id: str):
-    """A provider rebuilt from its id alone; only the hashed one can be."""
-    prefix = "hashed:fnv1a-trigram:"
-    if provider_id.startswith(prefix):
-        try:
-            return HashedNgramProvider(int(provider_id[len(prefix):]))
-        except ValueError:
-            return None
-    return None
 
 
 def collect_label_pools(source) -> tuple[Counter, Counter]:

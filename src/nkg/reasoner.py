@@ -12,10 +12,10 @@ trajectory, and each event's and macro-event's children. A normalized graph
 builds only what reads its labels: the actions by canonical label, regrouped
 from the shared order, and each child's label in a summary.
 Every query is then a lookup, except the nearest-cluster fallback of a
-normalized action query, which costs one product of the query with the map's
-transposed member rows and one scan of the products. Its lexical key reads
-the lexicon's lemma memo, which lives per lexicon instance and grows with the
-distinct tokens that lexicon has seen.
+normalized action query, which costs one product of the query with the unit
+rows of the map's label index, stored dimension by members, and one scan of
+the products. Its lexical key reads the lexicon's lemma memo, which lives
+per lexicon instance and grows with the distinct tokens that lexicon has seen.
 """
 
 from __future__ import annotations

@@ -20,19 +20,19 @@ from nkg.embedding import (
     cosine,
     pair_cosines,
     row_norms,
-    unit_rows,
 )
 from nkg.errors import AlreadyNormalized, GraphFrozen, MissingLabel, SchemaViolation
 from nkg.evaluation import load_gold_labels
 from nkg.fixtures import generate_fixture
 from nkg.graph import EdgeKind, NarrativeGraph, Node, NodeKind, deserialize
 from nkg.jsonio import dump_canonical
-from nkg.lexicon import SynonymLexicon
+from nkg.lexicon import SynonymLexicon, fold_label
 from nkg.normalize import (
     ACTION_POOL,
     EVENT_POOL,
     MAX_HASHED_DIM,
     LabelCluster,
+    LabelIndex,
     NormalizationMap,
     apply_normalization,
     assign_canonical,
@@ -472,9 +472,11 @@ def test_nearest_canonical_float32_band_matches_pair_scan(case):
 
 
 def float32_product(query, member):
-    """The product nearest_canonical filters a one-member map on."""
-    rows = unit_rows(member[None, :]).astype(np.float32)
-    return (rows @ unit_rows(query).astype(np.float32))[0]
+    """The product nearest_canonical filters a one-member map on: the query
+    as a float32 unit vector times the member's unit column of a LabelIndex."""
+    index = LabelIndex(["m"], SynonymLexicon.empty())
+    index.embed([member])
+    return ((query / np.sqrt(query.dot(query))).astype(np.float32) @ index.unit)[0]
 
 
 @pytest.mark.parametrize("dim", BAND_DIMS)
@@ -603,6 +605,99 @@ def test_nearest_canonical_zero_query_and_unembedded_members_at_threshold_0():
     unembedded = NormalizationMap(clusters[:2], 0.0, "test")
     assert unembedded.nearest_canonical("q", empty, provider) is None
     assert pair_scan_nearest(unembedded, "q", empty, provider) is None
+
+
+# --- the label index both cosine screens share -------------------------------
+
+
+def vector_or_none(provider, label):
+    try:
+        return provider.embed(label)
+    except MissingLabel:
+        return None
+
+
+def embedded_index(labels, provider, lexicon):
+    """A LabelIndex of the labels, embedded with each one's vector or None."""
+    index = LabelIndex(labels, lexicon)
+    index.embed([vector_or_none(provider, label) for label in labels])
+    return index
+
+
+def link_scan(query, labels, provider, lexicon, threshold):
+    """{(position, similarity bits)} of each label link_similarity links to
+    the query; a label or query without a vector links lexically only."""
+    query_key = lexical_key(query, lexicon)
+    found = set()
+    for i, label in enumerate(labels):
+        key = lexical_key(label, lexicon)
+        try:
+            sim = link_similarity(query, query_key, label, key, provider, lexicon)
+        except MissingLabel:
+            sim = link_similarity(query, query_key, label, key, None, lexicon)
+        if sim >= threshold:
+            found.add((i, sim.hex()))
+    return found
+
+
+def within_scan(index, query, provider, threshold, folded=None):
+    vec = vector_or_none(provider, query)
+    return {(i, sim.hex()) for sim, i in index.within(query, vec, threshold, folded)}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(band_cases())
+def test_index_within_is_the_link_similarity_scan_on_band_cases(case):
+    norm_map, provider, lexicon = case
+    members = sorted(norm_map.pool_labels(ACTION_POOL))
+    index = embedded_index(members, provider, lexicon)
+    want = link_scan("q", members, provider, lexicon, norm_map.threshold)
+    assert within_scan(index, "q", provider, norm_map.threshold) == want
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(oracle_cases())
+def test_index_within_is_the_link_similarity_scan_on_oracle_cases(case):
+    labels, provider, lexicon, threshold = case
+    index = embedded_index(labels, provider, lexicon)
+    for query in labels:
+        want = link_scan(query, labels, provider, lexicon, threshold)
+        assert within_scan(index, query, provider, threshold, fold_label(query)) == want
+
+
+def assert_links_are_the_pair_scan(labels, provider, lexicon, threshold, block_rows):
+    """links() yields each pair i < j at or above the threshold once, and no
+    other; a label without a vector links to none."""
+    vectors = [vector_or_none(provider, label) for label in labels]
+    index = embedded_index(labels, provider, lexicon)
+    with mock.patch.object(normalize_module, "_BLOCK_ROWS", block_rows):
+        blocks = list(index.links(threshold))
+    got = [(i, j) for rows, cols in blocks for i, j in zip(rows.tolist(), cols.tolist())]
+    want = [
+        (i, j)
+        for i, j in itertools.combinations(range(len(labels)), 2)
+        if vectors[i] is not None
+        and vectors[j] is not None
+        and cosine(vectors[i], vectors[j]) >= threshold
+    ]
+    assert sorted(got) == want
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 7, 256])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=oracle_cases())
+def test_index_links_are_the_pair_scan_on_oracle_cases(block_rows, case):
+    labels, provider, lexicon, threshold = case
+    assert_links_are_the_pair_scan(labels, provider, lexicon, threshold, block_rows)
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 7, 256])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=band_cases())
+def test_index_links_are_the_pair_scan_on_band_cases(block_rows, case):
+    norm_map, provider, lexicon = case
+    labels = ["q", *sorted(norm_map.pool_labels(ACTION_POOL))]
+    assert_links_are_the_pair_scan(labels, provider, lexicon, norm_map.threshold, block_rows)
 
 
 @pytest.mark.parametrize("kind,seed,variance,with_gold", sorted(MAP_DIGESTS))
