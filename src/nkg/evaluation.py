@@ -13,7 +13,7 @@ import io
 import json
 import logging
 import string
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
@@ -37,13 +37,16 @@ log = logging.getLogger(__name__)
 VARIANTS = ("raw", "normalized")
 REPORT_FORMATS = ("json", "csv", "markdown", "plotdata")
 
-_MARKDOWN_COLUMNS = (
+# each macro-event's rows as (task, variant), in report order
+_ROWS = (
     ("T1", "raw"),
     ("T1", "normalized"),
     ("T2", "raw"),
     ("T3", "raw"),
+    ("T4", "raw"),
     ("T5", "raw"),
 )
+_MARKDOWN_COLUMNS = tuple(row for row in _ROWS if row[0] != "T4")
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
@@ -331,9 +334,13 @@ def run_eval(
 ) -> EvalReport:
     """Score the five tasks per macro-event.
 
-    Action retrieval runs on both the raw and the normalized graph. The
-    other four tasks read only label-free views, which the normalized graph
-    shares with the raw one, so they run once, on the raw graph.
+    Each task scores units: a gold action cluster with instances in the
+    macro-event (T1), an event with dialogue (T2), a character with gold
+    panels there (T3), and the macro-event itself (T4, T5). Every row in
+    `_ROWS` is the mean of its units, (0, 0, 0) when it has none. Action
+    retrieval runs on both the raw and the normalized graph. The other four
+    tasks read only label-free views, which the normalized graph shares
+    with the raw one, so they run once, on the raw graph.
     """
     member_to_canonical = {
         member: canonical
@@ -350,66 +357,50 @@ def run_eval(
             split = gold_by_macro.setdefault(canonical, {})
             split.setdefault(macro.id, set()).add(action.instance_id)
 
-    t1 = {
-        variant: _score_t1(graph, variant, gold, macro_of, gold_by_macro, norm_map)
-        for variant, graph in zip(VARIANTS, (graph_raw, graph_norm))
-    }
-    # the gold trajectories split by macro-event once, each macro-event's
-    # entities in id order, and each found trajectory on first use
-    gold_panels: dict[str, dict[str, set[str]]] = {}
-    for entity in sorted(gold.trajectory_gold):
-        for macro_id, panels in _split(gold.trajectory_gold[entity], macro_of).items():
-            gold_panels.setdefault(macro_id, {})[entity] = panels
-    found: dict[str, dict[str, set[str]]] = {}
-    rows: list[TaskScore] = []
-    labels: dict[str, str] = {}
+    # each row's unit scores per macro-event
+    units = {row: defaultdict(list) for row in _ROWS}
+    for variant, graph in zip(VARIANTS, (graph_raw, graph_norm)):
+        t1 = _score_t1(graph, variant, gold, macro_of, gold_by_macro, norm_map)
+        units["T1", variant].update(t1)
     for macro in doc.macro_events:
-        labels[macro.id] = macro.label
-
-        for variant in VARIANTS:
-            p, r, f1 = _mean_triple(t1[variant].get(macro.id, ()))
-            rows.append(TaskScore("T1", macro.id, variant, p, r, f1))
-
-        per_event = []
         for event in macro.events:
             gold_texts = [text for _, _, text in gold.dialogue_gold[event.id]]
-            if not gold_texts:
-                continue
-            trace = trace_dialogue(graph_raw, event.id)
-            per_event.append(token_f1([text for _, _, _, text in trace.entries], gold_texts))
-        rows.append(TaskScore("T2", macro.id, "raw", *_mean_triple(per_event)))
-
-        per_entity = []
-        for entity, panels in gold_panels.get(macro.id, {}).items():
-            if entity not in found:
-                found[entity] = _split(character_trajectory(graph_raw, entity).panel_ids, macro_of)
-            score = len(panels.intersection(found[entity].get(macro.id, ()))) / len(panels)
-            per_entity.append((score, score, score))
-        rows.append(TaskScore("T3", macro.id, "raw", *_mean_triple(per_entity)))
-
+            if gold_texts:
+                trace = trace_dialogue(graph_raw, event.id)
+                score = token_f1([text for _, _, _, text in trace.entries], gold_texts)
+                units["T2", "raw"][macro.id].append(score)
         timeline = reconstruct_timeline(graph_raw, macro.id, "reading")
         score = ordering_accuracy(timeline.panel_ids, gold.order_gold[macro.id])
-        rows.append(TaskScore("T4", macro.id, "raw", score, score, score))
-
+        units["T4", "raw"][macro.id].append((score, score, score))
         summary = summarize_event(graph_raw, macro.id)
-        p, r, f1 = set_f1({cid for cid, _ in summary.children}, gold.summary_gold[macro.id])
-        rows.append(TaskScore("T5", macro.id, "raw", p, r, f1))
+        score = set_f1({cid for cid, _ in summary.children}, gold.summary_gold[macro.id])
+        units["T5", "raw"][macro.id].append(score)
+    for entity in sorted(gold.trajectory_gold):
+        gold_split = _split(gold.trajectory_gold[entity], macro_of)
+        if not gold_split:
+            continue
+        found = _split(character_trajectory(graph_raw, entity).panel_ids, macro_of)
+        for macro_id, panels in gold_split.items():
+            score = len(panels.intersection(found.get(macro_id, ()))) / len(panels)
+            units["T3", "raw"][macro_id].append((score, score, score))
 
+    rows = tuple(
+        TaskScore(task, macro.id, variant, *_mean_triple(units[task, variant].get(macro.id, ())))
+        for macro in doc.macro_events
+        for task, variant in _ROWS
+    )
     metadata = {
-        "macro_event_labels": labels,
+        "macro_event_labels": {macro.id: macro.label for macro in doc.macro_events},
         "ordering_metric": "pairwise_concordance",
         "tasks_normalized": "T1",
     }
     if norm_map is not None:
         metadata["threshold"] = norm_map.threshold
         metadata["provider_id"] = norm_map.provider_id
-        metadata["action_cluster_count"] = sum(
-            1 for c in norm_map.clusters if c.pool == ACTION_POOL
-        )
-        metadata["event_cluster_count"] = sum(
-            1 for c in norm_map.clusters if c.pool == EVENT_POOL
-        )
-    return EvalReport(doc.story_id, tuple(rows), metadata)
+        pools = Counter(c.pool for c in norm_map.clusters)
+        metadata["action_cluster_count"] = pools[ACTION_POOL]
+        metadata["event_cluster_count"] = pools[EVENT_POOL]
+    return EvalReport(doc.story_id, rows, metadata)
 
 
 # --- rendering --------------------------------------------------------------
@@ -438,10 +429,7 @@ def _render_plotdata(report: EvalReport) -> bytes:
 def _render_markdown(report: EvalReport) -> bytes:
     labels = report.metadata.get("macro_event_labels", {})
     by_key = {(r.macro_event_id, r.task, r.variant): r.f1 for r in report.rows}
-    macro_ids = []
-    for row in report.rows:
-        if row.macro_event_id not in macro_ids:
-            macro_ids.append(row.macro_event_id)
+    macro_ids = dict.fromkeys(row.macro_event_id for row in report.rows)
     header = "| macro-event | T1 raw | T1 norm | T2 | T3 | T5 |"
     rule = "|---|---|---|---|---|---|"
     lines = [header, rule]

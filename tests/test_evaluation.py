@@ -15,6 +15,7 @@ from nkg.cli import main
 from nkg.embedding import HashedNgramProvider
 from nkg.errors import DuplicateElements, EmptyGold, MalformedJson, SchemaViolation
 from nkg.evaluation import (
+    _ROWS,
     EvalReport,
     GoldReference,
     TaskScore,
@@ -396,6 +397,61 @@ def test_report_metadata_echo():
     assert report.metadata["action_cluster_count"] >= 1
     assert report.metadata["ordering_metric"] == "pairwise_concordance"
     assert report.metadata["macro_event_labels"]["m3"] == "Monster intro"
+
+
+@pytest.mark.parametrize("with_gold", (False, True))
+@pytest.mark.parametrize("kind", ("battle", "romance"))
+def test_report_rows_follow_one_order(kind, with_gold):
+    assert _ROWS == (
+        ("T1", "raw"),
+        ("T1", "normalized"),
+        ("T2", "raw"),
+        ("T3", "raw"),
+        ("T4", "raw"),
+        ("T5", "raw"),
+    )
+    gold_file = resources.gold_labels_bytes(kind) if with_gold else None
+    doc, raw, norm, norm_map, gold = eval_bundle(kind, COMBAT, gold_file=gold_file)
+    report = run_eval(doc, raw, norm, gold, norm_map=norm_map)
+    got = [(r.macro_event_id, r.task, r.variant) for r in report.rows]
+    assert got == [(macro.id, *row) for macro in doc.macro_events for row in _ROWS]
+
+
+def with_panels_cleared(doc, macro_id, **empty):
+    """`doc` with the fields in `empty` set on every panel of one macro-event."""
+    macro_events = tuple(
+        replace(
+            macro,
+            events=tuple(
+                replace(event, panels=tuple(replace(p, **empty) for p in event.panels))
+                for event in macro.events
+            ),
+        )
+        if macro.id == macro_id
+        else macro
+        for macro in doc.macro_events
+    )
+    return replace(doc, macro_events=macro_events)
+
+
+def test_a_task_with_no_unit_in_a_macro_event_reads_zero():
+    doc = generate_fixture("battle")
+    # m0 keeps its actions but loses its dialogue; m1 keeps its dialogue but
+    # loses its actions, so no gold cluster has an instance there
+    doc = with_panels_cleared(with_panels_cleared(doc, "m0", dialogues=()), "m1", actions=())
+    raw = build_all(doc)
+    norm_map = build_normalization_map(doc, HASHED, COMBAT, 0.75)
+    norm = apply_normalization(raw, norm_map)
+    for gold in (build_gold(doc), build_gold(doc, gold_label_file=BATTLE_GOLD_FILE)):
+        rows = {
+            (r.macro_event_id, r.task, r.variant): (r.precision, r.recall, r.f1)
+            for r in run_eval(doc, raw, norm, gold, norm_map=norm_map).rows
+        }
+        zero = (0.0, 0.0, 0.0)
+        assert rows["m0", "T2", "raw"] == zero
+        assert rows["m1", "T1", "raw"] == rows["m1", "T1", "normalized"] == zero
+        # the other tasks there still have units and score them
+        assert rows["m0", "T1", "raw"] == rows["m1", "T2", "raw"] == (1.0, 1.0, 1.0)
 
 
 # --- rendering ----------------------------------------------------------------
