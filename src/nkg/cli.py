@@ -21,7 +21,7 @@ from .annotations import parse_annotations
 from .builder import build_all
 from .embedding import HashedNgramProvider, RemoteProvider, load_vector_file
 from .errors import AlreadyNormalized, NkgError
-from .evaluation import build_gold, load_gold_labels, render_report, run_eval
+from .evaluation import REPORT_FORMATS, build_gold, load_gold_labels, render_report, run_eval
 from .fixtures import FIXTURE_KINDS, generate_fixture
 from .graph import deserialize
 from .jsonio import load_object, require
@@ -294,9 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--gold", default=None, metavar="PATH")
     p.add_argument("--output", default=None)
-    p.add_argument(
-        "--format", choices=("json", "csv", "md", "plotdata"), default="json"
-    )
+    p.add_argument("--format", choices=REPORT_FORMATS, default="json")
     _add_config_flags(p)
     p.set_defaults(func=cmd_eval)
 

@@ -35,7 +35,6 @@ from .reasoner import (
 log = logging.getLogger(__name__)
 
 VARIANTS = ("raw", "normalized")
-REPORT_FORMATS = ("json", "csv", "markdown", "plotdata")
 
 # each macro-event's rows as (task, variant), in report order
 _ROWS = (
@@ -121,11 +120,16 @@ def ordering_accuracy(predicted, gold) -> float:
 
 @dataclass(frozen=True)
 class GoldReference:
+    """The gold each task scores: T1's action instance ids per cluster and
+    macro-event, T2's dialogue texts per event, T3's panels per character,
+    and per macro-event T4's panels in reading order and T5's events."""
+
     action_clusters: dict[str, frozenset[str]]
-    dialogue_gold: dict[str, tuple[tuple[str, str | None, str], ...]]
+    dialogue_gold: dict[str, tuple[str, ...]]
     trajectory_gold: dict[str, frozenset[str]]
     order_gold: dict[str, tuple[str, ...]]
     summary_gold: dict[str, frozenset[str]]
+    action_instances: dict[str, dict[str, set[str]]]
 
 
 def load_gold_labels(raw: bytes | str) -> dict[str, frozenset[str]]:
@@ -153,10 +157,12 @@ def build_gold(
     normalization_map: NormalizationMap | None = None,
     gold_label_file: bytes | str | None = None,
 ) -> GoldReference:
-    """Derive all task gold from the annotations.
+    """Derive the scored gold from the annotations in one walk.
 
     Action clusters come from the gold label file when given, otherwise
     from the normalization map, otherwise every label is its own cluster.
+    An action instance counts toward the cluster whose member or canonical
+    its label is, and a label in no cluster toward its own.
     """
     if gold_label_file is not None:
         action_clusters = load_gold_labels(gold_label_file)
@@ -167,43 +173,43 @@ def build_gold(
             if c.pool == ACTION_POOL
         }
     else:
-        labels = {a.label for _, _, p in doc.iter_panels() for a in p.actions}
-        action_clusters = {label: frozenset({label}) for label in sorted(labels)}
+        action_clusters = None
+    member_to_canonical = {
+        member: canonical
+        for canonical, members in (action_clusters or {}).items()
+        for member in members
+    }
 
-    dialogue_gold: dict[str, tuple] = {}
+    action_instances: dict[str, dict[str, set[str]]] = {}
+    dialogue_gold: dict[str, tuple[str, ...]] = {}
     trajectory: dict[str, set[str]] = {}
     order_gold: dict[str, tuple[str, ...]] = {}
     summary_gold: dict[str, frozenset[str]] = {}
-
-    by_reading = lambda panels: tuple(
-        p.id for p in sorted(panels, key=lambda p: p.reading_order)
-    )
-    all_panels = [p for _, _, p in doc.iter_panels()]
-    order_gold["story"] = by_reading(all_panels)
     for macro in doc.macro_events:
-        macro_panels = [p for e in macro.events for p in e.panels]
-        order_gold[macro.id] = by_reading(macro_panels)
-        summary_gold[macro.id] = frozenset(e.id for e in macro.events)
+        panels = [panel for event in macro.events for panel in event.panels]
+        by_reading = sorted(panels, key=attrgetter("reading_order"))
+        order_gold[macro.id] = tuple(p.id for p in by_reading)
+        summary_gold[macro.id] = frozenset(event.id for event in macro.events)
         for event in macro.events:
-            order_gold[event.id] = by_reading(event.panels)
-            summary_gold[event.id] = frozenset(p.id for p in event.panels)
-            entries = []
-            for panel in event.panels:
-                speakers = {c.instance_id: c.entity_id for c in panel.characters}
-                for dlg in panel.dialogues:
-                    entries.append(
-                        (panel.id, speakers.get(dlg.speaker) if dlg.speaker else None, dlg.text)
-                    )
-                for char in panel.characters:
-                    trajectory.setdefault(char.entity_id, set()).add(panel.id)
-            dialogue_gold[event.id] = tuple(entries)
+            dialogue_gold[event.id] = tuple(d.text for p in event.panels for d in p.dialogues)
+        for panel in panels:
+            for char in panel.characters:
+                trajectory.setdefault(char.entity_id, set()).add(panel.id)
+            for action in panel.actions:
+                canonical = member_to_canonical.get(action.label, action.label)
+                split = action_instances.setdefault(canonical, {})
+                split.setdefault(macro.id, set()).add(action.instance_id)
 
+    if action_clusters is None:
+        # every label its own cluster: the labels are the clusters found
+        action_clusters = {label: frozenset({label}) for label in sorted(action_instances)}
     return GoldReference(
         action_clusters=action_clusters,
         dialogue_gold=dialogue_gold,
         trajectory_gold={e: frozenset(panels) for e, panels in trajectory.items()},
         order_gold=order_gold,
         summary_gold=summary_gold,
+        action_instances=action_instances,
     )
 
 
@@ -280,12 +286,13 @@ def _mean_triple(triples) -> tuple[float, float, float]:
 def _score_t1(graph, variant, gold, macro_of, gold_by_macro, norm_map):
     """Per macro-event, the set P/R/F1 of each gold cluster with instances there.
 
-    `gold_by_macro` maps a cluster to its gold instance ids per macro-event
-    and `macro_of` a panel to its macro-event. Each cluster's queries run
-    once, story-wide. An action index's groups are disjoint, so a cluster's
-    hits are the hits of the distinct groups its queries return, each group
-    known by its first hit; they are tallied per macro-event, with the true
-    positives among them, and scored as set_f1 scores the sets.
+    `gold_by_macro`, the gold's `action_instances`, maps a cluster to its
+    gold instance ids per macro-event, and `macro_of` a panel to its
+    macro-event. Each cluster's queries run once, story-wide. An action
+    index's groups are disjoint, so a cluster's hits are the hits of the
+    distinct groups its queries return, each group known by its first hit;
+    they are tallied per macro-event, with the true positives among them,
+    and scored as set_f1 scores the sets.
     """
     per_macro: dict[str, list] = {}
     for canonical in sorted(gold.action_clusters):
@@ -332,7 +339,7 @@ def run_eval(
     *,
     norm_map: NormalizationMap | None = None,
 ) -> EvalReport:
-    """Score the five tasks per macro-event.
+    """Score the five tasks per macro-event against `gold`.
 
     Each task scores units: a gold action cluster with instances in the
     macro-event (T1), an event with dialogue (T2), a character with gold
@@ -342,29 +349,15 @@ def run_eval(
     tasks read only label-free views, which the normalized graph shares
     with the raw one, so they run once, on the raw graph.
     """
-    member_to_canonical = {
-        member: canonical
-        for canonical, members in gold.action_clusters.items()
-        for member in members
-    }
-    macro_of: dict[str, str] = {}
-    # gold action instance ids per cluster, split by macro-event once for both variants
-    gold_by_macro: dict[str, dict[str, set[str]]] = {}
-    for macro, _, panel in doc.iter_panels():
-        macro_of[panel.id] = macro.id
-        for action in panel.actions:
-            canonical = member_to_canonical.get(action.label, action.label)
-            split = gold_by_macro.setdefault(canonical, {})
-            split.setdefault(macro.id, set()).add(action.instance_id)
-
+    macro_of = {panel.id: macro.id for macro, _, panel in doc.iter_panels()}
     # each row's unit scores per macro-event
     units = {row: defaultdict(list) for row in _ROWS}
     for variant, graph in zip(VARIANTS, (graph_raw, graph_norm)):
-        t1 = _score_t1(graph, variant, gold, macro_of, gold_by_macro, norm_map)
+        t1 = _score_t1(graph, variant, gold, macro_of, gold.action_instances, norm_map)
         units["T1", variant].update(t1)
     for macro in doc.macro_events:
         for event in macro.events:
-            gold_texts = [text for _, _, text in gold.dialogue_gold[event.id]]
+            gold_texts = gold.dialogue_gold[event.id]
             if gold_texts:
                 trace = trace_dialogue(graph_raw, event.id)
                 score = token_f1([text for _, _, _, text in trace.entries], gold_texts)
@@ -443,14 +436,19 @@ def _render_markdown(report: EvalReport) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+# each `nkg eval --format` name and its renderer
+_RENDERERS = {
+    "json": EvalReport.to_json_bytes,
+    "csv": _render_csv,
+    "md": _render_markdown,
+    "plotdata": _render_plotdata,
+}
+REPORT_FORMATS = tuple(_RENDERERS)
+
+
 def render_report(report: EvalReport, format: str = "json") -> bytes:
-    name = {"md": "markdown"}.get(format, format)
-    if name == "json":
-        return report.to_json_bytes()
-    if name == "csv":
-        return _render_csv(report)
-    if name == "markdown":
-        return _render_markdown(report)
-    if name == "plotdata":
-        return _render_plotdata(report)
-    raise ValueError(f"format must be one of {REPORT_FORMATS}, got {format!r}")
+    """The report in one of REPORT_FORMATS; "markdown" names "md" too."""
+    renderer = _RENDERERS.get("md" if format == "markdown" else format)
+    if renderer is None:
+        raise ValueError(f"format must be one of {REPORT_FORMATS}, got {format!r}")
+    return renderer(report)

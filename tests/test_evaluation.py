@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -11,11 +12,13 @@ import pytest
 
 from nkg import resources
 from nkg.builder import build_all
-from nkg.cli import main
+from nkg.cli import build_parser, main
 from nkg.embedding import HashedNgramProvider
 from nkg.errors import DuplicateElements, EmptyGold, MalformedJson, SchemaViolation
 from nkg.evaluation import (
     _ROWS,
+    REPORT_FORMATS,
+    VARIANTS,
     EvalReport,
     GoldReference,
     TaskScore,
@@ -538,6 +541,24 @@ def test_unknown_format_rejected():
         render_report(EvalReport("s", ()), "xml")
 
 
+def eval_format_choices():
+    """The choices of `nkg eval --format`, read off the parser."""
+    parser = build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    (fmt,) = (a for a in commands.choices["eval"]._actions if a.dest == "format")
+    return fmt.choices
+
+
+def test_eval_format_choices_are_the_report_formats(tmp_path):
+    assert tuple(eval_format_choices()) == REPORT_FORMATS == ("json", "csv", "md", "plotdata")
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_bytes(generate_fixture("romance").to_json_bytes())
+    for fmt in REPORT_FORMATS:
+        out = tmp_path / f"report.{fmt}"
+        assert main(["eval", "--input", str(doc_path), "--format", fmt, "--output", str(out)]) == 0
+        assert out.read_bytes()
+
+
 # --- pinned report bytes ------------------------------------------------------
 
 
@@ -601,6 +622,88 @@ def test_eval_report_bytes_match_pinned_digest(tmp_path, kind, seed, variance, w
     key = (kind, seed, variance, with_gold)
     digest = eval_report_digest(tmp_path, *key)
     assert digest == EVAL_REPORT_DIGESTS[key]
+
+
+# --- the gold run_eval scores --------------------------------------------------
+
+
+def gold_variants(kind, doc):
+    """Derived, map and file gold for a story."""
+    norm_map = build_normalization_map(doc, HASHED, COMBAT, 0.75)
+    gold_file = resources.gold_labels_bytes(kind) if kind != "noise" else noise_gold_bytes(doc)
+    return {
+        "derived": build_gold(doc),
+        "map": build_gold(doc, normalization_map=norm_map),
+        "file": build_gold(doc, gold_label_file=gold_file),
+    }
+
+
+def action_instance_cells(doc, action_clusters):
+    """(cluster, macro-event id, instance id) -> how often the walk meets it,
+    a label counting toward the cluster it is a member or the canonical of,
+    and toward itself when in none."""
+    cells = {}
+    for macro, _, panel in doc.iter_panels():
+        for action in panel.actions:
+            cluster = next(
+                (c for c, members in action_clusters.items() if action.label in {c, *members}),
+                action.label,
+            )
+            key = (cluster, macro.id, action.instance_id)
+            cells[key] = cells.get(key, 0) + 1
+    return cells
+
+
+@pytest.mark.parametrize("kind,seed,variance", EVAL_STORIES)
+def test_gold_holds_only_scored_units(kind, seed, variance):
+    doc = generate_fixture(kind, seed=seed, variance=variance)
+    macro_ids = [macro.id for macro in doc.macro_events]
+    texts = {}
+    for _, event, panel in doc.iter_panels():
+        texts.setdefault(event.id, []).extend(d.text for d in panel.dialogues)
+    event_ids = [event.id for macro in doc.macro_events for event in macro.events]
+    instance_ids = [a.instance_id for _, _, p in doc.iter_panels() for a in p.actions]
+    assert [f.name for f in fields(GoldReference)] == [
+        "action_clusters", "dialogue_gold", "trajectory_gold", "order_gold",
+        "summary_gold", "action_instances",
+    ]
+    for source, gold in gold_variants(kind, doc).items():
+        assert list(gold.order_gold) == list(gold.summary_gold) == macro_ids, source
+        assert list(gold.dialogue_gold) == event_ids, source
+        for event_id in event_ids:
+            assert gold.dialogue_gold[event_id] == tuple(texts.get(event_id, ())), source
+        cells = action_instance_cells(doc, gold.action_clusters)
+        assert set(cells.values()) <= {1}, source
+        want = {}
+        for cluster, macro_id, instance_id in cells:
+            want.setdefault(cluster, {}).setdefault(macro_id, set()).add(instance_id)
+        assert gold.action_instances == want, source
+        placed = [
+            instance_id
+            for split in gold.action_instances.values()
+            for ids in split.values()
+            for instance_id in ids
+        ]
+        assert sorted(placed) == sorted(instance_ids) and len(set(placed)) == len(placed), source
+
+
+def test_run_eval_scores_the_gold_it_is_given():
+    doc, raw, norm, norm_map, gold = eval_bundle("battle", COMBAT, gold_file=BATTLE_GOLD_FILE)
+    dropped = replace(
+        gold, action_instances={c: s for c, s in gold.action_instances.items() if c != "attack"}
+    )
+    rows, again = (
+        {
+            (r.macro_event_id, r.task, r.variant): (r.precision, r.recall, r.f1)
+            for r in run_eval(doc, raw, norm, g, norm_map=norm_map).rows
+        }
+        for g in (gold, dropped)
+    )
+    # attack is m3's and m4's only cluster with instances; m1 keeps walk
+    changed = {key for key in rows if rows[key] != again[key]}
+    assert changed == {(m, "T1", v) for m in ("m3", "m4") for v in VARIANTS}
+    for key in changed:
+        assert rows[key] == (1.0, 1.0, 1.0) and again[key] == (0.0, 0.0, 0.0)
 
 
 # --- the report writer against json.dumps ------------------------------------
