@@ -64,12 +64,13 @@ def _hashed_rows(labels: list[str], dim: int) -> np.ndarray:
     handles each distinct token and trigram once.
 
     Token rows hold integer counts, so their sums and norms are exact in any
-    order. Label rows add their token rows in token order from zeros, one
-    token position at a time for every label, and are scaled by row_norms,
-    the ddot np.linalg.norm takes of a vector, so each row has the bits of
-    the same steps taken for its label alone. A label with fewer tokens adds
-    the zero row at the positions it lacks; no sum here is ever -0.0, so
-    adding +0.0 changes no bit."""
+    order. Label rows start from their first token's row and add the others
+    in token order, one token position at a time for every label, and are
+    scaled by row_norms, the ddot np.linalg.norm takes of a vector, so each
+    row has the bits of the same steps taken for its label alone. No entry
+    here is ever -0.0, so adding +0.0 changes no bit: the first token's row
+    has the bits of a sum from zeros, and a label with fewer tokens adds the
+    zero row at the positions it lacks."""
     token_ids: dict[str, int] = {}
     label_tokens = [  # fold_label raises EmptyLabel on blank input
         [token_ids.setdefault(t, len(token_ids)) for t in fold_label(label).split("_")]
@@ -94,8 +95,9 @@ def _hashed_rows(labels: list[str], dim: int) -> np.ndarray:
     # token ids by position, -1 (the zero row) past a label's last token
     width = max(map(len, label_tokens), default=0)
     table = np.array([ids + [-1] * (width - len(ids)) for ids in label_tokens], dtype=np.intp)
-    rows = np.zeros((len(labels), dim))
-    for column in table.reshape(len(labels), width).T:
+    first, *columns = table.reshape(len(labels), width).T  # every label has a first token
+    rows = tokens[first]
+    for column in columns:
         rows += tokens[column]
     rows /= np.array([len(ids) for ids in label_tokens])[:, None]
     norms = row_norms(rows)[:, None]

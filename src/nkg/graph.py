@@ -47,10 +47,11 @@ were assembled. The writer fills a template of the graph's fixed shape, one
 per node kind and attribute key sequence; its bytes are those of
 json.dumps(indent=2, sort_keys=True, ensure_ascii=False).
 The reader checks a valid file in whole-table passes: one per field of the
-nodes and of the edges, one loop that fills the tables, a forest check and a
-topological pass per order-bearing kind. At the first sign of a fault it
-reads the decoded items again one by one through add_node and add_edge, so
-the first fault is named as it always was, by the same class and message.
+nodes, one loop over the edges that resolves each edge's kind and ends and
+fills the tables, a forest check and a topological pass per order-bearing
+kind. At the first sign of a fault it reads the decoded items again one by
+one through add_node and add_edge, so the first fault is named as it always
+was, by the same class and message.
 """
 
 from __future__ import annotations
@@ -585,15 +586,16 @@ class NarrativeGraph:
         whether they hold no fault that _add_items would raise; after False
         the graph is part-filled and of no use.
 
-        Each pass reads one field of every item: the node ids, kinds, layers
-        and attributes, checked as add_node and _add_items check them, then
-        the edge kinds and both ends, looked up as nodes. A `panel`
-        attribute that names a node, and the `speaker` beside it, are pointed
-        at the node's own id string, as build_all's panels are. One loop
-        fills the out-tables through _attach, each end the node's own id
-        string, and finds duplicates. Last come one check that subevent_of is
-        a forest and, per order-bearing kind, one topological pass in place
-        of a search per edge."""
+        Each node pass reads one field of every node: the ids, kinds, layers
+        and attributes, checked as add_node and _add_items check them. A
+        `panel` attribute that names a node, and the `speaker` beside it, are
+        pointed at the node's own id string, as build_all's panels are. One
+        loop over the edges looks up each edge's kind and both ends, as
+        nodes, and fills the out-tables through _attach, each end the node's
+        own id string; an unknown kind or end, an edge that is no object and
+        a duplicate all stop it. Last come one check that subevent_of is a
+        forest and, per order-bearing kind, one topological pass in place of
+        a search per edge."""
         try:
             # AttributeError: an item that is no object; KeyError: a missing
             # field, or a kind, layer or end that names nothing; TypeError: an
@@ -613,24 +615,22 @@ class NarrativeGraph:
             table.update(zip(ids, map(Node, ids, kinds, attrs)))
             if len(table) != len(ids):  # a duplicate id
                 return False
-            edge_kinds = [_EDGE_KINDS[e["kind"]] for e in edges]
-            srcs = [table[e["src"]].id for e in edges]
-            dsts = [table[e["dst"]].id for e in edges]
+            for placed in attrs:
+                if "panel" in placed:
+                    named = table.get(placed["panel"])
+                    if named is not None:
+                        placed["panel"] = named.id
+                    if "speaker" in placed:
+                        named = table.get(placed["speaker"])
+                        if named is not None:
+                            placed["speaker"] = named.id
+            out_tables, edge_kinds = self._out, _EDGE_KINDS
+            for e in edges:
+                out = out_tables[edge_kinds[e["kind"]]]
+                if not _attach(out, table[e["src"]].id, table[e["dst"]].id):  # a duplicate edge
+                    return False
         except (AttributeError, KeyError, TypeError):
             return False
-        for placed in attrs:
-            if "panel" in placed:
-                named = table.get(placed["panel"])
-                if named is not None:
-                    placed["panel"] = named.id
-                if "speaker" in placed:
-                    named = table.get(placed["speaker"])
-                    if named is not None:
-                        placed["speaker"] = named.id
-        out_tables = self._out
-        for src, dst, kind in zip(srcs, dsts, edge_kinds):
-            if not _attach(out_tables[kind], src, dst):  # a duplicate edge
-                return False
         if any(entry.__class__ is set for entry in out_tables[_SUBEVENT_OF].values()):
             return False
         return all(_acyclic(out_tables[kind]) for kind in _ORDER_KINDS)

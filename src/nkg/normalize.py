@@ -23,7 +23,8 @@ the pool's sorted labels starts with each label at its bucket's first
 label, and its roots give the clusters in sorted order. Cosine links,
 needed only when the buckets are more than one, come from the index's
 links(): one embed_batch call fills the rows, and one block of labels at a
-time is multiplied with the labels from its own start on.
+time is multiplied with the labels from its own start on, keeping the pairs
+i < j that pass the lower cutoff.
 
 Canonical selection prefers gold labels (highest annotation frequency first),
 otherwise the shortest member; remaining ties break lexicographically. A
@@ -164,20 +165,26 @@ class LabelIndex:
             return
         self.rows = np.array([np.zeros(dim) if vec is None else vec for vec in vectors], np.float64)
         self.norms = row_norms(self.rows)
-        unit = (self.rows / np.where(self.norms > 0, self.norms, 1.0)[:, None]).astype(np.float32)
-        unit[[vec is None for vec in vectors]] = np.nan
-        self.unit = np.ascontiguousarray(unit.T)  # transposed in float32: half the bytes
+        # the float64 quotients, rounded to float32 as they are written transposed
+        self.unit = np.empty((dim, len(vectors)), np.float32)  # half the bytes
+        np.divide(
+            self.rows.T, np.where(self.norms > 0, self.norms, 1.0), out=self.unit, casting="unsafe"
+        )
+        self.unit[:, [vec is None for vec in vectors]] = np.nan
         self.band = float32_band(dim)
 
     def links(self, threshold: float):
         """Yields, one block of positions at a time, the pairs i < j whose
         cosine(rows[i], rows[j]) is at or above the threshold. A block takes
-        the products of its unit rows with those from its own start on;
+        the products of its unit rows with those from its own start on, and
+        keeps the pairs i < j of those that pass the lower cutoff;
         pair_cosines decides each pair within the band."""
         unit, band = self.unit, self.band
         for start in range(0, unit.shape[1], _BLOCK_ROWS):
             sims = unit[:, start : start + _BLOCK_ROWS].T @ unit[:, start:]
-            rows, cols = np.nonzero(np.triu(sims >= threshold - band, 1))
+            rows, cols = (sims >= threshold - band).nonzero()
+            upper = rows < cols
+            rows, cols = rows[upper], cols[upper]
             near = sims[rows, cols] < threshold + band
             rows += start
             cols += start

@@ -421,12 +421,20 @@ def set_field(node_id, key, value, attr=False):
     return edit
 
 
-def set_edge_field(key, value):
+def set_edge_field(key, value, index=0):
     def edit(obj):
         if value is DELETE:
-            del obj["edges"][0][key]
+            del obj["edges"][index][key]
         else:
-            obj["edges"][0][key] = value
+            obj["edges"][index][key] = value
+    return edit
+
+
+def in_turn(*edits):
+    """One edit that makes each of these, in order."""
+    def edit(obj):
+        for each in edits:
+            each(obj)
     return edit
 
 
@@ -484,6 +492,27 @@ CORRUPT_GRAPH_FILES = {
     "edge-dst-missing": (set_edge_field("dst", DELETE), SchemaViolation),
     "duplicate-edge": (lambda obj: obj["edges"].append(dict(obj["edges"][0])), DuplicateEdge),
     "unknown-src": (append_edge("ghost", "0_0_0", "co_occurs_with"), UnknownEndpoint),
+    # faults that meet in the reader's one edge loop: the first edge's is named
+    "unknown-src-then-kind-unknown": (
+        in_turn(set_edge_field("src", "ghost"), set_edge_field("kind", "sideways", -1)),
+        UnknownEndpoint,
+    ),
+    "duplicate-edge-then-not-object": (
+        in_turn(lambda obj: obj["edges"].append(dict(obj["edges"][0])),
+                lambda obj: obj["edges"].append(["0_0_0", "0_0_1"])),
+        DuplicateEdge,
+    ),
+    "unknown-dst-then-kind-unhashable": (
+        in_turn(append_edge("0_0_0", "ghost", "co_occurs_with"),
+                append_edge("0_0_0", "0_0_1", ["co_occurs_with"])),
+        UnknownEndpoint,
+    ),
+    "edge-kind-unhashable-last": (set_edge_field("kind", {"precedes": 1}, -1), SchemaViolation),
+    "edge-src-unhashable-then-duplicate": (
+        in_turn(set_edge_field("src", ["0_0_0"], 1),
+                lambda obj: obj["edges"].append(dict(obj["edges"][0]))),
+        SchemaViolation,
+    ),
     "unknown-dst": (append_edge("0_0_0", "ghost", "precedes_reading"), UnknownEndpoint),
     "second-subevent-parent": (append_edge("e0_0", "m1", "subevent_of"), ForestViolation),
     "cycle-precedes-reading": (append_edge("0_0_1", "0_0_0", "precedes_reading"), CycleIntroduced),

@@ -226,8 +226,9 @@ def test_batched_clusters_equal_greedy_at_pair_cosine_thresholds():
 # verb_noun_labels(random.Random(29), 2000) under the hashed provider and
 # the default lexicon, recorded while pools were screened on float64
 # products; the last threshold is cosine() of call_boat_2 and call_book_2,
-# the pair nearest 0.75
+# the pair nearest 0.75; at 0.0 about half the pairs have cosine 0.0 exactly
 POOL_2000_PINS = {
+    0.0: (1, "11a8559db98be313b7e10dfa8479bbb5dec3d2ca7ce27c26990ccc0b69cf163c"),
     0.7: (5, "5322774cb09dea839ac274ea4c7771372c7cf4afb63934ed678969635b98dc3b"),
     0.75: (36, "c978439fe4b2cbc860c3b538d94d975a53844e8338c2ac1d538cca16dd96daa9"),
     0.8: (162, "84f86344ed316c7d64d96c0b8a9b4421c82d3966bbbe35e6ecfa4419e83b5ae9"),
@@ -698,6 +699,37 @@ def test_index_links_are_the_pair_scan_on_band_cases(block_rows, case):
     norm_map, provider, lexicon = case
     labels = ["q", *sorted(norm_map.pool_labels(ACTION_POOL))]
     assert_links_are_the_pair_scan(labels, provider, lexicon, norm_map.threshold, block_rows)
+
+
+# grid vectors whose cosines are exactly 0.0: pairs with no nonzero
+# entry in common (a, b, c), pairs that share entries whose products cancel
+# (d and e, f and g), a zero vector and a label without one; t's tiny entry
+# rounds to 0 in float32, yet its float64 product with u is negative and
+# with b positive, so at 0 the first pair must not link and the second must
+ZERO_PRODUCT_VECTORS = {
+    "a": [1.0, 0.0, 0.0, 0.0],
+    "b": [0.0, 2.0, 0.0, 0.0],
+    "c": [0.0, 0.0, -1.0, 0.0],
+    "d": [1.0, 1.0, 0.0, 0.0],
+    "e": [1.0, -1.0, 0.0, 0.0],
+    "f": [0.0, 0.0, 1.0, 1.0],
+    "g": [0.0, 0.0, 1.0, -1.0],
+    "h": [-1.0, 0.0, 0.0, 0.0],
+    "t": [1.0, 1e-50, 0.0, 0.0],
+    "u": [0.0, -1.0, 0.0, 0.0],
+    "z": [0.0, 0.0, 0.0, 0.0],
+}
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 7, 256])
+@pytest.mark.parametrize("threshold", [0.0, float32_band(4) / 2, 5e-324])
+def test_index_links_are_the_pair_scan_on_exact_zero_products(block_rows, threshold):
+    vectors = {label: np.array(vec) for label, vec in ZERO_PRODUCT_VECTORS.items()}
+    provider = VectorFileProvider(vectors, 4, source="zero-products")
+    labels = [*sorted(vectors), "n"]  # "n" has no vector
+    assert cosine(vectors["d"], vectors["e"]) == 0.0 and cosine(vectors["t"], vectors["u"]) < 0
+    assert float32_band(4) > threshold
+    assert_links_are_the_pair_scan(labels, provider, SynonymLexicon.empty(), threshold, block_rows)
 
 
 @pytest.mark.parametrize("kind,seed,variance,with_gold", sorted(MAP_DIGESTS))
